@@ -104,6 +104,17 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The error for a `--run` key no scenario answers to, listing the
+/// registry's ids.
+fn unknown_scenario(key: &str) -> String {
+    let ids: Vec<&str> = registry::registry().iter().map(|s| s.id).collect();
+    format!(
+        "unknown scenario {:?}; ids are {} (see --list)",
+        key,
+        ids.join(", ")
+    )
+}
+
 fn write_json(dir: &Path, report: &ExpReport) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(format!("{}.json", report.scenario));
@@ -155,10 +166,7 @@ fn main() -> ExitCode {
             match registry::find(key) {
                 Some(spec) => out.push((spec.run)(ctx.clone())),
                 None => {
-                    eprintln!(
-                        "expctl: unknown scenario {:?}; ids are e1..e17 (see --list)",
-                        key
-                    );
+                    eprintln!("expctl: {}", unknown_scenario(key));
                     return ExitCode::FAILURE;
                 }
             }
@@ -184,4 +192,22 @@ fn main() -> ExitCode {
         ctx.threads
     );
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn unknown_scenario_lists_every_registered_id() {
+        let msg = unknown_scenario("e99");
+        for spec in registry::registry() {
+            assert!(
+                msg.split([' ', ',']).any(|word| word == spec.id),
+                "{} missing from {:?}",
+                spec.id,
+                msg
+            );
+        }
+    }
 }

@@ -39,9 +39,8 @@ pub struct Params {
 
 impl Params {
     pub fn golden() -> Params {
-        // Sizes are tuned so the full battery (including the dense
-        // spectral pass, whose power iteration is the cost ceiling)
-        // stays a few seconds in debug builds.
+        // Sizes are tuned so the full metric battery stays a few
+        // seconds in debug builds.
         Params {
             n: 100,
             cities: 12,

@@ -293,34 +293,52 @@ impl Snapshot {
             return Err(corrupt("checksum mismatch"));
         }
         let mut pos = 8usize;
-        let take = |pos: &mut usize, k: usize| -> Result<&[u8], SnapshotError> {
-            if *pos + k > payload_len {
-                return Err(SnapshotError::Corrupt("truncated section".to_string()));
+        // Takes the next `count` items of `width` bytes. The sizes come
+        // from the file, so the arithmetic is checked and the section is
+        // bounded by the bytes present before anything is allocated.
+        let take = |pos: &mut usize, count: usize, width: usize| -> Result<&[u8], SnapshotError> {
+            match count.checked_mul(width).and_then(|k| pos.checked_add(k)) {
+                Some(end) if end <= payload_len => {
+                    let s = &bytes[*pos..end];
+                    *pos = end;
+                    Ok(s)
+                }
+                Some(_) => Err(corrupt("truncated section")),
+                None => Err(corrupt("section size overflows")),
             }
-            let s = &bytes[*pos..*pos + k];
-            *pos += k;
-            Ok(s)
         };
         let read_u32 = |pos: &mut usize| -> Result<u32, SnapshotError> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
+            Ok(u32::from_le_bytes(take(pos, 1, 4)?.try_into().unwrap()))
         };
         let read_u64 = |pos: &mut usize| -> Result<u64, SnapshotError> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()))
+            Ok(u64::from_le_bytes(take(pos, 1, 8)?.try_into().unwrap()))
         };
         let version = read_u32(&mut pos)?;
         if version == 0 || version > SNAPSHOT_VERSION {
             return Err(SnapshotError::BadVersion(version));
         }
-        let n = read_u64(&mut pos)? as usize;
-        let entries = read_u64(&mut pos)? as usize;
+        let n =
+            usize::try_from(read_u64(&mut pos)?).map_err(|_| corrupt("node count overflows"))?;
+        let entries =
+            usize::try_from(read_u64(&mut pos)?).map_err(|_| corrupt("entry count overflows"))?;
         let read_u32_vec = |pos: &mut usize, k: usize| -> Result<Vec<u32>, SnapshotError> {
-            let raw = take(pos, 4 * k)?;
+            let raw = take(pos, k, 4)?;
             Ok(raw
                 .chunks_exact(4)
                 .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
                 .collect())
         };
-        let offsets = read_u32_vec(&mut pos, n + 1)?;
+        let read_f64_vec = |pos: &mut usize, k: usize| -> Result<Vec<f64>, SnapshotError> {
+            let raw = take(pos, k, 8)?;
+            Ok(raw
+                .chunks_exact(8)
+                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
+                .collect())
+        };
+        let offset_count = n
+            .checked_add(1)
+            .ok_or_else(|| corrupt("node count overflows"))?;
+        let offsets = read_u32_vec(&mut pos, offset_count)?;
         let targets: Vec<NodeId> = read_u32_vec(&mut pos, entries)?
             .into_iter()
             .map(NodeId)
@@ -333,7 +351,7 @@ impl Snapshot {
             CsrGraph::from_raw_parts(offsets, targets, edge_ids).map_err(SnapshotError::Corrupt)?;
         let read_name = |pos: &mut usize| -> Result<String, SnapshotError> {
             let len = read_u32(pos)? as usize;
-            let raw = take(pos, len)?;
+            let raw = take(pos, len, 1)?;
             String::from_utf8(raw.to_vec())
                 .map_err(|_| SnapshotError::Corrupt("non-UTF-8 column name".to_string()))
         };
@@ -345,12 +363,7 @@ impl Snapshot {
         let mut node_f64 = Vec::new();
         for _ in 0..read_u32(&mut pos)? {
             let name = read_name(&mut pos)?;
-            let raw = take(&mut pos, 8 * n)?;
-            let col: Vec<f64> = raw
-                .chunks_exact(8)
-                .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-                .collect();
-            node_f64.push((name, col));
+            node_f64.push((name, read_f64_vec(&mut pos, n)?));
         }
         let mut edge_u32 = Vec::new();
         for _ in 0..read_u32(&mut pos)? {
@@ -363,12 +376,7 @@ impl Snapshot {
         if version >= 2 {
             for _ in 0..read_u32(&mut pos)? {
                 let name = read_name(&mut pos)?;
-                let raw = take(&mut pos, 8 * (entries / 2))?;
-                let col: Vec<f64> = raw
-                    .chunks_exact(8)
-                    .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().unwrap())))
-                    .collect();
-                edge_f64.push((name, col));
+                edge_f64.push((name, read_f64_vec(&mut pos, entries / 2)?));
             }
         }
         if pos != payload_len {
@@ -499,6 +507,15 @@ mod tests {
         s
     }
 
+    /// `bytes` with its checksum trailer recomputed, so a forged or
+    /// mutated payload reaches the structural checks.
+    fn resigned(mut bytes: Vec<u8>) -> Vec<u8> {
+        let len = bytes.len() - 8;
+        let sum = super::fnv1a(&bytes[..len]);
+        bytes[len..].copy_from_slice(&sum.to_le_bytes());
+        bytes
+    }
+
     /// Version-1 files (no edge f64 section) still load, with
     /// `edge_f64` empty. Built by stripping the (empty) edge f64
     /// section from a version-2 serialization and re-stamping
@@ -565,13 +582,26 @@ mod tests {
         // Future version (checksum recomputed so only the version trips).
         let mut bad = good.clone();
         bad[8..12].copy_from_slice(&99u32.to_le_bytes());
-        let len = bad.len() - 8;
-        let sum = super::fnv1a(&bad[..len]);
-        bad[len..].copy_from_slice(&sum.to_le_bytes());
         assert!(matches!(
-            Snapshot::from_bytes(&bad),
+            Snapshot::from_bytes(&resigned(bad)),
             Err(SnapshotError::BadVersion(99))
         ));
+
+        // Forged, validly signed headers whose sizes overflow: the node
+        // count `n` sits at bytes 12..20, the entry count at 20..28.
+        for (at, forged) in [(12, u64::MAX), (12, 1u64 << 62), (20, u64::MAX)] {
+            let mut bad = good.clone();
+            bad[at..at + 8].copy_from_slice(&forged.to_le_bytes());
+            assert!(
+                matches!(
+                    Snapshot::from_bytes(&resigned(bad)),
+                    Err(SnapshotError::Corrupt(_))
+                ),
+                "header field at {} forged to {}",
+                at,
+                forged
+            );
+        }
 
         // Single flipped payload byte -> checksum mismatch.
         let mut bad = good.clone();
@@ -598,5 +628,56 @@ mod tests {
         let mut s = sample_snapshot();
         s.node_u32[0].1.pop();
         s.to_bytes();
+    }
+
+    /// Size fields worth forging: overflowing, wrapping and merely
+    /// oversized counts.
+    const HOSTILE: [u64; 6] = [
+        u64::MAX,
+        1 << 62,
+        (1 << 62) + 1,
+        1 << 32,
+        u32::MAX as u64,
+        0,
+    ];
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
+
+        /// Flipped, truncated, extended or forged payloads, re-signed so
+        /// the checksum passes, decode to an error or to a snapshot that
+        /// re-serializes to the same bytes; they never panic.
+        #[test]
+        fn snapshot_mutations_never_panic(
+            op in 0usize..4,
+            at in 0usize..4096,
+            value in 0usize..256,
+            extra in proptest::collection::vec(0usize..256, 1..24),
+        ) {
+            let good = sample_snapshot().to_bytes();
+            let body = good.len() - 8;
+            let mut bytes = good[..body].to_vec();
+            match op {
+                0 => bytes[at % body] ^= value.max(1) as u8,
+                1 => bytes.truncate(at % body),
+                2 => {
+                    let i = at % (body + 1);
+                    bytes.splice(i..i, extra.iter().map(|&b| b as u8));
+                }
+                _ => {
+                    let i = at % (body - 7);
+                    let forged = HOSTILE[value % HOSTILE.len()];
+                    bytes[i..i + 8].copy_from_slice(&forged.to_le_bytes());
+                }
+            }
+            bytes.extend_from_slice(&[0; 8]);
+            let bytes = resigned(bytes);
+            if let Ok(s) = Snapshot::from_bytes(&bytes) {
+                // Version 1 re-serializes as the current version.
+                if bytes[8..12] == SNAPSHOT_VERSION.to_le_bytes() {
+                    proptest::prop_assert_eq!(s.to_bytes(), bytes);
+                }
+            }
+        }
     }
 }

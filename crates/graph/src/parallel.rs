@@ -106,7 +106,7 @@ where
 /// `f` receives `(index, &item)` and must be a pure function of them for
 /// the determinism guarantee to mean anything; under that contract the
 /// output is identical at every thread count. This is the entry point
-/// the scenario engine (`hot-exp`) fans E1–E16 out over.
+/// the scenario engine (`hot-exp`) fans its scenario registry out over.
 pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
 where
     T: Sync,

@@ -1,11 +1,19 @@
 //! Spectral estimates via power iteration: dominant adjacency eigenvalues
-//! and the normalized-Laplacian spectral gap.
+//! and the algebraic connectivity (the Fiedler value of the combinatorial
+//! Laplacian `L = D − A`).
 //!
 //! Vukadinović et al. (cited as \[31\] in the paper) proposed spectral
 //! analysis for distinguishing topology generators; experiment E6 reports
 //! the top adjacency eigenvalues and the algebraic connectivity as part of
-//! the metric matrix. Dense matrices are fine at the experiment scales
-//! (≲ a few thousand nodes).
+//! the metric matrix.
+//!
+//! Both iterate on a shifted matrix held in compressed sparse rows, so a
+//! step costs O(n + m) time and the whole pass O(n + m) memory. Each row
+//! lists its nonzero columns in ascending order and is reduced with the
+//! same `Iterator::sum` a dense row would be. A dense product only adds
+//! `±0.0` terms on top of those, which never change a nonzero partial
+//! sum, so every eigenvalue is bit-identical to the dense computation's
+//! (`tests/spectral_equivalence.rs` keeps that dense path as the oracle).
 
 use crate::graph::Graph;
 
@@ -14,10 +22,58 @@ const MAX_ITERS: usize = 10_000;
 /// Convergence tolerance on the eigenvalue estimate.
 const TOL: f64 = 1e-10;
 
-/// Dense symmetric matrix-vector product helper.
-fn matvec(m: &[Vec<f64>], v: &[f64], out: &mut [f64]) {
-    for (i, row) in m.iter().enumerate() {
-        out[i] = row.iter().zip(v).map(|(a, b)| a * b).sum();
+/// A symmetric matrix in compressed sparse rows: row `i`'s nonzero
+/// columns, ascending, are `cols[start[i]..start[i + 1]]`, with their
+/// coefficients at the same positions of `vals`.
+struct SparseSym {
+    start: Vec<usize>,
+    cols: Vec<u32>,
+    vals: Vec<f64>,
+}
+
+impl SparseSym {
+    /// The adjacency matrix of `g` with row `i`'s diagonal set to
+    /// `diag(i)`. Parallel edges merge into one coefficient, their count
+    /// (the value a dense build reaches by adding 1.0 per edge).
+    fn adjacency_with_diagonal<N, E>(g: &Graph<N, E>, diag: impl Fn(usize) -> f64) -> Self {
+        let n = g.node_count();
+        let entries = n + 2 * g.edge_count();
+        let mut m = SparseSym {
+            start: Vec::with_capacity(n + 1),
+            cols: Vec::with_capacity(entries),
+            vals: Vec::with_capacity(entries),
+        };
+        m.start.push(0);
+        let mut row: Vec<u32> = Vec::new();
+        for v in g.node_ids() {
+            row.clear();
+            row.extend(g.neighbors(v).map(|(u, _)| u.0));
+            // `Graph` has no self-loops, so `v` itself marks the diagonal.
+            row.push(v.0);
+            row.sort_unstable();
+            for run in row.chunk_by(|a, b| a == b) {
+                m.cols.push(run[0]);
+                m.vals.push(if run[0] == v.0 {
+                    diag(v.index())
+                } else {
+                    run.len() as f64
+                });
+            }
+            m.start.push(m.cols.len());
+        }
+        m
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// `out = M v`, each row summed over its nonzero columns in order.
+    fn matvec(&self, v: &[f64], out: &mut [f64]) {
+        for (o, w) in out.iter_mut().zip(self.start.windows(2)) {
+            let (cols, vals) = (&self.cols[w[0]..w[1]], &self.vals[w[0]..w[1]]);
+            *o = vals.iter().zip(cols).map(|(a, &j)| a * v[j as usize]).sum();
+        }
     }
 }
 
@@ -48,13 +104,13 @@ fn deflate(v: &mut [f64], basis: &[Vec<f64>]) {
     }
 }
 
-/// Power iteration for the largest-magnitude eigenvalue of a dense
+/// Power iteration for the largest-magnitude eigenvalue of a sparse
 /// symmetric matrix, orthogonal to `deflated` eigenvectors.
 ///
 /// Returns `(eigenvalue, eigenvector)`. A deterministic non-uniform start
 /// vector avoids getting stuck orthogonal to the dominant eigenvector on
 /// symmetric graphs.
-fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
+fn power_iteration(m: &SparseSym, deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
     let n = m.len();
     let mut v: Vec<f64> = (0..n)
         .map(|i| 1.0 + (i as f64 * 0.7183).sin() * 0.5)
@@ -64,7 +120,7 @@ fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
     let mut next = vec![0.0; n];
     let mut lambda = 0.0;
     for _ in 0..MAX_ITERS {
-        matvec(m, &v, &mut next);
+        m.matvec(&v, &mut next);
         deflate(&mut next, deflated);
         let new_lambda = dot(&next, &v);
         normalize(&mut next);
@@ -78,32 +134,8 @@ fn power_iteration(m: &[Vec<f64>], deflated: &[Vec<f64>]) -> (f64, Vec<f64>) {
     (lambda, v)
 }
 
-/// Dense adjacency matrix (parallel edges sum).
-pub fn adjacency_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
-    let n = g.node_count();
-    let mut m = vec![vec![0.0; n]; n];
-    for (_, a, b, _) in g.edges() {
-        m[a.index()][b.index()] += 1.0;
-        m[b.index()][a.index()] += 1.0;
-    }
-    m
-}
-
-/// Dense combinatorial Laplacian `L = D − A`.
-pub fn laplacian_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
-    let n = g.node_count();
-    let mut m = vec![vec![0.0; n]; n];
-    for (_, a, b, _) in g.edges() {
-        m[a.index()][b.index()] -= 1.0;
-        m[b.index()][a.index()] -= 1.0;
-        m[a.index()][a.index()] += 1.0;
-        m[b.index()][b.index()] += 1.0;
-    }
-    m
-}
-
-/// The `k` algebraically largest eigenvalues of the adjacency matrix,
-/// descending, via power iteration with deflation.
+/// The `k` algebraically largest eigenvalues of the adjacency matrix
+/// (parallel edges sum), descending, via power iteration with deflation.
 ///
 /// The matrix is shifted by `cI` (`c` = max degree + 1) before iterating so
 /// that the algebraically largest eigenvalue is also the largest in
@@ -112,15 +144,12 @@ pub fn laplacian_matrix<N, E>(g: &Graph<N, E>) -> Vec<Vec<f64>> {
 /// Only the leading eigenvalues are meaningful for generator comparison;
 /// `k` beyond ~5 accumulates deflation error.
 pub fn top_adjacency_eigenvalues<N, E>(g: &Graph<N, E>, k: usize) -> Vec<f64> {
-    let mut m = adjacency_matrix(g);
-    let n = m.len();
+    let n = g.node_count();
     if n == 0 {
         return Vec::new();
     }
     let c = g.degree_sequence().into_iter().max().unwrap_or(0) as f64 + 1.0;
-    for (i, row) in m.iter_mut().enumerate() {
-        row[i] += c;
-    }
+    let m = SparseSym::adjacency_with_diagonal(g, |_| c);
     let mut values = Vec::new();
     let mut vectors: Vec<Vec<f64>> = Vec::new();
     for _ in 0..k.min(n) {
@@ -150,21 +179,14 @@ pub fn algebraic_connectivity<N, E>(g: &Graph<N, E>) -> f64 {
     if n < 2 {
         return 0.0;
     }
-    let l = laplacian_matrix(g);
+    // The Laplacian's diagonal is the degree sequence.
+    let degrees = g.degree_sequence();
     // Gershgorin: all Laplacian eigenvalues lie in [0, 2*max_degree].
-    let c = 2.0 * l.iter().enumerate().map(|(i, r)| r[i]).fold(0.0, f64::max) + 1.0;
+    let c = 2.0 * degrees.iter().map(|&d| d as f64).fold(0.0, f64::max) + 1.0;
     // Shifted matrix M = cI - L has eigenvalues c - mu, so the smallest mu
-    // becomes the largest. Deflate the known eigenvector 1/sqrt(n) (mu = 0).
-    let m: Vec<Vec<f64>> = l
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(j, &x)| if i == j { c - x } else { -x })
-                .collect()
-        })
-        .collect();
+    // becomes the largest. Off the diagonal, M is the adjacency matrix.
+    // Deflate the known eigenvector 1/sqrt(n) (mu = 0).
+    let m = SparseSym::adjacency_with_diagonal(g, |i| c - degrees[i] as f64);
     let ones = vec![1.0 / (n as f64).sqrt(); n];
     let (lambda, _) = power_iteration(&m, &[ones]);
     (c - lambda).max(0.0)
@@ -183,6 +205,19 @@ mod tests {
             }
         }
         Graph::from_edges(n, edges)
+    }
+
+    #[test]
+    fn operator_rows_are_sorted_with_parallel_edges_merged() {
+        // Node 0's edges arrive out of order, one of them twice.
+        let g: Graph<(), ()> = Graph::from_edges(3, vec![(0, 2, ()), (1, 0, ()), (2, 0, ())]);
+        let m = SparseSym::adjacency_with_diagonal(&g, |i| 10.0 + i as f64);
+        assert_eq!(m.start, vec![0, 3, 5, 7]);
+        assert_eq!(m.cols, vec![0, 1, 2, 0, 1, 0, 2]);
+        assert_eq!(m.vals, vec![10.0, 1.0, 2.0, 1.0, 11.0, 2.0, 12.0]);
+        let mut out = vec![0.0; 3];
+        m.matvec(&[1.0, 2.0, 3.0], &mut out);
+        assert_eq!(out, vec![18.0, 23.0, 38.0]);
     }
 
     #[test]

@@ -18,7 +18,10 @@ use crate::spectral::spectral_summary;
 use hot_graph::graph::Graph;
 use hot_graph::traversal::{component_count, largest_component_size};
 
-/// Skip dense spectral work above this node count.
+/// Skip the spectral summary above this node count: a time cap, since
+/// each power iteration may run up to 10 000 O(n + m) steps. Raising it
+/// changes the reports of larger graphs (their spectral fields stop
+/// being `None`).
 const SPECTRAL_LIMIT: usize = 3000;
 
 /// The full metric vector of one topology.

@@ -18,8 +18,9 @@ pub struct SpectralSummary {
     pub algebraic_connectivity: f64,
 }
 
-/// Computes the spectral summary. Dense O(n²) memory — callers should
-/// skip it above a few thousand nodes (the report module does).
+/// Computes the spectral summary in O(n + m) memory. Each of its three
+/// power iterations may take up to 10 000 O(n + m) steps, so the report
+/// module skips it above a few thousand nodes to bound the time.
 pub fn spectral_summary<N, E>(g: &Graph<N, E>) -> SpectralSummary {
     let top = hot_graph::spectral::top_adjacency_eigenvalues(g, 2);
     SpectralSummary {
