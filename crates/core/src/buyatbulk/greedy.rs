@@ -3,7 +3,9 @@
 //! - [`improve`]: best-improvement reparenting local search. A move
 //!   detaches a customer's subtree and re-hangs it under a different node;
 //!   the cost delta is evaluated exactly (flows change only on the two
-//!   root paths below the LCA, so evaluation is O(depth)).
+//!   root paths below the LCA). Each link cost a scan needs is priced
+//!   once, so a candidate costs one new link plus O(depth) additions of
+//!   cached terms.
 //! - [`star`]: the direct-connection baseline (every customer straight to
 //!   the sink) — what an ISP with no aggregation would build.
 //! - [`mst_route`]: build the Euclidean MST over sink + customers, then
@@ -68,8 +70,11 @@ pub struct ImproveOutcome {
 
 /// Best-improvement reparenting local search from `start`.
 ///
-/// Stops at a local optimum or after `max_moves` applied moves. Runtime is
-/// O(n² · depth) per applied move.
+/// Stops at a local optimum or after `max_moves` applied moves. Each scan
+/// (one per applied move, plus the last that finds none) tries all
+/// (n+1)² (v, u) pairs: it prices O(n²) link costs, tests subtree
+/// membership in O(1), and adds cached cost terms along both paths to the
+/// LCA, O(n² · depth) additions in all.
 pub fn improve(instance: &Instance, start: &AccessNetwork, max_moves: usize) -> ImproveOutcome {
     let n = instance.n_customers();
     let m = n + 1;
@@ -89,39 +94,25 @@ pub fn improve(instance: &Instance, start: &AccessNetwork, max_moves: usize) -> 
         debug_assert_eq!(f.len(), m);
         f
     };
-    let length = |a: usize, b: usize| instance.node_point(a).dist(&instance.node_point(b));
-    let edge_cost = |a: usize, b: usize, x: f64| instance.cost.cost(length(a, b), x);
+    let mut scan = Scan::new(m);
     let mut moves = 0;
-    let mut current_cost = initial_cost;
     while moves < max_moves {
-        let depth = compute_depths(&parent);
-        let mut best: Option<(usize, usize, f64)> = None; // (v, new_parent, delta)
-        for v in 1..m {
-            let old_p = parent[v];
-            let moved_flow = flow[v];
-            for u in 0..m {
-                if u == v || u == old_p || in_subtree(&parent, u, v) {
-                    continue;
-                }
-                let delta = move_delta(&parent, &flow, &depth, v, old_p, u, moved_flow, &edge_cost);
-                if delta < -1e-9 && best.map_or(true, |(_, _, d)| delta < d) {
-                    best = Some((v, u, delta));
-                }
-            }
-        }
-        let Some((v, u, delta)) = best else { break };
+        scan.refresh(instance, &parent, &flow);
+        let Some((v, u)) = scan.best_move(instance, &parent, &flow) else {
+            break;
+        };
         // Apply: update flows along the two root paths below the LCA.
         let moved = flow[v];
         apply_flow_update(&mut flow, &parent, parent[v], moved, -1.0);
         apply_flow_update(&mut flow, &parent, u, moved, 1.0);
         parent[v] = u;
-        current_cost += delta;
         moves += 1;
     }
+    // The final cost is re-summed from the tree rather than accumulated
+    // from the deltas: an incrementally updated flow can sit one ulp away
+    // from its re-summed value, and at a cable-capacity breakpoint that
+    // moves the link's cost by a whole fixed charge.
     let solution = AccessNetwork::from_parents(&parent);
-    debug_assert!(
-        (solution.total_cost(instance) - current_cost).abs() < 1e-6 * (1.0 + current_cost.abs())
-    );
     ImproveOutcome {
         final_cost: solution.total_cost(instance),
         solution,
@@ -140,81 +131,150 @@ pub fn mmp_plus_improve(
     improve(instance, &start, max_moves)
 }
 
-/// Depth of every node under the parent array (root = 0 at depth 0).
-fn compute_depths(parent: &[usize]) -> Vec<u32> {
-    let m = parent.len();
-    let mut depth = vec![u32::MAX; m];
-    depth[0] = 0;
-    for v in 1..m {
-        // Walk up until a known depth, then unwind.
-        let mut path = vec![v];
-        let mut cur = v;
-        while depth[cur] == u32::MAX {
-            cur = parent[cur];
-            path.push(cur);
-        }
-        let mut d = depth[cur];
-        for &w in path.iter().rev().skip(1) {
-            d += 1;
-            depth[w] = d;
-        }
-    }
-    depth
-}
+/// End of a child or sibling list in [`Scan`].
+const NONE: usize = usize::MAX;
 
-/// Whether `u` lies in the subtree rooted at `v` (inclusive).
-fn in_subtree(parent: &[usize], mut u: usize, v: usize) -> bool {
-    loop {
-        if u == v {
-            return true;
-        }
-        if u == 0 {
-            return false;
-        }
-        u = parent[u];
-    }
-}
-
-/// Exact cost delta of reparenting `v` (carrying `moved_flow`) from
-/// `old_p` to `new_p`.
+/// The buffers of one candidate scan, sized to the solution's node count
+/// once per [`improve`] call and refreshed after every applied move.
 ///
-/// Flows change by −`moved_flow` on the path `old_p → LCA` and by
-/// +`moved_flow` on `new_p → LCA`, where LCA is the lowest common ancestor
-/// of `old_p` and `new_p`; above the LCA the net change is zero. The edge
-/// `(v, old_p)` is replaced by `(v, new_p)`.
-#[allow(clippy::too_many_arguments)]
-fn move_delta(
-    parent: &[usize],
-    flow: &[f64],
-    depth: &[u32],
-    v: usize,
-    old_p: usize,
-    new_p: usize,
-    moved_flow: f64,
-    edge_cost: &impl Fn(usize, usize, f64) -> f64,
-) -> f64 {
-    let mut delta = edge_cost(v, new_p, moved_flow) - edge_cost(v, old_p, moved_flow);
-    // Climb both paths to their LCA.
-    let (mut a, mut b) = (old_p, new_p);
-    while depth[a] > depth[b] {
-        let pa = parent[a];
-        delta += edge_cost(a, pa, flow[a] - moved_flow) - edge_cost(a, pa, flow[a]);
-        a = pa;
+/// Reparenting `v` (carrying flow `x`) from `old_p` to `u` replaces the
+/// link `(v, old_p)` by `(v, u)`, lowers the flow by `x` on the path
+/// `old_p → LCA` and raises it by `x` on `u → LCA`, where LCA is the
+/// lowest common ancestor of `old_p` and `u`; above the LCA the net
+/// change is zero. Every uplink's cost change under either shift is
+/// cached per `v`, so the climb to the LCA only adds.
+struct Scan {
+    /// The tree as first-child / next-sibling lists ([`NONE`]-terminated).
+    first_child: Vec<usize>,
+    next_sibling: Vec<usize>,
+    depth: Vec<u32>,
+    /// Preorder index and subtree size: `u` lies in `v`'s subtree iff
+    /// `pre[v] <= pre[u] < pre[v] + size[v]`.
+    pre: Vec<u32>,
+    size: Vec<u32>,
+    /// Uplink length `(b, parent[b])` and its cost at the current flow.
+    len: Vec<f64>,
+    cur: Vec<f64>,
+    /// For the `v` being moved: the cost change of `b`'s uplink when it
+    /// sheds `v`'s flow (set on `old_p`'s root path) or takes it on (set
+    /// outside `v`'s subtree).
+    loss: Vec<f64>,
+    gain: Vec<f64>,
+}
+
+impl Scan {
+    fn new(m: usize) -> Self {
+        Scan {
+            first_child: vec![NONE; m],
+            next_sibling: vec![NONE; m],
+            depth: vec![0; m],
+            pre: vec![0; m],
+            size: vec![0; m],
+            len: vec![0.0; m],
+            cur: vec![0.0; m],
+            loss: vec![0.0; m],
+            gain: vec![0.0; m],
+        }
     }
-    while depth[b] > depth[a] {
-        let pb = parent[b];
-        delta += edge_cost(b, pb, flow[b] + moved_flow) - edge_cost(b, pb, flow[b]);
-        b = pb;
+
+    /// Recomputes the tree indexes and uplink costs for `parent` and
+    /// `flow` in one O(m) pass.
+    fn refresh(&mut self, instance: &Instance, parent: &[usize], flow: &[f64]) {
+        self.first_child.fill(NONE);
+        for v in (1..parent.len()).rev() {
+            let p = parent[v];
+            self.next_sibling[v] = self.first_child[p];
+            self.first_child[p] = v;
+            self.len[v] = instance.node_point(v).dist(&instance.node_point(p));
+            self.cur[v] = instance.cost.cost(self.len[v], flow[v]);
+        }
+        // Preorder walk without a stack: descend to the first child, or
+        // close finished subtrees upward until a next sibling remains.
+        let mut t = 0u32;
+        let mut v = 0;
+        self.depth[0] = 0;
+        loop {
+            self.pre[v] = t;
+            t += 1;
+            let c = self.first_child[v];
+            if c != NONE {
+                self.depth[c] = self.depth[v] + 1;
+                v = c;
+                continue;
+            }
+            loop {
+                self.size[v] = t - self.pre[v];
+                if v == 0 {
+                    return;
+                }
+                let s = self.next_sibling[v];
+                if s != NONE {
+                    self.depth[s] = self.depth[v];
+                    v = s;
+                    break;
+                }
+                v = parent[v];
+            }
+        }
     }
-    while a != b {
-        let pa = parent[a];
-        delta += edge_cost(a, pa, flow[a] - moved_flow) - edge_cost(a, pa, flow[a]);
-        a = pa;
-        let pb = parent[b];
-        delta += edge_cost(b, pb, flow[b] + moved_flow) - edge_cost(b, pb, flow[b]);
-        b = pb;
+
+    /// The first strictly best improving move in (v, u) order, as
+    /// `(v, new parent)`.
+    fn best_move(
+        &mut self,
+        instance: &Instance,
+        parent: &[usize],
+        flow: &[f64],
+    ) -> Option<(usize, usize)> {
+        let m = parent.len();
+        let cost = &instance.cost;
+        let mut best: Option<(usize, usize, f64)> = None;
+        for v in 1..m {
+            let old_p = parent[v];
+            let moved = flow[v];
+            let priced = cost.price(moved);
+            let base_old = priced.at(self.len[v]);
+            let mut a = old_p;
+            while a != 0 {
+                self.loss[a] = cost.cost(self.len[a], flow[a] - moved) - self.cur[a];
+                a = parent[a];
+            }
+            let subtree = self.pre[v]..self.pre[v] + self.size[v];
+            for (b, &f) in flow.iter().enumerate().skip(1) {
+                if !subtree.contains(&self.pre[b]) {
+                    self.gain[b] = cost.cost(self.len[b], f + moved) - self.cur[b];
+                }
+            }
+            let (depth, loss, gain) = (&self.depth, &self.loss, &self.gain);
+            let point = instance.node_point(v);
+            for u in 0..m {
+                if u == v || u == old_p || subtree.contains(&self.pre[u]) {
+                    continue;
+                }
+                let mut delta = priced.at(point.dist(&instance.node_point(u))) - base_old;
+                // Climb both paths to their LCA.
+                let (mut a, mut b) = (old_p, u);
+                while depth[a] > depth[b] {
+                    delta += loss[a];
+                    a = parent[a];
+                }
+                while depth[b] > depth[a] {
+                    delta += gain[b];
+                    b = parent[b];
+                }
+                while a != b {
+                    delta += loss[a];
+                    a = parent[a];
+                    delta += gain[b];
+                    b = parent[b];
+                }
+                if delta < -1e-9 && best.is_none_or(|(_, _, d)| delta < d) {
+                    best = Some((v, u, delta));
+                }
+            }
+        }
+        best.map(|(v, u, _)| (v, u))
     }
-    delta
 }
 
 /// Adds `sign × amount` to the uplink flows on the path `from → root`.
@@ -224,7 +284,6 @@ fn apply_flow_update(flow: &mut [f64], parent: &[usize], from: usize, amount: f6
         flow[cur] += sign * amount;
         cur = parent[cur];
     }
-    flow[0] += 0.0; // total demand unchanged by reparenting
 }
 
 #[cfg(test)]
@@ -323,8 +382,7 @@ mod tests {
     #[test]
     fn delta_evaluation_matches_full_recompute() {
         // Apply improve with a budget of 1 and compare against recomputed
-        // totals (the debug_assert in improve also checks this, but only
-        // in debug builds; this test is explicit).
+        // totals.
         let inst = random_instance(15, 4);
         let start = star(&inst);
         let c0 = start.total_cost(&inst);
@@ -347,18 +405,32 @@ mod tests {
     }
 
     #[test]
-    fn subtree_membership() {
-        // Chain 0 <- 1 <- 2 <- 3.
-        let parent = vec![0, 0, 1, 2];
-        assert!(in_subtree(&parent, 3, 1));
-        assert!(in_subtree(&parent, 2, 2));
-        assert!(!in_subtree(&parent, 1, 3));
-        assert!(!in_subtree(&parent, 0, 1));
-    }
-
-    #[test]
-    fn depths_computed_iteratively() {
-        let parent = vec![0, 0, 1, 2, 2];
-        assert_eq!(compute_depths(&parent), vec![0, 1, 2, 3, 3]);
+    fn scan_refresh_indexes_depths_and_subtrees() {
+        // 0 <- 1 <- 2 <- {3, 4}, 0 <- 5 <- 6.
+        let parent = vec![0, 0, 1, 2, 2, 0, 5];
+        let flow = vec![7.0, 4.0, 3.0, 1.0, 1.0, 2.0, 1.0];
+        let inst = random_instance(parent.len() - 1, 7);
+        let mut scan = Scan::new(parent.len());
+        scan.refresh(&inst, &parent, &flow);
+        assert_eq!(scan.depth, vec![0, 1, 2, 3, 3, 1, 2]);
+        let ancestor = |mut u: usize, v: usize| loop {
+            if u == v {
+                return true;
+            }
+            if u == 0 {
+                return false;
+            }
+            u = parent[u];
+        };
+        for v in 0..parent.len() {
+            let subtree = scan.pre[v]..scan.pre[v] + scan.size[v];
+            for u in 0..parent.len() {
+                assert_eq!(subtree.contains(&scan.pre[u]), ancestor(u, v), "{u} in {v}");
+            }
+        }
+        for v in 1..parent.len() {
+            let len = inst.node_point(v).dist(&inst.node_point(parent[v]));
+            assert_eq!(scan.cur[v], inst.cost.cost(len, flow[v]));
+        }
     }
 }

@@ -105,6 +105,12 @@ impl FkpTopology {
     }
 }
 
+/// Whether `alpha` is a trade-off weight [`grow`] accepts: non-negative
+/// and finite.
+pub fn alpha_is_valid(alpha: f64) -> bool {
+    alpha >= 0.0 && alpha.is_finite()
+}
+
 /// Grows an FKP tree.
 ///
 /// Runtime is O(n²): each arrival scans all previous nodes. This is the
@@ -113,11 +119,11 @@ impl FkpTopology {
 ///
 /// # Panics
 ///
-/// Panics if `config.n == 0` or `config.alpha` is negative/NaN.
+/// Panics if `config.n == 0` or `config.alpha` fails [`alpha_is_valid`].
 pub fn grow(config: &FkpConfig, rng: &mut impl Rng) -> FkpTopology {
     assert!(config.n > 0, "FKP needs at least the root node");
     assert!(
-        config.alpha >= 0.0 && config.alpha.is_finite(),
+        alpha_is_valid(config.alpha),
         "alpha must be a non-negative finite number"
     );
     let n = config.n;

@@ -30,11 +30,21 @@ impl LinkCost {
     ///
     /// Zero flow means no link is installed: cost 0.
     pub fn cost(&self, length: f64, flow: f64) -> f64 {
-        if flow <= 0.0 {
-            return 0.0;
+        self.price(flow).at(length)
+    }
+
+    /// Prices `flow` once (one catalog search), so it can be costed on
+    /// links of many lengths; `price(flow).at(length)` is
+    /// [`cost`](Self::cost)`(length, flow)`, bit for bit.
+    pub fn price(&self, flow: f64) -> FlowPrice {
+        FlowPrice {
+            per_length: if flow <= 0.0 {
+                None
+            } else {
+                Some(self.catalog.flow_cost(flow))
+            },
+            port_cost: self.port_cost,
         }
-        debug_assert!(length >= 0.0, "negative length");
-        length * self.catalog.flow_cost(flow) + 2.0 * self.port_cost
     }
 
     /// Incremental cost of raising a link's flow from `old_flow` to
@@ -48,6 +58,28 @@ impl LinkCost {
     pub fn cable_choice(&self, flow: f64) -> (usize, usize) {
         let (idx, inst, _) = self.catalog.best_single_type(flow);
         (idx, inst)
+    }
+}
+
+/// A flow priced under a [`LinkCost`] (see [`LinkCost::price`]).
+#[derive(Clone, Copy, Debug)]
+pub struct FlowPrice {
+    /// Catalog cost per unit length; `None` when the flow installs no
+    /// link.
+    per_length: Option<f64>,
+    port_cost: f64,
+}
+
+impl FlowPrice {
+    /// Total cost of a link of `length` carrying the priced flow.
+    pub fn at(&self, length: f64) -> f64 {
+        match self.per_length {
+            None => 0.0,
+            Some(per_length) => {
+                debug_assert!(length >= 0.0, "negative length");
+                length * per_length + 2.0 * self.port_cost
+            }
+        }
     }
 }
 
@@ -92,6 +124,23 @@ mod tests {
         // Installing from zero includes the fixed parts.
         let from_zero = m.incremental_cost(5.0, 0.0, 10.0);
         assert!((from_zero - m.cost(5.0, 10.0)).abs() < 1e-12);
+    }
+
+    #[test]
+    fn priced_flow_costs_any_length() {
+        let m = model();
+        for flow in [-3.0, 0.0, 10.0, 200.0, 9000.0, 50_000.0] {
+            let price = m.price(flow);
+            for length in [0.0, 0.25, 3.0, 1e4] {
+                let want = if flow <= 0.0 {
+                    0.0
+                } else {
+                    length * m.catalog.flow_cost(flow) + 2.0 * m.port_cost
+                };
+                assert_eq!(price.at(length).to_bits(), want.to_bits());
+                assert_eq!(m.cost(length, flow).to_bits(), want.to_bits());
+            }
+        }
     }
 
     #[test]

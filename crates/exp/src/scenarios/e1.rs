@@ -7,7 +7,7 @@
 use crate::jsonout::Json;
 use crate::registry::{RunCtx, Scale};
 use crate::report::{ExpReport, Section, Table};
-use hot_core::fkp::{classify, grow, Centrality, FkpConfig, TopologyClass};
+use hot_core::fkp::{alpha_is_valid, classify, grow, Centrality, FkpConfig, TopologyClass};
 use hot_metrics::expfit::{classify as tail_classify, TailClass};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,6 +142,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             p.n,
             p.alphas.len(),
             p.seeds_per_alpha
+        ));
+    }
+    if let Some(alpha) = p.alphas.iter().find(|&&a| !alpha_is_valid(a)) {
+        return report.into_skipped(format!(
+            "alpha must be a non-negative finite number, got {}",
+            alpha
         ));
     }
     let sqrt_n = (p.n as f64).sqrt();

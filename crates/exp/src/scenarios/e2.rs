@@ -7,7 +7,7 @@
 use crate::jsonout::Json;
 use crate::registry::{RunCtx, Scale};
 use crate::report::{ExpReport, Section, Table};
-use hot_core::fkp::{grow, Centrality, FkpConfig};
+use hot_core::fkp::{alpha_is_valid, grow, Centrality, FkpConfig};
 use hot_graph::degree::ccdf_of;
 use hot_metrics::expfit::{classify, fit_exponential};
 use hot_metrics::powerlaw::fit_ccdf;
@@ -72,6 +72,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             "degenerate parameters: n = {}, {} series",
             p.n,
             p.series.len()
+        ));
+    }
+    if let Some((alpha, _)) = p.series.iter().find(|(a, _)| !alpha_is_valid(*a)) {
+        return report.into_skipped(format!(
+            "alpha must be a non-negative finite number, got {}",
+            alpha
         ));
     }
     for (alpha, label) in &p.series {

@@ -14,7 +14,7 @@ use crate::jsonout::Json;
 use crate::registry::{RunCtx, Scale};
 use crate::report::{ExpReport, Section, Table};
 use hot_core::buyatbulk::{problem::Instance, routing::build_report};
-use hot_core::fkp::{classify, grow, Centrality, FkpConfig};
+use hot_core::fkp::{alpha_is_valid, classify, grow, Centrality, FkpConfig};
 use hot_core::isp::backbone::{design, BackboneConfig};
 use hot_econ::cable::CableCatalog;
 use hot_econ::cost::LinkCost;
@@ -88,6 +88,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report.into_skipped(format!(
             "degenerate parameters: bab_n = {}, seeds = {}, pops = {}, fkp_n = {}",
             p.bab_n, p.bab_seeds, p.backbone_pops, p.fkp_n
+        ));
+    }
+    if let Some(alpha) = p.fkp_alphas.iter().find(|&&a| !alpha_is_valid(a)) {
+        return report.into_skipped(format!(
+            "fkp alpha must be a non-negative finite number, got {}",
+            alpha
         ));
     }
 

@@ -158,8 +158,9 @@ impl From<std::io::Error> for SnapshotError {
     }
 }
 
-/// FNV-1a 64-bit over a byte slice — the snapshot trailer checksum.
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// FNV-1a 64-bit over a byte slice — the snapshot trailer checksum, and
+/// the digest the full-scale report oracle pins.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         h ^= b as u64;

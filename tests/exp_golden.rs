@@ -197,7 +197,7 @@ fn snapshot_cache_replays_identical_bytes() {
 /// visible in the structured output.
 #[test]
 fn degenerate_params_skip_cleanly() {
-    use hot_exp::scenarios::{e1, e15, e16, e17, e18, e5};
+    use hot_exp::scenarios::{e1, e15, e16, e17, e18, e2, e5, e9};
     let report = e15::run(
         &e15::Params {
             glp_n: 3,
@@ -284,4 +284,39 @@ fn degenerate_params_skip_cleanly() {
         ctx(1),
     );
     assert!(matches!(report.status, ExpStatus::Skipped { .. }));
+    // FKP trade-off weights that `fkp::grow` rejects must skip E1, E2
+    // and E9 before any tree is grown.
+    for alpha in [f64::NAN, -1.0, f64::INFINITY] {
+        let reports = [
+            e1::run(
+                &e1::Params {
+                    alphas: vec![1.0, alpha],
+                    ..e1::Params::golden()
+                },
+                ctx(1),
+            ),
+            e2::run(
+                &e2::Params {
+                    series: vec![(alpha, "hostile".into())],
+                    ..e2::Params::golden()
+                },
+                ctx(1),
+            ),
+            e9::run(
+                &e9::Params {
+                    fkp_alphas: vec![alpha],
+                    ..e9::Params::golden()
+                },
+                ctx(1),
+            ),
+        ];
+        for report in reports {
+            match &report.status {
+                ExpStatus::Skipped { reason } => {
+                    assert!(reason.contains("alpha"), "{}: {}", report.scenario, reason)
+                }
+                other => panic!("{} with alpha {}: {:?}", report.scenario, alpha, other),
+            }
+        }
+    }
 }
