@@ -1,19 +1,17 @@
-//! # hot-bench — the experiment harness
+//! # hot-bench — the criterion harnesses
 //!
-//! One binary per experiment (`exp_e1_*` … `exp_e14_*`), each a thin
-//! wrapper over the `hot-exp` scenario registry: it runs the registered
-//! scenario at full scale and prints the human rendering of the
-//! structured report. The shared fixtures (seed, standard geography)
-//! live in `hot_exp::fixtures` and are re-exported here for the
-//! criterion benches.
+//! Micro-benchmarks of the production kernels (`benches/*_benches.rs`).
+//! The shared fixtures (seed, standard geography) live in
+//! `hot_exp::fixtures` and are re-exported here for the benches.
 //!
-//! Run an experiment with, e.g.:
+//! The experiments themselves run through the `hot-exp` scenario
+//! registry's driver, e.g. one scenario's full-scale report:
 //!
 //! ```text
-//! cargo run --release -p hot-bench --bin exp_e3_buyatbulk_degree
+//! cargo run --release -p hot-exp --bin expctl -- --run e3
 //! ```
 //!
-//! or drive the whole registry (seeds, scales, JSON export) with:
+//! or the whole registry (seeds, scales, JSON export):
 //!
 //! ```text
 //! cargo run --release -p hot-exp --bin expctl -- --list

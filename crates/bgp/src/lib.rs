@@ -24,9 +24,11 @@
 //!   hierarchy-free counts per source class). Bit-identical at any
 //!   thread count.
 //!
-//! Scenario E17 (`policy-routing` in `hot-exp`) drives this over HOT
-//! and degree-based internets; `hot-sim::bgp` keeps the small
-//! per-source distance query used by E13.
+//! Two scenarios in `hot-exp` drive it: E13 (`policy-inflation`) runs
+//! one [`AsTopology::propagate_into`] and one
+//! [`AsTopology::shortest_into`] per source on a shared scratch, and
+//! E17 (`policy-routing`) runs the batched sweep over HOT and
+//! degree-based internets.
 
 pub mod propagate;
 pub mod summary;

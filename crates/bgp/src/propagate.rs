@@ -310,6 +310,27 @@ mod tests {
     }
 
     #[test]
+    fn no_transit_through_customers() {
+        // Toy plus a 2–3 peering: 4 -> 2 (up) -> 3 (peer) is one legal
+        // peer crossing, while 0 -> 2 (down) -> 3 (peer) is a valley, so
+        // 0 reaches 3 via its peer 1 instead.
+        let t = AsTopology::from_relationships(
+            5,
+            &[(0, 2), (1, 3), (2, 4)],
+            &[(0, 1), (2, 3)],
+            vec![
+                AsClass::Tier1,
+                AsClass::Tier1,
+                AsClass::Tier2,
+                AsClass::Stub,
+                AsClass::Stub,
+            ],
+        );
+        assert_eq!(t.propagate(0).dist[3], 2);
+        assert_eq!(t.propagate(4).dist[3], 2);
+    }
+
+    #[test]
     fn one_peer_crossing_only() {
         // Chain of peers: 0 - 1 - 2 (all tier-1). Valley-freedom allows
         // exactly one peer hop, so 0 cannot reach 2.

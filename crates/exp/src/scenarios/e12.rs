@@ -16,9 +16,11 @@ use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::{LinkKind, RouterRole};
 use hot_graph::graph::NodeId;
+use hot_metrics::hierarchy::gini;
 use hot_metrics::surrogate::degree_surrogate;
-use hot_sim::failure::single_link_failures;
-use hot_sim::routing::{load_gini, route, Demand, IgpMetric, RoutingOutcome};
+use hot_sim::demand::Demand;
+use hot_sim::failure::{route_demands, single_link_failures};
+use hot_sim::traffic::TrafficLoads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -93,14 +95,24 @@ fn customer_demands(isp: &hot_core::isp::IspTopology, pairs: usize) -> Vec<Deman
     out
 }
 
-fn outcome_row(name: &str, outcome: &RoutingOutcome) -> Vec<Json> {
+/// One load-table row: unrouted demands, mean hops, peak load, the Gini
+/// coefficient of the positive link loads (0 = spread evenly, → 1 = all
+/// transit on a few trunks) and the share of idle links.
+fn outcome_row(name: &str, loads: &TrafficLoads) -> Vec<Json> {
+    let positive: Vec<f64> = loads
+        .link_load
+        .iter()
+        .copied()
+        .filter(|&l| l > 0.0)
+        .collect();
+    let idle = loads.link_load.iter().filter(|&&l| l == 0.0).count();
     vec![
         Json::str(name),
-        outcome.unrouted.len().into(),
-        Json::Float(outcome.mean_hops()),
-        Json::Float(outcome.max_load()),
-        Json::Float(load_gini(outcome)),
-        Json::Float(outcome.idle_fraction()),
+        (loads.unrouted_flows as usize).into(),
+        Json::Float(loads.mean_hops()),
+        Json::Float(loads.max_load()),
+        Json::Float(gini(&positive)),
+        Json::Float(idle as f64 / loads.link_load.len().max(1) as f64),
     ]
 }
 
@@ -119,10 +131,18 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     report.param("total_customers", p.total_customers);
     report.param("demand_pairs", p.demand_pairs);
     report.param("fail_pops", p.fail_pops);
-    if p.cities < 2 || p.n_pops == 0 || p.total_customers < 2 || p.demand_pairs == 0 {
+    if p.cities < 2
+        || p.n_pops == 0
+        || p.fail_pops == 0
+        || p.cities < p.n_pops
+        || p.cities < p.fail_pops
+        || p.total_customers < 2
+        || p.demand_pairs == 0
+    {
         return report.into_skipped(format!(
-            "degenerate parameters: cities = {}, pops = {}, customers = {}, pairs = {}",
-            p.cities, p.n_pops, p.total_customers, p.demand_pairs
+            "degenerate parameters: cities = {}, pops = {}, fail_pops = {}, customers = {}, \
+             pairs = {}",
+            p.cities, p.n_pops, p.fail_pops, p.total_customers, p.demand_pairs
         ));
     }
     let (census, traffic) = standard_geography(p.cities, ctx.seed);
@@ -142,9 +162,10 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report
             .into_skipped("the generated ISP has fewer than 2 customer routers to route between");
     }
-    // Hop-count routing rides the CSR BFS kernel: one flat-array BFS per
-    // distinct source instead of a heap-based Dijkstra.
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    // Per-flow hop routing on the CSR BFS kernel: one tree per distinct
+    // source. The stride sample repeats pairs, and `unrouted` counts
+    // demands, so each flow is walked on its own.
+    let outcome = route_demands(&isp.graph, &demands);
     let mut load_table = Table::new(&[
         "topology", "unrouted", "meanhops", "maxload", "gini", "idle",
     ]);
@@ -161,7 +182,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         }
     }
     let surrogate = degree_surrogate(&isp.graph, 10, &mut StdRng::seed_from_u64(ctx.seed + 1));
-    let s_outcome = route(&surrogate, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let s_outcome = route_demands(&surrogate, &demands);
     load_table.push(outcome_row("isp-surrogate", &s_outcome));
     report.section(
         Section::new("load on the designed ISP vs its degree-preserving surrogate")
@@ -213,8 +234,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             .map(|e| bb_isp.graph.edge_weight(e).kind == LinkKind::Backbone)
             .collect();
         let backbone_graph = bb_isp.graph.edge_subgraph(&keep);
-        let summary =
-            single_link_failures(&backbone_graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+        let summary = single_link_failures(&backbone_graph, &demands);
         fail_table.push(vec![
             Json::str(name),
             Json::Float(summary.stranding_fraction),

@@ -23,8 +23,8 @@ use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::LinkKind;
 use hot_graph::csr::CsrGraph;
+use hot_sim::demand::Demand;
 use hot_sim::failure::single_link_failures;
-use hot_sim::routing::{Demand, IgpMetric};
 use hot_sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,8 +150,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             .map(|e| bb_isp.graph.edge_weight(e).kind == LinkKind::Backbone)
             .collect();
         let backbone_graph = bb_isp.graph.edge_subgraph(&keep);
-        let summary =
-            single_link_failures(&backbone_graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+        let summary = single_link_failures(&backbone_graph, &demands);
         fail_table.push(vec![
             Json::str(name),
             Json::Float(summary.stranding_fraction),

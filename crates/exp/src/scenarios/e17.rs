@@ -177,15 +177,17 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     report.param("ba_n", p.ba_n);
     if p.cities < 2
         || p.n_isps < p.tier1_count.max(2)
+        || p.max_pops == 0
+        || p.cities < p.max_pops
         || p.tier1_count == 0
         || p.transit_per_isp == 0
         || p.glp_n < 10
         || p.ba_n < 10
     {
         return report.into_skipped(format!(
-            "degenerate parameters: cities = {}, n_isps = {}, tier1_count = {}, \
+            "degenerate parameters: cities = {}, n_isps = {}, max_pops = {}, tier1_count = {}, \
              transit_per_isp = {}, glp_n = {}, ba_n = {}",
-            p.cities, p.n_isps, p.tier1_count, p.transit_per_isp, p.glp_n, p.ba_n
+            p.cities, p.n_isps, p.max_pops, p.tier1_count, p.transit_per_isp, p.glp_n, p.ba_n
         ));
     }
     let rows = policy_rows(p, ctx.seed, ctx.threads);

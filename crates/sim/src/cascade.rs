@@ -16,8 +16,7 @@
 //! for differential tests: with integer demands the two agree exactly,
 //! round by round.
 
-use crate::demand::OdDemand;
-use crate::routing::Demand;
+use crate::demand::{Demand, OdDemand};
 use crate::traffic::{link_loads, naive_link_load, RoutePolicy, TrafficLoads};
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::NodeId;

@@ -23,12 +23,19 @@
 //! draws from a seeded RNG in node order, so a fixed seed regenerates
 //! the same matrix byte-for-byte.
 
-use crate::routing::Demand;
 use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// One demand: `amount` of traffic from `src` to `dst`.
+#[derive(Clone, Copy, Debug)]
+pub struct Demand {
+    pub src: NodeId,
+    pub dst: NodeId,
+    pub amount: f64,
+}
 
 /// Which demand structure to generate.
 #[derive(Clone, Copy, Debug, PartialEq)]

@@ -1,13 +1,17 @@
-//! Single-link failure response.
+//! Per-flow hop routing of demand lists, and single-link failure
+//! response.
 //!
-//! For each candidate link: remove it, re-route the demands that used it,
-//! and measure what the network pays — extra hops (stretch) and traffic
-//! that cannot be re-routed at all. This quantifies what the paper's
-//! footnote 7 redundancy requirement buys: on a tree every failure
-//! strands traffic; on the 2-edge-connected backbone everything re-routes
-//! at modest stretch.
+//! [`route_demands`] routes a demand list on deterministic hop-count
+//! shortest paths and reports per-link loads. [`single_link_failures`]
+//! then fails each loaded link in turn, re-routes the demands that used
+//! it, and measures what the network pays — extra hops (stretch) and
+//! traffic that cannot be re-routed at all. This quantifies what the
+//! paper's footnote 7 redundancy requirement buys: on a tree every
+//! failure strands traffic; on the 2-edge-connected backbone everything
+//! re-routes at modest stretch.
 
-use crate::routing::{route, Demand, IgpMetric};
+use crate::demand::Demand;
+use crate::traffic::TrafficLoads;
 use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::graph::{EdgeId, Graph, NodeId};
 use std::collections::BTreeMap;
@@ -59,33 +63,25 @@ impl FailureSummary {
     }
 }
 
-/// The per-cut numbers the summary consumes, produced either by the
-/// cached hop-count fast path or the per-cut `route` fallback.
-struct CutOutcome {
-    stranded: f64,
-    routed_traffic: f64,
-    traffic_hops: f64,
-    max_load_after: f64,
-}
-
-/// Shared state for hop-count cuts: the demand gather (out-of-range
-/// amounts plus per-source groups) and every source's intact-graph BFS
-/// tree are computed once. A cut only invalidates the trees that used
-/// the failed edge — `edge_users` records which — so each simulated
-/// failure re-runs BFS for those sources alone, on an edge-masked view,
-/// and replays the cached trees for everyone else. Because
+/// Shared state for hop-count routing of one demand list: the demand
+/// gather (out-of-range demands plus per-source groups) and every
+/// source's intact-graph BFS tree are computed once. The intact replay
+/// walks those trees; a cut only invalidates the trees that used the
+/// failed edge — `edge_users` records which — so each simulated failure
+/// re-runs BFS for those sources alone, on an edge-masked view, and
+/// replays the cached trees for everyone else. Because
 /// [`CsrGraph::edge_masked`] equals `edge_subgraph` + `from_graph` edge
 /// ids included, and removing a non-tree edge cannot change a BFS
 /// first-discovery tree, every path — and therefore every load, hop,
 /// and stranded sum, accumulated in the same order — is bit-identical
-/// to the full per-cut re-route this replaces.
+/// to a full re-route of the cut graph.
 struct HopCutCache<'a> {
     csr: CsrGraph,
-    /// Sum of demands with endpoints outside the graph, which every cut
-    /// reports as stranded (matching `route`'s accounting).
-    base_stranded: f64,
-    /// In-range demands grouped by source, ascending — the order the
-    /// flat `route` accumulates in.
+    /// Count and summed amount of the demands with endpoints outside
+    /// the graph, which every replay reports as unrouted.
+    out_of_range: (u64, f64),
+    /// In-range demands grouped by source, ascending — the order every
+    /// replay accumulates in.
     by_src: Vec<(u32, Vec<&'a Demand>)>,
     /// Intact-graph BFS tree per `by_src` entry.
     trees: Vec<CsrBfsTree>,
@@ -100,11 +96,12 @@ impl<'a> HopCutCache<'a> {
     fn new<N, E>(g: &Graph<N, E>, demands: &'a [Demand]) -> HopCutCache<'a> {
         let csr = CsrGraph::from_graph(g);
         let n = csr.node_count();
-        let mut out_of_range = 0.0f64;
+        let mut out_of_range = (0u64, 0.0f64);
         let mut groups: BTreeMap<u32, Vec<&Demand>> = BTreeMap::new();
         for d in demands {
             if d.src.index() >= n || d.dst.index() >= n {
-                out_of_range += d.amount;
+                out_of_range.0 += 1;
+                out_of_range.1 += d.amount;
             } else {
                 groups.entry(d.src.0).or_default().push(d);
             }
@@ -122,7 +119,7 @@ impl<'a> HopCutCache<'a> {
             trees.push(tree);
         }
         HopCutCache {
-            base_stranded: out_of_range,
+            out_of_range,
             scratch: CsrBfsTree::sized(n),
             alive: vec![true; csr.edge_count()],
             csr,
@@ -132,21 +129,29 @@ impl<'a> HopCutCache<'a> {
         }
     }
 
-    fn fail(&mut self, link: EdgeId) -> CutOutcome {
-        self.alive[link.index()] = false;
-        let (masked, new_to_old) = self.csr.edge_masked(&self.alive);
-        self.alive[link.index()] = true;
-        let users = &self.edge_users[link.index()];
-        let mut loads = vec![0.0f64; self.csr.edge_count()];
-        let mut stranded = self.base_stranded;
-        let mut traffic_hops = 0.0;
-        let mut routed_traffic = 0.0;
+    /// Routes every demand with `cut` (if any) failed: source by source,
+    /// each flow's tree path walked edge by edge.
+    fn replay(&mut self, cut: Option<EdgeId>) -> TrafficLoads {
+        let masked = cut.map(|link| {
+            self.alive[link.index()] = false;
+            let view = self.csr.edge_masked(&self.alive);
+            self.alive[link.index()] = true;
+            view
+        });
+        let users: &[u32] = cut.map_or(&[], |link| &self.edge_users[link.index()]);
+        let mut out = TrafficLoads::zero(self.csr.edge_count());
+        (out.unrouted_flows, out.unrouted_traffic) = self.out_of_range;
         for (i, (src, group)) in self.by_src.iter().enumerate() {
-            let affected = users.binary_search(src).is_ok();
-            if affected {
-                masked.bfs_tree_into(NodeId(*src), &mut self.scratch);
-            }
-            let tree = if affected {
+            // The cached trees carry original edge ids; a masked re-BFS
+            // carries masked ids, which `new_to_old` maps back.
+            let new_to_old = match &masked {
+                Some((view, new_to_old)) if users.binary_search(src).is_ok() => {
+                    view.bfs_tree_into(NodeId(*src), &mut self.scratch);
+                    Some(new_to_old)
+                }
+                _ => None,
+            };
+            let tree = if new_to_old.is_some() {
                 &self.scratch
             } else {
                 &self.trees[i]
@@ -155,57 +160,54 @@ impl<'a> HopCutCache<'a> {
                 match tree.edge_path_to(d.dst) {
                     Some(path) => {
                         for e in &path {
-                            // The cached trees carry original edge ids;
-                            // the masked re-BFS carries masked ids.
-                            let orig = if affected {
-                                new_to_old[e.index()].index()
-                            } else {
-                                e.index()
-                            };
-                            loads[orig] += d.amount;
+                            let orig = new_to_old.map_or(e.index(), |m| m[e.index()].index());
+                            out.link_load[orig] += d.amount;
                         }
-                        traffic_hops += d.amount * path.len() as f64;
-                        routed_traffic += d.amount;
+                        out.routed_flows += 1;
+                        out.traffic_hops += d.amount * path.len() as f64;
+                        out.routed_traffic += d.amount;
                     }
-                    None => stranded += d.amount,
+                    None => {
+                        out.unrouted_flows += 1;
+                        out.unrouted_traffic += d.amount;
+                    }
                 }
             }
         }
-        CutOutcome {
-            stranded,
-            routed_traffic,
-            traffic_hops,
-            max_load_after: loads.iter().copied().fold(0.0, f64::max),
-        }
+        out
     }
 }
 
-/// Simulates every loaded link's failure independently.
+/// Routes `demands` over `g` on hop-count shortest paths and returns
+/// the per-link loads with their flow accounting.
 ///
-/// `metric`/`weight` must match the routing that produced normal
-/// operation (they are re-run internally). Hop-count cuts share one
-/// demand gather and a BFS-forest cache across all failures, re-running
+/// Each distinct source gets one BFS tree on the CSR view (first
+/// discovery in adjacency order, so ties break deterministically), and
+/// flows are walked edge by edge — sources ascending, input order
+/// within a source — so every load is reproducible to the bit. This is
+/// the baseline [`single_link_failures`] measures against. Degenerate
+/// demands never panic: endpoints outside the graph count as unrouted,
+/// like disconnected pairs.
+pub fn route_demands<N, E>(g: &Graph<N, E>, demands: &[Demand]) -> TrafficLoads {
+    HopCutCache::new(g, demands).replay(None)
+}
+
+/// Simulates every loaded link's failure independently, under the
+/// hop-count routing of [`route_demands`].
+///
+/// All cuts share one demand gather and a BFS-forest cache, re-running
 /// BFS only for the sources whose intact-graph tree used the failed
-/// edge (see [`HopCutCache`]); the weighted metric falls back to one
-/// full routing pass per loaded link. Degenerate inputs (no links, no
-/// demands, endpoints outside the graph) produce a trivial summary
-/// instead of panicking.
-pub fn single_link_failures<N: Clone, E: Clone>(
-    g: &Graph<N, E>,
-    demands: &[Demand],
-    metric: IgpMetric,
-    weight: impl Fn(EdgeId, &E) -> f64 + Copy,
-) -> FailureSummary {
+/// edge (see [`HopCutCache`]). Degenerate inputs (no links, no demands,
+/// endpoints outside the graph) produce a trivial summary instead of
+/// panicking.
+pub fn single_link_failures<N, E>(g: &Graph<N, E>, demands: &[Demand]) -> FailureSummary {
     if g.edge_count() == 0 || demands.is_empty() {
         return FailureSummary::trivial();
     }
-    let baseline = route(g, demands, metric, weight);
+    let mut cache = HopCutCache::new(g, demands);
+    let baseline = cache.replay(None);
     let baseline_max = baseline.max_load();
     let total_traffic: f64 = demands.iter().map(|d| d.amount).sum();
-    let mut hop_cache = match metric {
-        IgpMetric::HopCount => Some(HopCutCache::new(g, demands)),
-        IgpMetric::Weighted => None,
-    };
     let mut impacts = Vec::new();
     let mut stranded_failures = 0usize;
     let mut worst_stranded = 0.0f64;
@@ -216,39 +218,15 @@ pub fn single_link_failures<N: Clone, E: Clone>(
         if baseline.link_load[link.index()] <= 0.0 {
             continue;
         }
-        let outcome = match &mut hop_cache {
-            Some(cache) => cache.fail(link),
-            None => {
-                // Fail the link and re-route everything from scratch.
-                let mut keep = vec![true; g.edge_count()];
-                keep[link.index()] = false;
-                let failed = g.edge_subgraph(&keep);
-                // Indexing note: edge_subgraph preserves node ids but
-                // renumbers edges; demands reference nodes only, so
-                // routing is unaffected.
-                let o = route(&failed, demands, metric, |_, w| {
-                    // EdgeIds differ in the subgraph; the weight closure
-                    // gets the subgraph's ids, which we cannot map back —
-                    // so only annotation-derived weights are meaningful
-                    // here. All workspace weights are annotation-derived.
-                    weight(EdgeId(0), w)
-                });
-                CutOutcome {
-                    stranded: o.unrouted.iter().map(|d| d.amount).sum(),
-                    routed_traffic: o.routed_traffic,
-                    traffic_hops: o.traffic_hops,
-                    max_load_after: o.max_load(),
-                }
-            }
-        };
+        let outcome = cache.replay(Some(link));
         let affected = baseline.link_load[link.index()];
-        let stranded = outcome.stranded;
+        let stranded = outcome.unrouted_traffic;
         let stretch = if outcome.routed_traffic > 0.0 && baseline.routed_traffic > 0.0 {
-            (outcome.traffic_hops / outcome.routed_traffic) / baseline.mean_hops()
+            outcome.mean_hops() / baseline.mean_hops()
         } else {
             1.0
         };
-        let max_load_after = outcome.max_load_after;
+        let max_load_after = outcome.max_load();
         worst_max_after = worst_max_after.max(max_load_after);
         if stranded > 0.0 {
             stranded_failures += 1;
@@ -302,7 +280,7 @@ mod tests {
     fn tree_strands_every_failure() {
         // Path 0-1-2 with end-to-end demand: both links are cuts.
         let g: Graph<(), f64> = Graph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let summary = single_link_failures(&g, &[d(0, 2, 3.0)], IgpMetric::HopCount, |_, w| *w);
+        let summary = single_link_failures(&g, &[d(0, 2, 3.0)]);
         assert_eq!(summary.impacts.len(), 2);
         assert!((summary.stranding_fraction - 1.0).abs() < 1e-12);
         assert!((summary.worst_stranded_fraction - 1.0).abs() < 1e-12);
@@ -312,12 +290,7 @@ mod tests {
     fn cycle_reroutes_everything() {
         let g: Graph<(), f64> =
             Graph::from_edges(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
-        let summary = single_link_failures(
-            &g,
-            &[d(0, 1, 1.0), d(1, 3, 1.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
-        );
+        let summary = single_link_failures(&g, &[d(0, 1, 1.0), d(1, 3, 1.0)]);
         assert_eq!(summary.stranding_fraction, 0.0);
         // Re-routing around a 4-cycle costs extra hops.
         assert!(summary.mean_stretch > 1.0);
@@ -329,7 +302,7 @@ mod tests {
         // Triangle but demand only between 0 and 1: edge (1,2)/(0,2)
         // carry nothing under shortest path.
         let g: Graph<(), f64> = Graph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0), (0, 2, 1.0)]);
-        let summary = single_link_failures(&g, &[d(0, 1, 1.0)], IgpMetric::HopCount, |_, w| *w);
+        let summary = single_link_failures(&g, &[d(0, 1, 1.0)]);
         assert_eq!(summary.impacts.len(), 1);
         assert_eq!(summary.impacts[0].link, hot_graph::graph::EdgeId(0));
         // The failure re-routes via node 2 at stretch 2.
@@ -344,21 +317,16 @@ mod tests {
     #[test]
     fn degenerate_inputs_are_trivial_not_panics() {
         let empty: Graph<(), f64> = Graph::new();
-        let s = single_link_failures(&empty, &[d(0, 1, 1.0)], IgpMetric::HopCount, |_, w| *w);
+        let s = single_link_failures(&empty, &[d(0, 1, 1.0)]);
         assert!(s.impacts.is_empty());
         assert_eq!(s.max_load_amplification, 1.0);
         let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
-        let s = single_link_failures(&g, &[], IgpMetric::HopCount, |_, w| *w);
+        let s = single_link_failures(&g, &[]);
         assert!(s.impacts.is_empty());
         assert_eq!(s.mean_stretch, 1.0);
         // Out-of-range endpoints and a disconnected baseline pair ride
         // along with one routable demand.
-        let s = single_link_failures(
-            &g,
-            &[d(0, 9, 1.0), d(0, 3, 2.0), d(0, 1, 1.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
-        );
+        let s = single_link_failures(&g, &[d(0, 9, 1.0), d(0, 3, 2.0), d(0, 1, 1.0)]);
         assert_eq!(s.impacts.len(), 1); // only link (0,1) carries traffic
         assert!((s.stranding_fraction - 1.0).abs() < 1e-12); // it is a cut
     }
@@ -371,26 +339,21 @@ mod tests {
     fn load_redistribution_recorded() {
         let g: Graph<(), f64> =
             Graph::from_edges(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0), (3, 0, 1.0)]);
-        let s = single_link_failures(&g, &[d(0, 1, 2.0)], IgpMetric::HopCount, |_, w| *w);
+        let s = single_link_failures(&g, &[d(0, 1, 2.0)]);
         assert_eq!(s.impacts.len(), 1);
         assert!((s.impacts[0].max_load_after - 2.0).abs() < 1e-12);
         assert!((s.max_load_amplification - 1.0).abs() < 1e-12);
         // Two demands sharing a link: failing it doubles up the detour.
-        let s = single_link_failures(
-            &g,
-            &[d(0, 1, 2.0), d(3, 1, 1.0)],
-            IgpMetric::HopCount,
-            |_, w| *w,
-        );
+        let s = single_link_failures(&g, &[d(0, 1, 2.0), d(3, 1, 1.0)]);
         assert!(s.max_load_amplification > 1.0);
     }
 
-    /// Regression for the BFS-forest cache: the cached fast path must
-    /// reproduce the old algorithm — one full `route` on an
-    /// `edge_subgraph` per loaded link — bit for bit, on a meshy
-    /// multigraph with cuts, detours, out-of-range endpoints, and a
-    /// disconnected pair. Every impact field and summary scalar is
-    /// compared on exact bits.
+    /// Regression for the BFS-forest cache: every replay must reproduce
+    /// the algorithm it replaced — one full per-flow re-route, on the
+    /// intact graph and on an `edge_subgraph` per loaded link — bit for
+    /// bit, on a meshy multigraph with cuts, detours, out-of-range
+    /// endpoints, and a disconnected pair. Each load vector and flow
+    /// total is compared on exact bits.
     #[test]
     fn cached_cuts_match_full_reroute_bitwise() {
         // Ladder + chords + a stub island (node 29 attached by a cut
@@ -415,126 +378,188 @@ mod tests {
                 demands.push(d(s, t, 1.0 + ((s * 5 + t) % 4) as f64));
             }
         }
-        for metric in [IgpMetric::HopCount, IgpMetric::Weighted] {
-            let fast = single_link_failures(&g, &demands, metric, |_, w| *w);
-            let slow = reference_single_link_failures(&g, &demands, metric, |_, w| *w);
-            assert_eq!(fast.impacts.len(), slow.impacts.len());
-            assert!(!fast.impacts.is_empty());
-            for (a, b) in fast.impacts.iter().zip(&slow.impacts) {
-                assert_eq!(a.link, b.link);
-                for (x, y) in [
-                    (a.affected_traffic, b.affected_traffic),
-                    (a.stranded_traffic, b.stranded_traffic),
-                    (a.stretch, b.stretch),
-                    (a.max_load_after, b.max_load_after),
-                ] {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "link {:?}: {} vs {}",
-                        a.link,
-                        x,
-                        y
-                    );
-                }
-            }
-            for (x, y) in [
-                (fast.stranding_fraction, slow.stranding_fraction),
-                (fast.worst_stranded_fraction, slow.worst_stranded_fraction),
-                (fast.mean_stretch, slow.mean_stretch),
-                (fast.max_load_amplification, slow.max_load_amplification),
-            ] {
-                assert_eq!(x.to_bits(), y.to_bits());
-            }
-        }
-    }
-
-    /// The pre-cache algorithm, verbatim: one full routing pass over an
-    /// `edge_subgraph` per loaded link.
-    fn reference_single_link_failures<N: Clone, E: Clone>(
-        g: &Graph<N, E>,
-        demands: &[Demand],
-        metric: IgpMetric,
-        weight: impl Fn(EdgeId, &E) -> f64 + Copy,
-    ) -> FailureSummary {
-        if g.edge_count() == 0 || demands.is_empty() {
-            return FailureSummary::trivial();
-        }
-        let baseline = route(g, demands, metric, weight);
-        let baseline_max = baseline.max_load();
-        let total_traffic: f64 = demands.iter().map(|d| d.amount).sum();
-        let mut impacts = Vec::new();
-        let mut stranded_failures = 0usize;
-        let mut worst_stranded = 0.0f64;
-        let mut worst_max_after = 0.0f64;
-        let mut stretch_sum = 0.0;
-        let mut stretch_count = 0usize;
+        let bits = |t: &TrafficLoads| {
+            let mut v: Vec<u64> = t.link_load.iter().map(|x| x.to_bits()).collect();
+            v.extend([t.routed_flows, t.unrouted_flows]);
+            v.extend([t.routed_traffic, t.unrouted_traffic, t.traffic_hops].map(f64::to_bits));
+            v
+        };
+        let mut cache = HopCutCache::new(&g, &demands);
+        let baseline = cache.replay(None);
+        assert_eq!(bits(&baseline), bits(&reference_route(&g, &demands)));
+        let mut cuts = 0;
         for link in g.edge_ids() {
             if baseline.link_load[link.index()] <= 0.0 {
                 continue;
             }
             let mut keep = vec![true; g.edge_count()];
             keep[link.index()] = false;
-            let failed = g.edge_subgraph(&keep);
-            let outcome = route(&failed, demands, metric, |_, w| weight(EdgeId(0), w));
-            let affected = baseline.link_load[link.index()];
-            let stranded: f64 = outcome.unrouted.iter().map(|d| d.amount).sum();
-            let stretch = if outcome.routed_traffic > 0.0 && baseline.routed_traffic > 0.0 {
-                outcome.mean_hops() / baseline.mean_hops()
+            let slow = reference_route(&g.edge_subgraph(&keep), &demands);
+            // `edge_subgraph` renumbers the surviving edges in order; the
+            // cut link itself must carry nothing.
+            let mut fast = cache.replay(Some(link));
+            assert_eq!(fast.link_load.remove(link.index()), 0.0);
+            assert_eq!(bits(&fast), bits(&slow), "link {:?}", link);
+            cuts += 1;
+        }
+        assert!(cuts > 10);
+    }
+
+    /// The per-flow hop router the cache replaced: demands grouped by
+    /// source in a `BTreeMap`, one BFS tree per source on a fresh CSR
+    /// view, each flow's path walked edge by edge.
+    fn reference_route<N, E>(g: &Graph<N, E>, demands: &[Demand]) -> TrafficLoads {
+        let n = g.node_count();
+        let mut out = TrafficLoads::zero(g.edge_count());
+        let mut by_src: BTreeMap<u32, Vec<&Demand>> = BTreeMap::new();
+        for d in demands {
+            if d.src.index() >= n || d.dst.index() >= n {
+                out.unrouted_flows += 1;
+                out.unrouted_traffic += d.amount;
             } else {
-                1.0
-            };
-            let max_load_after = outcome.max_load();
-            worst_max_after = worst_max_after.max(max_load_after);
-            if stranded > 0.0 {
-                stranded_failures += 1;
-                if total_traffic > 0.0 {
-                    worst_stranded = worst_stranded.max(stranded / total_traffic);
-                }
-            } else {
-                stretch_sum += stretch;
-                stretch_count += 1;
+                by_src.entry(d.src.0).or_default().push(d);
             }
-            impacts.push(FailureImpact {
-                link,
-                affected_traffic: affected,
-                stranded_traffic: stranded,
-                stretch,
-                max_load_after,
-            });
         }
-        let simulated = impacts.len().max(1);
-        FailureSummary {
-            stranding_fraction: stranded_failures as f64 / simulated as f64,
-            worst_stranded_fraction: worst_stranded,
-            mean_stretch: if stretch_count > 0 {
-                stretch_sum / stretch_count as f64
-            } else {
-                1.0
-            },
-            max_load_amplification: if !impacts.is_empty() && baseline_max > 0.0 {
-                worst_max_after / baseline_max
-            } else {
-                1.0
-            },
-            impacts,
+        let csr = CsrGraph::from_graph(g);
+        for (src, group) in by_src {
+            let tree = csr.bfs_tree(NodeId(src));
+            for d in group {
+                match tree.edge_path_to(d.dst) {
+                    Some(path) => {
+                        for e in &path {
+                            out.link_load[e.index()] += d.amount;
+                        }
+                        out.routed_flows += 1;
+                        out.traffic_hops += d.amount * path.len() as f64;
+                        out.routed_traffic += d.amount;
+                    }
+                    None => {
+                        out.unrouted_flows += 1;
+                        out.unrouted_traffic += d.amount;
+                    }
+                }
+            }
         }
+        out
     }
 
     #[test]
     fn affected_traffic_recorded() {
         let g: Graph<(), f64> = Graph::from_edges(3, vec![(0, 1, 1.0), (1, 2, 1.0)]);
-        let summary = single_link_failures(
-            &g,
-            &[d(0, 2, 2.0), d(1, 2, 1.5)],
-            IgpMetric::HopCount,
-            |_, w| *w,
-        );
+        let summary = single_link_failures(&g, &[d(0, 2, 2.0), d(1, 2, 1.5)]);
         let link1 = summary
             .impacts
             .iter()
             .find(|i| i.link.index() == 1)
             .unwrap();
         assert!((link1.affected_traffic - 3.5).abs() < 1e-12);
+    }
+
+    fn path4() -> Graph<(), f64> {
+        Graph::from_edges(4, vec![(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    }
+
+    #[test]
+    fn loads_accumulate_along_paths() {
+        let out = route_demands(&path4(), &[d(0, 3, 5.0), d(1, 2, 2.0)]);
+        assert_eq!(out.link_load, vec![5.0, 7.0, 5.0]);
+        assert_eq!((out.routed_flows, out.unrouted_flows), (2, 0));
+        assert!((out.routed_traffic - 7.0).abs() < 1e-12);
+        // hops: 5*3 + 2*1 = 17; mean = 17/7.
+        assert!((out.mean_hops() - 17.0 / 7.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn disconnected_demand_reported() {
+        let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
+        let out = route_demands(&g, &[d(0, 3, 4.0), d(0, 1, 1.0)]);
+        assert_eq!(out.unrouted_flows, 1);
+        assert_eq!(out.unrouted_traffic, 4.0);
+        assert!((out.routed_traffic - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn stats_on_star_vs_path() {
+        // All-pairs unit demand on a path: the middle link carries more
+        // than the end links, and no link idles.
+        let demands: Vec<Demand> = (0..4)
+            .flat_map(|a| (0..4).filter(move |&b| b != a).map(move |b| d(a, b, 1.0)))
+            .collect();
+        let out = route_demands(&path4(), &demands);
+        assert!(out.link_load[1] > out.link_load[0]);
+        assert!(out.link_load.iter().all(|&l| l > 0.0));
+    }
+
+    /// Regression: endpoints outside the graph used to panic on the BFS
+    /// distance arrays; now they count as unrouted like disconnected
+    /// pairs — including on the empty graph.
+    #[test]
+    fn out_of_range_endpoints_are_unrouted_not_panics() {
+        let out = route_demands(&path4(), &[d(0, 9, 2.0), d(9, 0, 1.0), d(0, 3, 1.0)]);
+        assert_eq!(out.unrouted_flows, 2);
+        assert!((out.routed_traffic - 1.0).abs() < 1e-12);
+        let empty: Graph<(), f64> = Graph::new();
+        let out = route_demands(&empty, &[d(0, 1, 5.0)]);
+        assert_eq!(out.unrouted_flows, 1);
+        assert_eq!(out.routed_traffic, 0.0);
+        assert!(out.link_load.is_empty());
+    }
+
+    #[test]
+    fn empty_demands() {
+        let out = route_demands(&path4(), &[]);
+        assert_eq!(out.max_load(), 0.0);
+        assert_eq!(out.mean_hops(), 0.0);
+        assert_eq!(out.link_load, vec![0.0; 3]);
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use hot_graph::graph::{Graph, NodeId};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Conservation identity: total load summed over links equals
+        /// traffic × hops summed over routed demands, and nothing is
+        /// unrouted on a connected graph.
+        #[test]
+        fn load_equals_traffic_hops(
+            n in 2usize..12,
+            extra in proptest::collection::vec((0usize..12, 0usize..12), 0..14),
+            pairs in proptest::collection::vec((0usize..12, 0usize..12, 0.1f64..5.0), 1..10),
+        ) {
+            let mut g: Graph<(), f64> = Graph::new();
+            for _ in 0..n {
+                g.add_node(());
+            }
+            for i in 0..n - 1 {
+                g.add_edge(NodeId(i as u32), NodeId(i as u32 + 1), 1.0);
+            }
+            for (a, b) in extra {
+                let (a, b) = (a % n, b % n);
+                if a != b {
+                    g.add_edge(NodeId(a as u32), NodeId(b as u32), 1.0);
+                }
+            }
+            let demands: Vec<Demand> = pairs
+                .into_iter()
+                .filter(|(a, b, _)| a % n != b % n)
+                .map(|(a, b, amt)| Demand {
+                    src: NodeId((a % n) as u32),
+                    dst: NodeId((b % n) as u32),
+                    amount: amt,
+                })
+                .collect();
+            let outcome = route_demands(&g, &demands);
+            prop_assert_eq!(outcome.unrouted_flows, 0);
+            prop_assert!((outcome.total_load() - outcome.traffic_hops).abs() < 1e-9,
+                "sum load {} vs traffic-hops {}", outcome.total_load(), outcome.traffic_hops);
+            // Routed traffic equals offered traffic.
+            let offered: f64 = demands.iter().map(|d| d.amount).sum();
+            prop_assert!((outcome.routed_traffic - offered).abs() < 1e-9);
+        }
     }
 }

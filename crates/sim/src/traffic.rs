@@ -1,8 +1,9 @@
 //! Batched, deterministic link-load simulation.
 //!
-//! [`crate::routing::route`] walks every flow's path edge by edge — fine
-//! for thousands of demands, hopeless for the all-pairs workloads the
-//! demand models in [`crate::demand`] describe (millions of OD flows).
+//! [`crate::failure::route_demands`] walks every flow's path edge by
+//! edge — fine for thousands of demands, hopeless for the all-pairs
+//! workloads the demand models in [`crate::demand`] describe (millions
+//! of OD flows).
 //! This engine routes those workloads in O(n + m) per *source* instead
 //! of O(path) per *flow*:
 //!
@@ -35,8 +36,7 @@
 //! 1.0), and dyadic weights (the TE loop halves) keep the splits exact
 //! in floating point.
 
-use crate::demand::OdDemand;
-use crate::routing::Demand;
+use crate::demand::{Demand, OdDemand};
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
 use hot_graph::parallel::{run_chunks, BfsForest};
 
@@ -44,7 +44,7 @@ use hot_graph::parallel::{run_chunks, BfsForest};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The deterministic BFS-tree path (first discovery in adjacency
-    /// order) — what [`crate::routing::route`] uses for hop counts.
+    /// order) — what [`crate::failure::route_demands`] uses for hop counts.
     TreePath,
     /// Equal-cost multipath: the flow splits over all shortest paths,
     /// proportionally to path counts (Brandes σ).
@@ -69,7 +69,7 @@ pub struct TrafficLoads {
 }
 
 impl TrafficLoads {
-    fn zero(links: usize) -> TrafficLoads {
+    pub(crate) fn zero(links: usize) -> TrafficLoads {
         TrafficLoads {
             link_load: vec![0.0; links],
             routed_flows: 0,
@@ -358,8 +358,9 @@ fn accumulate_source(
 
 /// The per-flow reference engine: walks every flow's tree path edge by
 /// edge over a prebuilt [`BfsForest`] (the multi-source tree cache).
-/// Semantically [`crate::routing::route`] with `IgpMetric::HopCount`;
-/// kept as the differential/speedup baseline for the batched engine.
+/// Semantically [`crate::failure::route_demands`] over a prebuilt tree
+/// cache; kept as the differential/speedup baseline for the batched
+/// engine.
 /// Flows whose source has no tree in the forest — or whose endpoints
 /// lie outside the graph — count as unrouted.
 pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> TrafficLoads {
@@ -395,7 +396,7 @@ pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> 
 mod tests {
     use super::*;
     use crate::demand::{DemandConfig, DemandMatrix, DemandModel};
-    use crate::routing::{route, IgpMetric};
+    use crate::failure::route_demands;
     use hot_graph::graph::{Graph, NodeId};
     use hot_graph::parallel::bfs_forest;
 
@@ -440,7 +441,7 @@ mod tests {
                 amount: 2.0,
             },
         ];
-        let reference = route(&g, &flows, IgpMetric::HopCount, |_, _| 1.0);
+        let reference = route_demands(&g, &flows);
         assert_eq!(loads.link_load, reference.link_load);
         assert_eq!(loads.routed_flows, 2);
         assert_eq!(loads.unrouted_flows, 0);

@@ -6,9 +6,10 @@
 //! cargo run --release --example routing_study
 //! ```
 
+use hotgen::metrics::hierarchy::gini;
 use hotgen::prelude::*;
-use hotgen::sim::failure::single_link_failures;
-use hotgen::sim::routing::{load_gini, route, Demand, IgpMetric};
+use hotgen::sim::demand::Demand;
+use hotgen::sim::failure::{route_demands, single_link_failures};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -48,12 +49,18 @@ fn main() {
         })
         .filter(|d| d.src != d.dst)
         .collect();
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let outcome = route_demands(&isp.graph, &demands);
+    let positive: Vec<f64> = outcome
+        .link_load
+        .iter()
+        .copied()
+        .filter(|&l| l > 0.0)
+        .collect();
     println!(
         "routed {} demands at mean {:.1} hops; load gini {:.2}; max link load {:.0}",
-        demands.len() - outcome.unrouted.len(),
+        outcome.routed_flows,
         outcome.mean_hops(),
-        load_gini(&outcome),
+        gini(&positive),
         outcome.max_load()
     );
     // Which links carry the most? (Spoiler: the trunks the design sized.)
@@ -74,7 +81,7 @@ fn main() {
         );
     }
     // Failure stress on the loaded links.
-    let summary = single_link_failures(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let summary = single_link_failures(&isp.graph, &demands);
     println!(
         "\nsingle-link failures over {} loaded links: {:.0}% strand traffic \
          (worst case {:.1}% of all traffic), survivors re-route at {:.3}x hops",

@@ -1,17 +1,157 @@
 //! Integration tests for the `hot-bgp` policy-routing subsystem: the
-//! batched propagation must agree with the small reference
-//! implementation in `hot-sim::bgp` on generator-built internets, never
-//! beat the unrestricted shortest path, stay bit-identical across
-//! thread counts, and derive AS classes that match the economics the
-//! generator wired.
+//! batched propagation must agree with the small reference BFS below
+//! on generator-built internets, never beat the unrestricted shortest
+//! path, stay bit-identical across thread counts, and derive AS classes
+//! that match the economics the generator wired.
 
+use hot_exp::scenarios::e13::{inflation_stats, InflationStats};
 use hotgen::bgp::{policy_summary, policy_summary_all, AsClass, AsTopology, UNREACHED};
 use hotgen::core::isp::generator::IspConfig;
-use hotgen::core::peering::{generate_internet, Internet, InternetConfig};
-use hotgen::sim::bgp::AsNetwork;
+use hotgen::core::peering::{generate_internet, Internet, InternetConfig, Relationship};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::collections::VecDeque;
+
+/// The reference AS-level relationship network: one adjacency `Vec`
+/// per AS and relationship, queried by plain queue BFS.
+struct AsNetwork {
+    /// `providers[a]` = ASes that sell transit *to* `a`.
+    providers: Vec<Vec<usize>>,
+    /// `customers[a]` = ASes that buy transit *from* `a`.
+    customers: Vec<Vec<usize>>,
+    /// `peers[a]` = settlement-free peers of `a`.
+    peers: Vec<Vec<usize>>,
+}
+
+impl AsNetwork {
+    /// Duplicate peering links between a pair collapse to one adjacency.
+    fn from_internet(net: &Internet) -> AsNetwork {
+        let n = net.isps.len();
+        let mut providers = vec![Vec::new(); n];
+        let mut customers = vec![Vec::new(); n];
+        let mut peers = vec![Vec::new(); n];
+        for link in &net.peering {
+            match link.relationship {
+                Relationship::PeerPeer => {
+                    peers[link.isp_a].push(link.isp_b);
+                    peers[link.isp_b].push(link.isp_a);
+                }
+                // isp_a provides transit to isp_b.
+                Relationship::ProviderCustomer => {
+                    customers[link.isp_a].push(link.isp_b);
+                    providers[link.isp_b].push(link.isp_a);
+                }
+            }
+        }
+        for lists in [&mut providers, &mut customers, &mut peers] {
+            for v in lists.iter_mut() {
+                v.sort_unstable();
+                v.dedup();
+            }
+        }
+        AsNetwork {
+            providers,
+            customers,
+            peers,
+        }
+    }
+
+    /// Queue BFS over `(as, phase)` states from `(src, 0)`, where
+    /// `moves` lists a state's successors; each AS's distance is its
+    /// best over its phases.
+    fn bfs(
+        &self,
+        src: usize,
+        moves: impl Fn(usize, usize) -> Vec<(usize, usize)>,
+    ) -> Vec<Option<u32>> {
+        let mut dist = vec![[None::<u32>; 3]; self.providers.len()];
+        let mut queue = VecDeque::from([(src, 0)]);
+        dist[src][0] = Some(0);
+        while let Some((a, phase)) = queue.pop_front() {
+            let d = dist[a][phase].map(|d| d + 1);
+            for (b, next) in moves(a, phase) {
+                if dist[b][next].is_none() {
+                    dist[b][next] = d;
+                    queue.push_back((b, next));
+                }
+            }
+        }
+        dist.into_iter()
+            .map(|per_phase| per_phase.into_iter().flatten().min())
+            .collect()
+    }
+
+    /// Shortest valley-free AS-path lengths: phase 0 climbs providers,
+    /// phase 1 has crossed the one allowed peer link, phase 2 descends
+    /// customers.
+    fn valley_free_distances(&self, src: usize) -> Vec<Option<u32>> {
+        self.bfs(src, |a, phase| {
+            let mut next: Vec<(usize, usize)> = Vec::new();
+            if phase == 0 {
+                next.extend(self.providers[a].iter().map(|&p| (p, 0)));
+                next.extend(self.peers[a].iter().map(|&p| (p, 1)));
+            }
+            next.extend(self.customers[a].iter().map(|&c| (c, 2)));
+            next
+        })
+    }
+
+    /// Shortest unrestricted AS-path lengths (policy ignored).
+    fn shortest_distances(&self, src: usize) -> Vec<Option<u32>> {
+        self.bfs(src, |a, _| {
+            [&self.providers[a], &self.customers[a], &self.peers[a]]
+                .into_iter()
+                .flatten()
+                .map(|&b| (b, 0))
+                .collect()
+        })
+    }
+}
+
+/// Reference policy-inflation statistics over all ordered AS pairs,
+/// sources ascending, destinations ascending.
+fn policy_inflation(net: &AsNetwork) -> InflationStats {
+    let n = net.providers.len();
+    let (mut reach_shortest, mut reach_policy) = (0usize, 0usize);
+    let (mut compared, mut inflated) = (0usize, 0usize);
+    let mut inflation_sum = 0.0;
+    let mut max_inflation = 1.0f64;
+    for src in 0..n {
+        let vf = net.valley_free_distances(src);
+        let sp = net.shortest_distances(src);
+        for dst in (0..n).filter(|&dst| dst != src) {
+            let Some(s) = sp[dst] else { continue };
+            reach_shortest += 1;
+            let Some(v) = vf[dst] else { continue };
+            reach_policy += 1;
+            let ratio = v as f64 / s as f64;
+            inflation_sum += ratio;
+            compared += 1;
+            max_inflation = max_inflation.max(ratio);
+            if v > s {
+                inflated += 1;
+            }
+        }
+    }
+    let share = |num: usize, den: usize, empty: f64| {
+        if den > 0 {
+            num as f64 / den as f64
+        } else {
+            empty
+        }
+    };
+    InflationStats {
+        policy_reachability: share(reach_policy, reach_shortest, 1.0),
+        mean_inflation: if compared > 0 {
+            inflation_sum / compared as f64
+        } else {
+            1.0
+        },
+        inflated_fraction: share(inflated, compared, 0.0),
+        max_inflation,
+    }
+}
 
 /// A small generated internet: `n_isps` designed ISPs peered with
 /// `tier1` at the top and `transit` upstreams each.
@@ -30,15 +170,17 @@ fn internet(cities: usize, n_isps: usize, tier1: usize, transit: usize, seed: u6
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// On random generated internets the flat batched kernel and the
-    /// reference `hot-sim` BFS agree exactly — valley-free distances,
-    /// unrestricted distances, and the vf >= sp property per pair.
+    /// reference BFS agree exactly — valley-free distances, unrestricted
+    /// distances, the vf >= sp property per pair, and E13's inflation
+    /// statistics to the bit. Internets need about 15+ ASes before
+    /// multihoming inflates any path, hence the wide `n_isps` range.
     #[test]
     fn propagation_matches_reference_and_never_beats_shortest(
         cities in 4usize..9,
-        n_isps in 4usize..14,
+        n_isps in 4usize..32,
         tier1 in 1usize..4,
         transit in 1usize..4,
         seed in 0u64..100_000,
@@ -47,7 +189,7 @@ proptest! {
         let net = internet(cities, n_isps, tier1, transit, seed);
         let reference = AsNetwork::from_internet(&net);
         let topo = AsTopology::from_internet(&net);
-        prop_assert_eq!(topo.len(), reference.len());
+        prop_assert_eq!(topo.len(), reference.providers.len());
         for src in 0..topo.len() {
             let table = topo.propagate(src);
             let sp = topo.shortest(src);
@@ -65,6 +207,15 @@ proptest! {
                     prop_assert!(vf >= sp_d, "src {} dst {}: vf {} < sp {}", src, d, vf, sp_d);
                 }
             }
+        }
+        let (got, want) = (inflation_stats(&topo), policy_inflation(&reference));
+        for (g, w) in [
+            (got.policy_reachability, want.policy_reachability),
+            (got.mean_inflation, want.mean_inflation),
+            (got.inflated_fraction, want.inflated_fraction),
+            (got.max_inflation, want.max_inflation),
+        ] {
+            prop_assert_eq!(g.to_bits(), w.to_bits(), "{} vs {}", g, w);
         }
     }
 

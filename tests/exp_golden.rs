@@ -197,7 +197,7 @@ fn snapshot_cache_replays_identical_bytes() {
 /// visible in the structured output.
 #[test]
 fn degenerate_params_skip_cleanly() {
-    use hot_exp::scenarios::{e1, e15, e16, e17, e18, e2, e5, e9};
+    use hot_exp::scenarios::{e1, e12, e13, e15, e16, e17, e18, e2, e5, e9};
     let report = e15::run(
         &e15::Params {
             glp_n: 3,
@@ -232,6 +232,30 @@ fn degenerate_params_skip_cleanly() {
         ctx(1),
     );
     assert!(matches!(report.status, ExpStatus::Skipped { .. }));
+    // POP counts the geography cannot host (none, or more than the
+    // golden presets' cities) must skip E12, E13 and E17 before the ISP
+    // generator asserts.
+    let mut reports = Vec::new();
+    for pops in [0, 100] {
+        let mut p12 = e12::Params::golden();
+        p12.fail_pops = pops;
+        reports.push(e12::run(&p12, ctx(1)));
+        let mut p13 = e13::Params::golden();
+        p13.max_pops = pops;
+        reports.push(e13::run(&p13, ctx(1)));
+        let mut p17 = e17::Params::golden();
+        p17.max_pops = pops;
+        reports.push(e17::run(&p17, ctx(1)));
+    }
+    let mut p12 = e12::Params::golden();
+    p12.n_pops = 100;
+    reports.push(e12::run(&p12, ctx(1)));
+    for report in reports {
+        match &report.status {
+            ExpStatus::Skipped { reason } => assert!(reason.contains("pops"), "{}", reason),
+            other => panic!("{}: expected skip, got {:?}", report.scenario, other),
+        }
+    }
     let report = e1::run(
         &e1::Params {
             n: 1,

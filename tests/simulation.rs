@@ -1,10 +1,11 @@
 //! Integration tests for the simulation layer: protocols running on
 //! topologies the generators produced, via the facade API.
 
+use hot_exp::scenarios::e13::inflation_stats;
+use hotgen::bgp::{AsTopology, UNREACHED};
 use hotgen::prelude::*;
-use hotgen::sim::bgp::{policy_inflation, AsNetwork};
-use hotgen::sim::failure::single_link_failures;
-use hotgen::sim::routing::{route, Demand, IgpMetric};
+use hotgen::sim::demand::Demand;
+use hotgen::sim::failure::{route_demands, single_link_failures};
 use hotgen::sim::traceroute::{infer_map, strided_vantages};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,9 +44,9 @@ fn routing_conserves_demand_on_generated_isp() {
             amount: 2.0,
         })
         .collect();
-    let outcome = route(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let outcome = route_demands(&isp.graph, &demands);
     // The ISP graph is connected: everything routes.
-    assert!(outcome.unrouted.is_empty());
+    assert_eq!(outcome.unrouted_flows, 0);
     let total: f64 = demands.iter().map(|d| d.amount).sum();
     assert!((outcome.routed_traffic - total).abs() < 1e-9);
     // Load on any link never exceeds total traffic.
@@ -78,7 +79,7 @@ fn failure_sim_agrees_with_cut_structure() {
             amount: 1.0,
         })
         .collect();
-    let summary = single_link_failures(&isp.graph, &demands, IgpMetric::HopCount, |_, _| 1.0);
+    let summary = single_link_failures(&isp.graph, &demands);
     // Customer uplinks are bridges: most failures strand something.
     assert!(summary.stranding_fraction > 0.5);
     // Stretch is a ratio >= 1 whenever defined.
@@ -95,21 +96,20 @@ fn bgp_policy_never_shorter_and_internet_stays_reachable() {
         ..InternetConfig::default()
     };
     let net = generate_internet(&census, &traffic, &config, &mut StdRng::seed_from_u64(6));
-    let asn = AsNetwork::from_internet(&net);
+    let topo = AsTopology::from_internet(&net);
     // Valley-free >= shortest for all pairs; tier-1 spine keeps policy
     // reachability at 1.
-    for src in 0..asn.len() {
-        let vf = asn.valley_free_distances(src);
-        let sp = asn.shortest_distances(src);
-        for dst in 0..asn.len() {
-            match (vf[dst], sp[dst]) {
-                (Some(v), Some(s)) => assert!(v >= s),
-                (Some(_), None) => panic!("policy route without graph route"),
-                _ => {}
+    for src in 0..topo.len() {
+        let vf = topo.propagate(src);
+        let sp = topo.shortest(src);
+        for (dst, &s) in sp.iter().enumerate() {
+            if vf.reaches(dst) {
+                assert!(s != UNREACHED, "policy route without graph route");
+                assert!(vf.dist[dst] >= s);
             }
         }
     }
-    let stats = policy_inflation(&asn);
+    let stats = inflation_stats(&topo);
     assert!((stats.policy_reachability - 1.0).abs() < 1e-9);
     assert!(stats.mean_inflation >= 1.0);
 }

@@ -15,8 +15,8 @@ use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::bfs_forest;
 use hotgen::graph::NodeId;
-use hotgen::sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
-use hotgen::sim::routing::{route, IgpMetric};
+use hotgen::sim::demand::{Demand, DemandConfig, DemandMatrix, DemandModel, OdDemand};
+use hotgen::sim::failure::route_demands;
 use hotgen::sim::traffic::{link_loads, naive_link_load, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -65,8 +65,8 @@ fn bits(v: &[f64]) -> Vec<u64> {
 }
 
 /// The differential heart: batched subtree accumulation == per-flow path
-/// walking over the tree cache == the legacy `route()` engine, bit for
-/// bit, on integer demands from a band of sources.
+/// walking over the tree cache == the per-flow demand-list router, bit
+/// for bit, on integer demands from a band of sources.
 #[test]
 fn batched_matches_naive_per_flow_exactly() {
     let (g, csr) = glp5k();
@@ -84,7 +84,7 @@ fn batched_matches_naive_per_flow_exactly() {
         for dst in 0..5000 {
             let amount = dem.demand(s.index(), dst);
             if amount > 0.0 {
-                flows.push(hotgen::sim::routing::Demand {
+                flows.push(Demand {
                     src: s,
                     dst: NodeId(dst as u32),
                     amount,
@@ -103,11 +103,11 @@ fn batched_matches_naive_per_flow_exactly() {
     );
     assert_eq!(batched.traffic_hops, naive.traffic_hops);
 
-    // Naive 2: the legacy per-flow router agrees too (same CSR, same
+    // Naive 2: the demand-list router agrees too (same CSR, same
     // first-discovery trees).
-    let legacy = route(g, &flows, IgpMetric::HopCount, |_, _| 1.0);
-    assert_eq!(bits(&batched.link_load), bits(&legacy.link_load));
-    assert!(legacy.unrouted.is_empty());
+    let per_flow = route_demands(g, &flows);
+    assert_eq!(bits(&batched.link_load), bits(&per_flow.link_load));
+    assert_eq!(per_flow.unrouted_flows, 0);
 }
 
 /// Thread-count identity on *non-integer* demand (gravity with jittered
