@@ -3,13 +3,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hot_graph::betweenness::betweenness;
-use hot_graph::csr::CsrGraph;
+use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::flow::max_flow;
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::kcore::coreness;
 use hot_graph::mst::{kruskal, prim};
 use hot_graph::parallel::{default_threads, par_avg_path_length, par_betweenness};
-use hot_graph::shortest_path::dijkstra;
 use hot_graph::spectral::spectral_radius;
 use std::hint::black_box;
 
@@ -38,13 +36,18 @@ fn bench_graph(c: &mut Criterion) {
     let g = grid(50, 50); // 2500 nodes, ~4900 edges
     let mut group = c.benchmark_group("graph_grid50x50");
     group.bench_function("dijkstra", |b| {
-        b.iter(|| black_box(dijkstra(&g, NodeId(0), |_, w| *w)))
+        let csr = CsrGraph::from_graph(&g);
+        let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+        let mut tree = CsrBfsTree::sized(csr.node_count());
+        b.iter(|| {
+            csr.dijkstra_tree_into(NodeId(0), &latency, &mut tree);
+            black_box(tree.visit_order().len())
+        })
     });
     group.bench_function("kruskal", |b| b.iter(|| black_box(kruskal(&g, |w| *w))));
     group.bench_function("prim", |b| {
         b.iter(|| black_box(prim(&g, NodeId(0), |w| *w)))
     });
-    group.bench_function("coreness", |b| b.iter(|| black_box(coreness(&g))));
     group.bench_function("maxflow_corners", |b| {
         let t = NodeId((g.node_count() - 1) as u32);
         b.iter(|| black_box(max_flow(&g, NodeId(0), t, |w| *w)))

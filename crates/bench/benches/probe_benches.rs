@@ -1,8 +1,7 @@
-//! Probe-pipeline micro-benchmarks: the per-vantage `infer_map`
-//! reference against the batched CSR campaign engine, in hop and
-//! latency forwarding, serial and parallel, plus the bias analytics
-//! that post-process a campaign's masks. CI runs this harness with
-//! `CRITERION_JSON=BENCH_probe.json` so the measurement emulator's
+//! Probe-pipeline micro-benchmarks: the batched CSR campaign engine in
+//! hop and latency forwarding, serial and parallel, plus the bias
+//! analytics that post-process a campaign's masks. CI runs this harness
+//! with `CRITERION_JSON=BENCH_probe.json` so the measurement emulator's
 //! perf trajectory is tracked per commit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -13,7 +12,7 @@ use hot_graph::parallel::default_threads;
 use hot_metrics::bias::bias_summary;
 use hot_metrics::hierarchy::betweenness_estimate;
 use hot_sim::probe::{run_campaign, ProbeCampaign};
-use hot_sim::traceroute::{infer_map, strided_vantages};
+use hot_sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -27,8 +26,8 @@ fn bench_probe(c: &mut Criterion) {
         },
         &mut StdRng::seed_from_u64(20030617),
     );
-    // Latency-keyed copy of the topology so the `infer_map` reference
-    // and the batched engine forward over identical link costs.
+    // Latency-keyed copy of the topology: tie-heavy small integer link
+    // costs.
     let g: Graph<(), f64> = Graph::from_edges(
         n,
         glp_graph
@@ -43,9 +42,6 @@ fn bench_probe(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("probe_glp5000_v32");
     group.sample_size(10);
-    group.bench_function("infer_map_reference", |b| {
-        b.iter(|| black_box(infer_map(&g, &vantages, None, |&w| w)))
-    });
     group.bench_function("campaign_latency_serial", |b| {
         b.iter(|| {
             black_box(run_campaign(

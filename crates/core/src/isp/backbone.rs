@@ -16,9 +16,9 @@
 //! (§2.1).
 
 use hot_geo::point::Point;
+use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::mst::kruskal;
-use hot_graph::shortest_path::dijkstra;
 use hot_graph::traversal::is_connected;
 
 /// Backbone design parameters.
@@ -88,6 +88,7 @@ pub fn design(
     if config.redundancy && n >= 3 {
         augment_to_two_edge_connected(pops, &mut edges);
     }
+    let mut tree = CsrBfsTree::sized(n);
     // Shortcuts for the heaviest pairs with excessive detour.
     if config.shortcut_pairs > 0 {
         let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
@@ -104,9 +105,9 @@ pub fn design(
             if edges.contains(&(i, j)) {
                 continue;
             }
-            let g = graph_from(pops, &edges);
-            let sp = dijkstra(&g, NodeId(i as u32), |_, w| *w);
-            let network = sp.dist[j];
+            let csr = CsrGraph::from_graph(&graph_from(pops, &edges));
+            csr.dijkstra_tree_into(NodeId(i as u32), &link_lengths(pops, &edges), &mut tree);
+            let network = tree.latency().expect("Dijkstra tree")[j];
             let direct = pops[i].dist(&pops[j]);
             if direct > 0.0 && network / direct > config.detour_threshold {
                 edges.push((i, j));
@@ -114,23 +115,25 @@ pub fn design(
         }
     }
     // Route every demand pair on shortest paths to size the links.
-    let g = graph_from(pops, &edges);
+    let csr = CsrGraph::from_graph(&graph_from(pops, &edges));
+    let lengths = link_lengths(pops, &edges);
     let mut flows = vec![0.0; edges.len()];
     for i in 0..n {
-        let sp = dijkstra(&g, NodeId(i as u32), |_, w| *w);
+        csr.dijkstra_tree_into(NodeId(i as u32), &lengths, &mut tree);
         for j in i + 1..n {
             let d = demand(i, j);
             if d <= 0.0 {
                 continue;
             }
-            if let Some(path_edges) = sp.edge_path_to(NodeId(j as u32)) {
-                for e in path_edges {
-                    flows[e.index()] += d;
-                }
+            // Each link of the path gets `d` once, so the direction of
+            // the walk changes no sum.
+            let mut cur = NodeId(j as u32);
+            while let Some((p, e)) = tree.parent(cur) {
+                flows[e.index()] += d;
+                cur = p;
             }
         }
     }
-    let lengths = edges.iter().map(|&(a, b)| pops[a].dist(&pops[b])).collect();
     BackboneDesign {
         edges,
         flows,
@@ -170,6 +173,12 @@ fn graph_from(pops: &[Point], edges: &[(usize, usize)]) -> Graph<(), f64> {
         g.add_edge(NodeId(a as u32), NodeId(b as u32), pops[a].dist(&pops[b]));
     }
     g
+}
+
+/// Euclidean length of each link, indexed like `edges` (and so by the
+/// edge ids of [`graph_from`]).
+fn link_lengths(pops: &[Point], edges: &[(usize, usize)]) -> Vec<f64> {
+    edges.iter().map(|&(a, b)| pops[a].dist(&pops[b])).collect()
 }
 
 /// Edges of `edges` that are bridges (removal disconnects the graph).

@@ -75,7 +75,11 @@ macro_rules! spec {
             name: $name,
             summary: $summary,
             run: |ctx| {
-                scenarios::$module::run(&scenarios::$module::Params::for_scale(ctx.scale), ctx)
+                let params = match ctx.scale {
+                    Scale::Golden => scenarios::$module::Params::golden(),
+                    Scale::Full => scenarios::$module::Params::full(),
+                };
+                scenarios::$module::run(&params, ctx)
             },
         }
     };

@@ -5,7 +5,7 @@
 //! Ω(√n)).
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::fkp::{alpha_is_valid, classify, grow, Centrality, FkpConfig, TopologyClass};
 use hot_metrics::expfit::{classify as tail_classify, TailClass};
@@ -52,13 +52,6 @@ impl Params {
                 n as f64,
             ],
             seeds_per_alpha: 3,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

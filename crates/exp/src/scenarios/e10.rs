@@ -7,7 +7,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, random};
 use hot_core::buyatbulk::{mmp, problem::Instance};
@@ -49,13 +49,6 @@ impl Params {
             cities: 40,
             isp_pops: 10,
             isp_customers: 800,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

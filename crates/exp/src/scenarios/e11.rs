@@ -11,7 +11,7 @@
 //! IP-visible topologies look — from identical demand and geography.
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use crate::scenarios::e6::metric_matrix;
 use hot_core::access::ring::design_ring;
@@ -50,13 +50,6 @@ impl Params {
             seeds: 5,
             ls_iters: 1000,
             ring_size: 30,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

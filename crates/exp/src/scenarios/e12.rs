@@ -10,7 +10,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
@@ -53,13 +53,6 @@ impl Params {
             total_customers: 600,
             demand_pairs: 2000,
             fail_pops: 10,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

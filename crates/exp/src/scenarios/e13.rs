@@ -10,7 +10,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_bgp::{AsTopology, PropagationScratch, RouteTable, UNREACHED};
 use hot_core::isp::generator::IspConfig;
@@ -54,13 +54,6 @@ impl Params {
             max_pops: 12,
             customers_per_pop: 6,
             variants: default_variants(),
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::ba;
 use hot_core::isp::generator::{generate, IspConfig};
@@ -62,13 +62,6 @@ impl Params {
             ba_n: 1000,
             ba_m: 3,
             vantages: vec![1, 4, 16, 64],
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

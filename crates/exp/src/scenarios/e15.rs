@@ -15,7 +15,7 @@
 
 use crate::fixtures::{cached_snapshot, customer_masses, standard_geography};
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_core::isp::generator::{generate, IspConfig};
@@ -70,13 +70,6 @@ impl Params {
             total_customers: 1000,
             total_traffic: 1_000_000.0,
             ccdf_steps: 12,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

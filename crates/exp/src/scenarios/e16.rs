@@ -17,7 +17,7 @@
 
 use crate::fixtures::{customer_gravity_demand, standard_geography};
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
@@ -62,13 +62,6 @@ impl Params {
             total_customers: 600,
             total_traffic: 1_000_000.0,
             top_cuts: 5,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

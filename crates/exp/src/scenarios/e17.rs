@@ -14,7 +14,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_bgp::{policy_summary_all, AsClass, AsTopology, PolicySummary};
@@ -68,13 +68,6 @@ impl Params {
             transit_per_isp: 2,
             glp_n: 5000,
             ba_n: 5000,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -19,7 +19,7 @@ use crate::fixtures::{
     cached_snapshot, customer_gravity_demand, customer_masses, standard_geography,
 };
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_core::isp::generator::{generate, IspConfig};
@@ -96,13 +96,6 @@ impl Params {
             cascade_threshold: 1.0,
             max_te_rounds: 6,
             max_cascade_rounds: 256,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -19,7 +19,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_core::peering::{generate_internet, InternetConfig};
@@ -72,13 +72,6 @@ impl Params {
             ba_n: 20_000,
             ba_m: 3,
             vantages: vec![1, 16, 64, 256],
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -5,7 +5,7 @@
 //! distributions can be either exponential or of the power-law type".
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::fkp::{alpha_is_valid, grow, Centrality, FkpConfig};
 use hot_graph::degree::ccdf_of;
@@ -42,13 +42,6 @@ impl Params {
                 (20.0, "near the crossover: hubs shrinking".into()),
                 (5000.0, "distance regime".into()),
             ],
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -19,7 +19,7 @@
 //! growth law — and the constraints keep holding as the network ages.
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_econ::trend::TechTrend;
 use hot_graph::graph::EdgeId;
@@ -85,13 +85,6 @@ impl Params {
             ccdf_cap: 512,
             cost_decline: 0.90,
             demand_growth: 1.35,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 

@@ -5,7 +5,7 @@
 //! realistic cable capacities and costs.
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::buyatbulk::{mmp, problem::Instance};
 use hot_econ::cable::CableCatalog;
@@ -32,13 +32,6 @@ impl Params {
 
     pub fn full() -> Params {
         Params { n: 600, seeds: 10 }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
-        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! baselines, against the exact optimum where enumeration is feasible.
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::buyatbulk::{exact, greedy, mmp, problem::Instance};
 use hot_econ::cable::CableCatalog;
@@ -51,13 +51,6 @@ impl Params {
             ls_iters_exact: 500,
             ls_iters_large: 2000,
             order_n: 50,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

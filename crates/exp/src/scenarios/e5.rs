@@ -6,7 +6,7 @@
 //! expected loss. Power laws as the signature of design, not criticality.
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::plr::{solve, solve_with_rng, Design, PlrConfig, SparkDensity};
 use rand::rngs::StdRng;
@@ -40,13 +40,6 @@ impl Params {
             resolution: 200_000,
             samples: 100_000,
             ccdf_steps: 25,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, brite, glp, plrg, random, transit_stub, waxman};
 use hot_core::buyatbulk::{mmp, problem::Instance};
@@ -59,13 +59,6 @@ impl Params {
             isp_customers: 800,
             transit_stub: (4, 6, 5, 8),
             surrogate_swaps: 10,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

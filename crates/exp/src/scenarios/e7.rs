@@ -8,7 +8,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::formulation::Formulation;
 use hot_core::isp::generator::{generate, IspConfig};
@@ -42,13 +42,6 @@ impl Params {
             cities: 60,
             n_pops: 12,
             total_customers: 1500,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -8,7 +8,7 @@
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::isp::generator::IspConfig;
 use hot_core::peering::{generate_internet, InternetConfig};
@@ -55,13 +55,6 @@ impl Params {
             customers_per_pop: 8,
             max_router_degree: 12,
             router_ccdf_rows: 20,
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

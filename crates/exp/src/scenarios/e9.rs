@@ -11,7 +11,7 @@
 //!     regime to the exact "operation cost" proxy?
 
 use crate::jsonout::Json;
-use crate::registry::{RunCtx, Scale};
+use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::buyatbulk::{problem::Instance, routing::build_report};
 use hot_core::fkp::{alpha_is_valid, classify, grow, Centrality, FkpConfig};
@@ -59,13 +59,6 @@ impl Params {
             backbone_pops: 16,
             fkp_n: 4000,
             fkp_alphas: vec![1.0, 1.2, 3.0, 8.0],
-        }
-    }
-
-    pub fn for_scale(scale: Scale) -> Params {
-        match scale {
-            Scale::Golden => Params::golden(),
-            Scale::Full => Params::full(),
         }
     }
 }

@@ -1,8 +1,9 @@
 //! The twenty scenarios, one module per experiment.
 //!
-//! Each module exposes a `Params` struct with `golden()` / `full()` /
-//! `for_scale()` constructors and a `run(&Params, RunCtx) -> ExpReport`
-//! entry point; some additionally expose typed intermediate results
+//! Each module exposes a `Params` struct with `golden()` / `full()`
+//! constructors (the registry picks one by `RunCtx::scale`) and a
+//! `run(&Params, RunCtx) -> ExpReport` entry point; some additionally
+//! expose typed intermediate results
 //! (e.g. [`e1::regime_rows`], [`e5::design_curves`],
 //! [`e15::traffic_rows`], [`e17::policy_rows`],
 //! [`e18::cascade_rows`], [`e20::temporal_rows`]) so the paper-claims tests can assert on

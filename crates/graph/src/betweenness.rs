@@ -93,8 +93,7 @@ mod tests {
 mod property_tests {
     use super::*;
     use crate::graph::{Graph, NodeId};
-    use crate::shortest_path::bellman_ford;
-    use crate::traversal::is_connected;
+    use crate::traversal::{bfs_distances, is_connected};
     use proptest::prelude::*;
 
     proptest! {
@@ -125,9 +124,9 @@ mod property_tests {
             let total_b: f64 = betweenness(&g).iter().sum();
             let mut interior = 0.0;
             for u in 0..n {
-                let dist = bellman_ford(&g, NodeId(u as u32), |_, _| 1.0);
-                for w in u + 1..n {
-                    interior += dist[w] - 1.0;
+                let dist = bfs_distances(&g, NodeId(u as u32));
+                for d in &dist[u + 1..] {
+                    interior += d.expect("connected") as f64 - 1.0;
                 }
             }
             prop_assert!((total_b - interior).abs() < 1e-6,

@@ -30,6 +30,8 @@
 //! (~2.1 billion edges) — far beyond the scales this workspace targets.
 
 use crate::graph::{EdgeId, Graph, NodeId};
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Maximum adjacency entries (2 × edges) a [`CsrGraph`] can hold with
 /// u32 offsets.
@@ -143,9 +145,11 @@ impl CsrGraph {
     /// Reassembles a CSR view from its raw arrays (the snapshot-load
     /// path). Validates the structural invariants — monotone offsets
     /// bracketing the adjacency arrays, equal-length parallel arrays, an
-    /// even entry count (undirected edges appear once per endpoint), and
-    /// in-range targets — so a corrupt or truncated snapshot fails loudly
-    /// instead of producing out-of-bounds kernels.
+    /// even entry count (undirected edges appear once per endpoint),
+    /// in-range targets, and edge ids below the edge count (every CSR the
+    /// workspace builds numbers its edges densely, and the edge-indexed
+    /// kernels rely on it) — so a corrupt or truncated snapshot fails
+    /// loudly instead of producing out-of-bounds kernels.
     pub fn from_raw_parts(
         offsets: Vec<u32>,
         targets: Vec<NodeId>,
@@ -175,6 +179,13 @@ impl CsrGraph {
         let n = offsets.len() - 1;
         if let Some(t) = targets.iter().find(|t| t.index() >= n) {
             return Err(format!("target {} out of range (n = {})", t.0, n));
+        }
+        if let Some(e) = edge_ids.iter().find(|e| e.index() >= entries / 2) {
+            return Err(format!(
+                "edge id {} out of range ({} edges)",
+                e.0,
+                entries / 2
+            ));
         }
         Ok(CsrGraph {
             offsets,
@@ -405,6 +416,7 @@ impl CsrGraph {
             tree.dist[v.index()] = UNREACHABLE;
         }
         tree.order.clear();
+        tree.latency.clear();
         tree.source = start;
         tree.dist[start.index()] = 0;
         tree.order.push(start);
@@ -422,6 +434,66 @@ impl CsrGraph {
                     tree.parent_node[u.index()] = v;
                     tree.parent_edge[u.index()] = self.edge_ids[i];
                     tree.order.push(u);
+                }
+            }
+        }
+    }
+
+    /// Dijkstra shortest-path tree from `start` under per-edge `latency`
+    /// (indexed by edge id, finite and non-negative), into `tree`,
+    /// reusing its buffers with the same O(reached) reset as
+    /// [`Self::bfs_tree_into`]. This is the workspace's one weighted
+    /// shortest-path kernel (probe campaigns, backbone design).
+    ///
+    /// The visit order is the settle order, `dist` holds each settled
+    /// node's hop depth in the tree, and [`CsrBfsTree::latency`] its
+    /// distance. Ties are deterministic: a node is relaxed only on a
+    /// strict improvement, neighbors are pushed in adjacency order, and
+    /// heap entries compare on distance alone, so equal distances pop in
+    /// the binary heap's own fixed order. Each `d + w` is one rounding,
+    /// so every distance is reproducible to the bit.
+    pub fn dijkstra_tree_into(&self, start: NodeId, latency: &[f64], tree: &mut CsrBfsTree) {
+        let n = self.node_count();
+        assert_eq!(tree.dist.len(), n, "tree sized for a different graph");
+        assert_eq!(latency.len(), self.edge_count(), "one latency per edge");
+        for &v in &tree.order {
+            tree.dist[v.index()] = UNREACHABLE;
+            // Empty after a BFS run, which needs no latency reset.
+            if let Some(l) = tree.latency.get_mut(v.index()) {
+                *l = f64::INFINITY;
+            }
+        }
+        tree.order.clear();
+        tree.latency.resize(n, f64::INFINITY);
+        tree.source = start;
+        debug_assert!(tree.heap.is_empty());
+        tree.latency[start.index()] = 0.0;
+        tree.heap.push(HeapEntry {
+            dist: 0.0,
+            node: start,
+        });
+        while let Some(HeapEntry { dist: d, node: v }) = tree.heap.pop() {
+            if tree.dist[v.index()] != UNREACHABLE {
+                continue;
+            }
+            // A node's parent is final once it settles, and was settled
+            // before it, so its depth is already in place.
+            tree.dist[v.index()] = if v == start {
+                0
+            } else {
+                tree.dist[tree.parent_node[v.index()].index()] + 1
+            };
+            tree.order.push(v);
+            let lo = self.offsets[v.index()] as usize;
+            let hi = self.offsets[v.index() + 1] as usize;
+            for i in lo..hi {
+                let u = self.targets[i];
+                let nd = d + latency[self.edge_ids[i].index()];
+                if nd < tree.latency[u.index()] {
+                    tree.latency[u.index()] = nd;
+                    tree.parent_node[u.index()] = v;
+                    tree.parent_edge[u.index()] = self.edge_ids[i];
+                    tree.heap.push(HeapEntry { dist: nd, node: u });
                 }
             }
         }
@@ -558,29 +630,64 @@ impl CsrGraph {
     }
 }
 
-/// BFS shortest-path tree over a [`CsrGraph`], with edge-path extraction
-/// for hop-count routing.
+/// Min-heap entry of [`CsrGraph::dijkstra_tree_into`]: ordered on `dist`
+/// alone, reversed, so the tie order among equal distances is the
+/// heap's.
+#[derive(Clone, Debug, PartialEq)]
+struct HeapEntry {
+    dist: f64,
+    node: NodeId,
+}
+
+impl Eq for HeapEntry {}
+
+impl Ord for HeapEntry {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .dist
+            .partial_cmp(&self.dist)
+            .expect("NaN distance in Dijkstra heap")
+    }
+}
+
+impl PartialOrd for HeapEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Shortest-path tree over a [`CsrGraph`] — a BFS tree
+/// ([`CsrGraph::bfs_tree_into`]) or a Dijkstra tree
+/// ([`CsrGraph::dijkstra_tree_into`]) — with edge-path extraction.
 ///
-/// Beyond distances and paths, the tree exposes its BFS **visit order**
-/// (source first, non-decreasing distance): replaying it in reverse
-/// visits every node after all of its subtree, which is what lets the
-/// traffic engine turn per-flow path walks into one O(n) subtree
-/// accumulation per source.
+/// Beyond distances and paths, the tree exposes its **visit order**
+/// (source first, then every reached node after its parent): replaying
+/// it in reverse visits every node after all of its subtree, which is
+/// what lets the traffic engine turn per-flow path walks into one O(n)
+/// subtree accumulation per source.
 #[derive(Clone, Debug)]
 pub struct CsrBfsTree {
-    /// The BFS source.
+    /// The tree's source.
     pub source: NodeId,
-    /// Hop distances ([`UNREACHABLE`] when unreachable).
+    /// Hop depth in the tree ([`UNREACHABLE`] when unreachable). For a
+    /// BFS tree this is the hop distance.
     pub dist: Vec<u32>,
     parent_node: Vec<NodeId>,
     parent_edge: Vec<EdgeId>,
-    /// BFS visit order; exactly the reachable nodes.
+    /// Visit (BFS) or settle (Dijkstra) order; exactly the reachable
+    /// nodes.
     order: Vec<NodeId>,
+    /// Dijkstra distances (`f64::INFINITY` when unreachable); empty
+    /// after a BFS run.
+    latency: Vec<f64>,
+    /// Dijkstra's heap, kept only for its capacity (empty between runs).
+    heap: BinaryHeap<HeapEntry>,
 }
 
 impl CsrBfsTree {
     /// An empty tree sized for `n` nodes (nothing reached, source
-    /// unset), ready for [`CsrGraph::bfs_tree_into`].
+    /// unset), ready for [`CsrGraph::bfs_tree_into`] or
+    /// [`CsrGraph::dijkstra_tree_into`].
     pub fn sized(n: usize) -> CsrBfsTree {
         CsrBfsTree {
             source: NodeId(u32::MAX),
@@ -588,19 +695,33 @@ impl CsrBfsTree {
             parent_node: vec![NodeId(u32::MAX); n],
             parent_edge: vec![EdgeId(u32::MAX); n],
             order: Vec::with_capacity(n),
+            latency: Vec::new(),
+            heap: BinaryHeap::new(),
         }
     }
 
-    /// The nodes in BFS visit order: the source first, then every
-    /// reached node in non-decreasing hop distance. Unreachable nodes do
-    /// not appear.
+    /// The reached nodes in visit order: the source first, and every
+    /// other node after its parent. A BFS tree visits in non-decreasing
+    /// hop distance, a Dijkstra tree in non-decreasing latency.
+    /// Unreachable nodes do not appear.
     pub fn visit_order(&self) -> &[NodeId] {
         &self.order
     }
 
+    /// Per-node distance of a Dijkstra tree (`f64::INFINITY` when
+    /// unreachable), indexed by node id; `None` for a BFS tree.
+    #[inline]
+    pub fn latency(&self) -> Option<&[f64]> {
+        if self.latency.is_empty() {
+            None
+        } else {
+            Some(&self.latency)
+        }
+    }
+
     /// The parent of `v` in the tree — the node and the edge `v` was
-    /// first discovered through — or `None` for the source and for
-    /// unreachable nodes.
+    /// reached through (BFS: first discovered; Dijkstra: last relaxed)
+    /// — or `None` for the source and for unreachable nodes.
     #[inline]
     pub fn parent(&self, v: NodeId) -> Option<(NodeId, EdgeId)> {
         if v == self.source || self.dist[v.index()] == UNREACHABLE {
@@ -862,6 +983,15 @@ mod tests {
             CsrGraph::from_raw_parts(vec![0, 2], vec![NodeId(7), NodeId(0)], vec![EdgeId(0); 2])
                 .is_err(),
             "target out of range"
+        );
+        // Edge ids index per-edge columns, so they must stay below the
+        // edge count (entries / 2).
+        let mut edge_ids = csr.edge_ids_raw().to_vec();
+        edge_ids[3] = EdgeId(csr.edge_count() as u32);
+        assert!(
+            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
+                .is_err(),
+            "edge id out of range"
         );
     }
 

@@ -64,18 +64,6 @@ pub fn mean_degree<N, E>(g: &Graph<N, E>) -> f64 {
     }
 }
 
-/// Rank–degree pairs: degrees sorted descending, paired with 1-based rank.
-/// This is the view in which Faloutsos et al. (SIGCOMM'99) report their
-/// rank power law.
-pub fn rank_degree<N, E>(g: &Graph<N, E>) -> Vec<(usize, u32)> {
-    let mut degs = g.degree_sequence();
-    degs.sort_unstable_by(|a, b| b.cmp(a));
-    degs.into_iter()
-        .enumerate()
-        .map(|(i, d)| (i + 1, d))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,15 +97,6 @@ mod tests {
         let g = star5();
         assert_eq!(max_degree(&g), 5);
         assert!((mean_degree(&g) - 10.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rank_degree_descending() {
-        let g = star5();
-        let rd = rank_degree(&g);
-        assert_eq!(rd[0], (1, 5));
-        assert_eq!(rd[1], (2, 1));
-        assert_eq!(rd.len(), 6);
     }
 
     #[test]

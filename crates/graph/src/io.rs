@@ -1,7 +1,6 @@
-//! Graph serialization: Graphviz DOT export, a simple whitespace edge
-//! list format (`a b weight` per line) for interchange with plotting
-//! tools, and the versioned binary snapshot format ([`Snapshot`]) that
-//! makes million-router topologies cheap to reload.
+//! Graph serialization: Graphviz DOT export and the versioned binary
+//! snapshot format ([`Snapshot`]) that makes million-router topologies
+//! cheap to reload.
 
 use crate::csr::CsrGraph;
 use crate::graph::{EdgeId, Graph, NodeId};
@@ -37,78 +36,6 @@ pub fn to_dot<N, E>(
     }
     out.push_str("}\n");
     out
-}
-
-/// Writes `a b weight` lines, one per edge, with `weight` produced by `f`.
-pub fn to_edge_list<N, E>(g: &Graph<N, E>, mut f: impl FnMut(&E) -> f64) -> String {
-    let mut out = String::new();
-    for (_, a, b, w) in g.edges() {
-        let _ = writeln!(out, "{} {} {}", a.index(), b.index(), f(w));
-    }
-    out
-}
-
-/// Errors from [`from_edge_list`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum ParseError {
-    /// A line did not have 2 or 3 whitespace-separated fields.
-    BadLine { line: usize },
-    /// A field failed to parse as the expected number.
-    BadNumber { line: usize, field: String },
-}
-
-impl std::fmt::Display for ParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ParseError::BadLine { line } => write!(f, "line {}: expected 'a b [weight]'", line),
-            ParseError::BadNumber { line, field } => {
-                write!(f, "line {}: cannot parse '{}'", line, field)
-            }
-        }
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Parses an edge list (`a b` or `a b weight` per line; `#` comments and
-/// blank lines ignored). Node count is 1 + the largest mentioned index.
-/// Missing weights default to 1.0.
-pub fn from_edge_list(text: &str) -> Result<Graph<(), f64>, ParseError> {
-    let mut edges: Vec<(usize, usize, f64)> = Vec::new();
-    let mut max_node = None::<usize>;
-    for (i, raw) in text.lines().enumerate() {
-        let line_no = i + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split_whitespace().collect();
-        if fields.len() != 2 && fields.len() != 3 {
-            return Err(ParseError::BadLine { line: line_no });
-        }
-        let parse_usize = |s: &str| {
-            s.parse::<usize>().map_err(|_| ParseError::BadNumber {
-                line: line_no,
-                field: s.to_string(),
-            })
-        };
-        let a = parse_usize(fields[0])?;
-        let b = parse_usize(fields[1])?;
-        let w = if fields.len() == 3 {
-            fields[2]
-                .parse::<f64>()
-                .map_err(|_| ParseError::BadNumber {
-                    line: line_no,
-                    field: fields[2].to_string(),
-                })?
-        } else {
-            1.0
-        };
-        max_node = Some(max_node.map_or(a.max(b), |m: usize| m.max(a).max(b)));
-        edges.push((a, b, w));
-    }
-    let n = max_node.map_or(0, |m| m + 1);
-    Ok(Graph::from_edges(n, edges))
 }
 
 /// Magic bytes opening every snapshot file.
@@ -444,55 +371,6 @@ mod tests {
         assert!(dot.contains("0 -- 1;"));
     }
 
-    #[test]
-    fn edge_list_roundtrip() {
-        let g = triangle();
-        let text = to_edge_list(&g, |w| *w);
-        let h = from_edge_list(&text).unwrap();
-        assert_eq!(h.node_count(), 3);
-        assert_eq!(h.edge_count(), 3);
-        assert!((h.total_edge_weight(|w| *w) - 7.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_skips_comments_and_blanks() {
-        let text = "# a comment\n\n0 1\n1 2 4.0\n";
-        let g = from_edge_list(text).unwrap();
-        assert_eq!(g.node_count(), 3);
-        assert_eq!(g.edge_count(), 2);
-        assert!((*g.edge_weight(crate::graph::EdgeId(0)) - 1.0).abs() < 1e-12);
-        assert!((*g.edge_weight(crate::graph::EdgeId(1)) - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parse_errors_are_located() {
-        assert_eq!(
-            from_edge_list("0 1\nnonsense\n").unwrap_err(),
-            ParseError::BadLine { line: 2 }
-        );
-        assert_eq!(
-            from_edge_list("0 x").unwrap_err(),
-            ParseError::BadNumber {
-                line: 1,
-                field: "x".into()
-            }
-        );
-        assert_eq!(
-            from_edge_list("0 1 notafloat").unwrap_err(),
-            ParseError::BadNumber {
-                line: 1,
-                field: "notafloat".into()
-            }
-        );
-    }
-
-    #[test]
-    fn parse_empty_is_empty_graph() {
-        let g = from_edge_list("").unwrap();
-        assert_eq!(g.node_count(), 0);
-        assert_eq!(g.edge_count(), 0);
-    }
-
     fn sample_snapshot() -> Snapshot {
         let g: Graph<(), ()> = Graph::from_edges(
             5,
@@ -647,15 +525,17 @@ mod tests {
 
         /// Flipped, truncated, extended or forged payloads, re-signed so
         /// the checksum passes, decode to an error or to a snapshot that
-        /// re-serializes to the same bytes; they never panic.
+        /// re-serializes to the same bytes and that edge-indexed kernels
+        /// accept; they never panic.
         #[test]
         fn snapshot_mutations_never_panic(
-            op in 0usize..4,
+            op in 0usize..5,
             at in 0usize..4096,
             value in 0usize..256,
             extra in proptest::collection::vec(0usize..256, 1..24),
         ) {
-            let good = sample_snapshot().to_bytes();
+            let sample = sample_snapshot();
+            let good = sample.to_bytes();
             let body = good.len() - 8;
             let mut bytes = good[..body].to_vec();
             match op {
@@ -665,10 +545,19 @@ mod tests {
                     let i = at % (body + 1);
                     bytes.splice(i..i, extra.iter().map(|&b| b as u8));
                 }
-                _ => {
+                3 => {
                     let i = at % (body - 7);
                     let forged = HOSTILE[value % HOSTILE.len()];
                     bytes[i..i + 8].copy_from_slice(&forged.to_le_bytes());
+                }
+                _ => {
+                    // An edge id at or past the edge count, in an
+                    // otherwise intact CSR. The edge-id section follows
+                    // the 28-byte header, the offsets and the targets.
+                    let entries = sample.csr.targets().len();
+                    let i = 28 + 4 * (sample.csr.node_count() + 1) + 4 * (entries + at % entries);
+                    let forged = (entries / 2 + value) as u32;
+                    bytes[i..i + 4].copy_from_slice(&forged.to_le_bytes());
                 }
             }
             bytes.extend_from_slice(&[0; 8]);
@@ -678,6 +567,8 @@ mod tests {
                 if bytes[8..12] == SNAPSHOT_VERSION.to_le_bytes() {
                     proptest::prop_assert_eq!(s.to_bytes(), bytes);
                 }
+                let (masked, _) = s.csr.edge_masked(&vec![true; s.csr.edge_count()]);
+                proptest::prop_assert_eq!(masked, s.csr);
             }
         }
     }

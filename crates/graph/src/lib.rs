@@ -17,19 +17,18 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
-//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels |
+//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; BFS and Dijkstra trees |
+//! | [`epoch`] | [`EpochGraph`] — append-only growth with incremental CSR commits |
 //! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_path_summary`, `par_avg_path_length` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and component bookkeeping |
-//! | [`traversal`] | BFS/DFS orders, hop distances, connected components |
-//! | [`shortest_path`] | Dijkstra (binary heap), Bellman–Ford oracle, path extraction |
+//! | [`traversal`] | BFS orders, hop distances, connected components |
 //! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
 //! | [`tree`] | rooted-tree views: parents, depths, subtree sizes, leaves |
 //! | [`degree`] | degree sequences, histograms, CCDFs |
 //! | [`betweenness`] | Brandes betweenness centrality (unweighted) |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |
 //! | [`flow`] | Edmonds–Karp max-flow / min-cut |
-//! | [`kcore`] | k-core decomposition |
-//! | [`io`] | DOT and edge-list serialization |
+//! | [`io`] | DOT export and binary snapshots |
 //!
 //! ## Example
 //!
@@ -56,10 +55,8 @@ pub mod epoch;
 pub mod flow;
 pub mod graph;
 pub mod io;
-pub mod kcore;
 pub mod mst;
 pub mod parallel;
-pub mod shortest_path;
 pub mod spectral;
 pub mod traversal;
 pub mod tree;

@@ -1,5 +1,4 @@
-//! Breadth-first and depth-first traversal, hop distances, and connected
-//! components.
+//! Breadth-first traversal, hop distances, and connected components.
 
 use crate::graph::{Graph, NodeId};
 use std::collections::VecDeque;
@@ -62,28 +61,6 @@ pub fn bfs_tree<N, E>(g: &Graph<N, E>, start: NodeId) -> (Vec<Option<u32>>, Vec<
         }
     }
     (dist, parent)
-}
-
-/// Nodes reachable from `start` in iterative DFS pre-order.
-pub fn dfs_order<N, E>(g: &Graph<N, E>, start: NodeId) -> Vec<NodeId> {
-    let mut seen = vec![false; g.node_count()];
-    let mut order = Vec::new();
-    let mut stack = vec![start];
-    while let Some(v) = stack.pop() {
-        if seen[v.index()] {
-            continue;
-        }
-        seen[v.index()] = true;
-        order.push(v);
-        // Push in reverse so the first-listed neighbor is visited first.
-        let nbrs: Vec<_> = g.neighbors(v).map(|(u, _)| u).collect();
-        for u in nbrs.into_iter().rev() {
-            if !seen[u.index()] {
-                stack.push(u);
-            }
-        }
-    }
-    order
 }
 
 /// Connected-component label (0-based, in order of discovery) per node.
@@ -208,13 +185,6 @@ mod tests {
         }
         assert_eq!(cur, NodeId(0));
         assert_eq!(hops, 3);
-    }
-
-    #[test]
-    fn dfs_preorder_first_neighbor_first() {
-        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (0, 2, ()), (1, 3, ())]);
-        let order = dfs_order(&g, NodeId(0));
-        assert_eq!(order, vec![NodeId(0), NodeId(1), NodeId(3), NodeId(2)]);
     }
 
     #[test]

@@ -199,22 +199,6 @@ impl RootedTree {
         order
     }
 
-    /// Hop count from `v` up to the root.
-    pub fn hops_to_root(&self, v: NodeId) -> u32 {
-        self.depth(v)
-    }
-
-    /// Path from `v` to the root, inclusive of both.
-    pub fn path_to_root(&self, v: NodeId) -> Vec<NodeId> {
-        let mut path = vec![v];
-        let mut cur = v;
-        while let Some(p) = self.parent[cur.index()] {
-            path.push(p);
-            cur = p;
-        }
-        path
-    }
-
     /// Materializes the tree as an undirected [`Graph`], with edge weights
     /// produced by `edge_weight(child, parent)`.
     pub fn to_graph<E>(&self, mut edge_weight: impl FnMut(NodeId, NodeId) -> E) -> Graph<(), E> {
@@ -316,18 +300,6 @@ mod tests {
             t.degree_sequence().iter().sum::<u32>() as usize,
             2 * (t.len() - 1)
         );
-    }
-
-    #[test]
-    fn path_to_root_walks_up() {
-        let g = caterpillar();
-        let t = RootedTree::from_graph(&g, NodeId(0)).unwrap();
-        assert_eq!(
-            t.path_to_root(NodeId(4)),
-            vec![NodeId(4), NodeId(3), NodeId(1), NodeId(0)]
-        );
-        assert_eq!(t.hops_to_root(NodeId(4)), 3);
-        assert_eq!(t.path_to_root(NodeId(0)), vec![NodeId(0)]);
     }
 
     #[test]

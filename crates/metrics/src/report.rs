@@ -64,7 +64,7 @@ pub enum MetricValue {
     Int(u64),
     Float(f64),
     /// A metric that may be undefined for this graph (e.g. spectral
-    /// summaries skipped above [`SPECTRAL_LIMIT`]).
+    /// summaries, skipped above the report's spectral node limit).
     OptFloat(Option<f64>),
     Text(String),
 }

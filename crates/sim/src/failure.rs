@@ -197,7 +197,7 @@ pub fn route_demands<N, E>(g: &Graph<N, E>, demands: &[Demand]) -> TrafficLoads 
 ///
 /// All cuts share one demand gather and a BFS-forest cache, re-running
 /// BFS only for the sources whose intact-graph tree used the failed
-/// edge (see [`HopCutCache`]). Degenerate inputs (no links, no demands,
+/// edge. Degenerate inputs (no links, no demands,
 /// endpoints outside the graph) produce a trivial summary instead of
 /// panicking.
 pub fn single_link_failures<N, E>(g: &Graph<N, E>, demands: &[Demand]) -> FailureSummary {

@@ -15,8 +15,8 @@
 //! | [`te`] | iterative weight-tuning that minimizes max utilization | §2.1 capacity-constrained design |
 //! | [`cascade`] | overload cascades: fail past-capacity links, re-route to a fixed point | §3.1 robustness under surges |
 //! | [`failure`] | per-flow hop routing of demand lists; single-link failures: re-routing stretch, load redistribution | §1 ("dramatic impact on performance"); §3.1 robustness; §4 fn.7 redundancy |
-//! | [`traceroute`] | vantage-point path sampling, inferred-map bias | §1/§3.2 incomplete measured maps |
-//! | [`probe`] | batched million-probe campaigns over CSR, bit-identical to [`traceroute`] | §1/§3.2 measurement at scale |
+//! | [`traceroute`] | the inferred map (observed-node/link masks, inferred degrees), strided vantage choice | §1/§3.2 incomplete measured maps |
+//! | [`probe`] | the campaign engine: batched million-probe hop or latency forwarding over CSR, bit-identical at any thread count | §1/§3.2 measurement at scale |
 
 pub mod cascade;
 pub mod demand;

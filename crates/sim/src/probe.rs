@@ -1,16 +1,13 @@
 //! Streaming probe-campaign engine: traceroute inference at scale.
 //!
-//! [`crate::traceroute::infer_map`] states the measurement model — from
-//! each vantage, the forwarding path to each destination is observed and
-//! the inferred map is the union of observed links — but it runs one
-//! allocating Dijkstra per vantage over the mutable [`Graph`] and walks
-//! a materialized `Vec<EdgeId>` per destination, which caps campaigns at
-//! toy sizes. This module is the batch engine behind scenario E19: the
-//! same observation model over a [`CsrGraph`], with
+//! The measurement model (see [`crate::traceroute`]): from each vantage,
+//! the forwarding path to each destination is observed, and the
+//! inferred map is the union of observed links. This module is the
+//! batch engine behind scenarios E14 and E19, over a [`CsrGraph`], with
 //!
-//! - **per-worker scratch** (a reused [`CsrBfsTree`] or Dijkstra state
-//!   with O(reached) reset) so a vantage costs one tree build and zero
-//!   per-probe allocation;
+//! - **per-worker scratch**: one reused [`CsrBfsTree`] with O(reached)
+//!   reset, so a vantage costs one tree build and zero per-probe
+//!   allocation;
 //! - **O(reached) marking**: with all-destinations campaigns the
 //!   observed links from a vantage are exactly the tree's parent edges,
 //!   so masks are stamped straight off the visit order without ever
@@ -21,22 +18,19 @@
 //!   ([`hot_graph::parallel::run_chunks`]) fanning vantages out, with
 //!   bitset partials OR-merged in chunk order — inferred maps and probe
 //!   statistics are **bit-identical at any thread count**;
-//! - two forwarding modes: hop-count trees (unit-cost BFS, the mesh
-//!   controls) and **latency forwarding** over a per-link latency slice
-//!   (for generated topologies, the `hot-geo` link lengths), whose
-//!   Dijkstra replicates [`hot_graph::shortest_path::dijkstra`]'s heap
-//!   semantics operation-for-operation, so the inferred masks equal
-//!   `infer_map`'s bit for bit (property-tested).
+//! - two forwarding modes on the same tree: hop-count trees
+//!   ([`CsrGraph::bfs_tree_into`], the mesh controls) and **latency
+//!   forwarding** over a per-link latency slice
+//!   ([`CsrGraph::dijkstra_tree_into`]; for generated topologies, the
+//!   `hot-geo` link lengths).
 //!
-//! Out-of-range vantage or destination ids are skipped, matching the
-//! hardened `infer_map` and the routing/BGP query conventions.
+//! Out-of-range vantage or destination ids are skipped, the convention
+//! the routing and BGP queries follow for unrouted addresses.
 
 use crate::traceroute::InferredMap;
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
-use hot_graph::graph::{EdgeId, Graph, NodeId};
+use hot_graph::graph::{Graph, NodeId};
 use hot_graph::parallel::run_chunks;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 
 /// A probe campaign: who probes, toward what, under which forwarding
 /// metric.
@@ -104,135 +98,33 @@ impl ProbeStats {
         self.total_latency += o.total_latency;
         self.max_latency = self.max_latency.max(o.max_latency);
     }
+
+    /// Adds the hops and, under latency forwarding, the latency of the
+    /// completed probe to `dst`.
+    fn add_path(&mut self, tree: &CsrBfsTree, dst: NodeId) {
+        let hops = tree.dist[dst.index()];
+        self.total_hops += hops as u64;
+        self.max_hops = self.max_hops.max(hops);
+        if let Some(latency) = tree.latency() {
+            self.total_latency += latency[dst.index()];
+            self.max_latency = self.max_latency.max(latency[dst.index()]);
+        }
+    }
 }
 
 /// The outcome of a campaign: the inferred map plus probe statistics.
 #[derive(Clone, Debug)]
 pub struct CampaignResult {
-    /// The inferred (sampled) map, in ground-truth indexing — the same
-    /// structure `infer_map` returns, bit-identical to it under the
-    /// same campaign.
+    /// The inferred (sampled) map, in ground-truth indexing.
     pub map: InferredMap,
     /// Aggregate probe statistics.
     pub stats: ProbeStats,
 }
 
-/// One [`HeapEntry`] of the latency Dijkstra. This mirrors the private
-/// entry in `hot_graph::shortest_path` exactly — comparison on `dist`
-/// alone, reversed for a min-heap — because mask equality with
-/// `infer_map` requires the *same* heap pop order among equal
-/// distances, not just the same distances.
-#[derive(PartialEq)]
-struct HeapEntry {
-    dist: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .expect("NaN distance in probe Dijkstra heap")
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Reusable single-source Dijkstra state over a CSR view: settle-order
-/// reset (O(reached) per vantage), flat parent arrays, and a hop-depth
-/// array filled in settle order — valid because a node's final parent
-/// is always settled before the node itself.
-struct DijkstraScratch {
-    dist: Vec<f64>,
-    depth: Vec<u32>,
-    parent_node: Vec<NodeId>,
-    parent_edge: Vec<EdgeId>,
-    done: Vec<bool>,
-    /// Settle order of the last run; exactly the reachable nodes,
-    /// source first.
-    order: Vec<u32>,
-    heap: BinaryHeap<HeapEntry>,
-}
-
-impl DijkstraScratch {
-    fn sized(n: usize) -> DijkstraScratch {
-        DijkstraScratch {
-            dist: vec![f64::INFINITY; n],
-            depth: vec![0; n],
-            parent_node: vec![NodeId(u32::MAX); n],
-            parent_edge: vec![EdgeId(u32::MAX); n],
-            done: vec![false; n],
-            order: Vec::with_capacity(n),
-            heap: BinaryHeap::new(),
-        }
-    }
-
-    /// Runs Dijkstra from `source`. The loop body replicates
-    /// `hot_graph::shortest_path::dijkstra` operation for operation
-    /// (same relaxation condition, same push order via the CSR's
-    /// preserved adjacency order, same `d + w` arithmetic), so the
-    /// parent forest — and every mask derived from it — matches the
-    /// classic implementation bit for bit.
-    fn run(&mut self, csr: &CsrGraph, latency: &[f64], source: NodeId) {
-        for &v in &self.order {
-            self.dist[v as usize] = f64::INFINITY;
-            self.done[v as usize] = false;
-        }
-        self.order.clear();
-        debug_assert!(self.heap.is_empty());
-        let offsets = csr.offsets();
-        let targets = csr.targets();
-        let edge_ids = csr.edge_ids_raw();
-        self.dist[source.index()] = 0.0;
-        self.heap.push(HeapEntry {
-            dist: 0.0,
-            node: source,
-        });
-        while let Some(HeapEntry { dist: d, node: v }) = self.heap.pop() {
-            if self.done[v.index()] {
-                continue;
-            }
-            self.done[v.index()] = true;
-            self.order.push(v.0);
-            let lo = offsets[v.index()] as usize;
-            let hi = offsets[v.index() + 1] as usize;
-            for i in lo..hi {
-                let u = targets[i];
-                let nd = d + latency[edge_ids[i].index()];
-                if nd < self.dist[u.index()] {
-                    self.dist[u.index()] = nd;
-                    self.parent_node[u.index()] = v;
-                    self.parent_edge[u.index()] = edge_ids[i];
-                    self.heap.push(HeapEntry { dist: nd, node: u });
-                }
-            }
-        }
-        // Hop depths in settle order: a node's (final) parent was
-        // settled strictly earlier, so its depth is already in place.
-        self.depth[source.index()] = 0;
-        for &v in &self.order[1..] {
-            let v = v as usize;
-            self.depth[v] = self.depth[self.parent_node[v].index()] + 1;
-        }
-    }
-}
-
-/// Per-worker forwarding state: one tree (or Dijkstra state) reused
-/// across every vantage the worker processes.
-enum Forwarding {
-    Hops(CsrBfsTree),
-    Latency(DijkstraScratch),
-}
-
+/// Per-worker state, reused across every vantage the worker processes.
 struct WorkerScratch {
-    fwd: Forwarding,
+    /// The forwarding tree of the current vantage.
+    tree: CsrBfsTree,
     /// Epoch stamps for destination-subset chain walks: `stamp[v] ==
     /// epoch` means `v`'s chain suffix is already marked for the
     /// current vantage.
@@ -284,10 +176,7 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
         campaign.vantages.len(),
         threads,
         || WorkerScratch {
-            fwd: match campaign.link_latency {
-                Some(_) => Forwarding::Latency(DijkstraScratch::sized(n)),
-                None => Forwarding::Hops(CsrBfsTree::sized(n)),
-            },
+            tree: CsrBfsTree::sized(n),
             stamp: vec![0; n],
             epoch: 0,
         },
@@ -300,26 +189,18 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
             for i in range {
                 let v = campaign.vantages[i];
                 if v.index() >= n {
-                    continue; // unrouted vantage, like infer_map/route()
+                    continue; // unrouted vantage
                 }
-                if campaign.destinations.is_some() {
-                    advance_epoch(scratch);
+                match campaign.link_latency {
+                    Some(latency) => csr.dijkstra_tree_into(v, latency, &mut scratch.tree),
+                    None => csr.bfs_tree_into(v, &mut scratch.tree),
                 }
-                let WorkerScratch { fwd, stamp, epoch } = scratch;
-                match fwd {
-                    Forwarding::Hops(tree) => {
-                        csr.bfs_tree_into(v, tree);
-                        match campaign.destinations {
-                            None => mark_full_tree_hops(tree, &mut part),
-                            Some(ds) => mark_subset_hops(tree, ds, stamp, *epoch, &mut part),
-                        }
-                    }
-                    Forwarding::Latency(dj) => {
-                        dj.run(csr, campaign.link_latency.expect("latency mode"), v);
-                        match campaign.destinations {
-                            None => mark_full_tree_latency(dj, &mut part),
-                            Some(ds) => mark_subset_latency(dj, ds, stamp, *epoch, &mut part),
-                        }
+                match campaign.destinations {
+                    None => mark_full_tree(&scratch.tree, &mut part),
+                    Some(ds) => {
+                        advance_epoch(scratch);
+                        let WorkerScratch { tree, stamp, epoch } = scratch;
+                        mark_subset(tree, ds, stamp, *epoch, &mut part);
                     }
                 }
             }
@@ -361,10 +242,10 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
     }
 }
 
-/// Convenience wrapper: builds the CSR view of `truth`, gathers per-edge
-/// latencies with `weight`, and runs the batched campaign — the drop-in
-/// replacement for [`crate::traceroute::infer_map`] (bit-identical
-/// masks), plus stats.
+/// Convenience wrapper for a campaign on a [`Graph`]: builds its CSR
+/// view, gathers per-edge latencies with `weight`, and runs the batched
+/// campaign under latency forwarding (destinations: every node when
+/// `None`).
 pub fn infer_map_batched<N, E>(
     truth: &Graph<N, E>,
     vantages: &[NodeId],
@@ -397,47 +278,25 @@ fn advance_epoch(scratch: &mut WorkerScratch) {
     }
 }
 
-/// All-destinations campaign under hop forwarding: every reached
-/// non-source node contributes itself and its parent edge; one probe
-/// per node of the graph was sent.
-fn mark_full_tree_hops(tree: &CsrBfsTree, part: &mut Partial) {
+/// All-destinations campaign: every reached non-source node contributes
+/// itself and its parent edge; one probe per node of the graph was sent.
+fn mark_full_tree(tree: &CsrBfsTree, part: &mut Partial) {
     let order = tree.visit_order();
     let parents = tree.parent_edges();
     part.stats.probes_sent += tree.dist.len() as u64;
     part.stats.probes_completed += order.len() as u64;
     set_bit(&mut part.node_words, tree.source.index());
     for &u in &order[1..] {
-        let d = tree.dist[u.index()];
         set_bit(&mut part.node_words, u.index());
         set_bit(&mut part.edge_words, parents[u.index()].index());
-        part.stats.total_hops += d as u64;
-        part.stats.max_hops = part.stats.max_hops.max(d);
+        part.stats.add_path(tree, u);
     }
 }
 
-/// All-destinations campaign under latency forwarding: same shape as
-/// the hop variant, off the Dijkstra settle order.
-fn mark_full_tree_latency(dj: &DijkstraScratch, part: &mut Partial) {
-    part.stats.probes_sent += dj.dist.len() as u64;
-    part.stats.probes_completed += dj.order.len() as u64;
-    if let Some(&src) = dj.order.first() {
-        set_bit(&mut part.node_words, src as usize);
-    }
-    for &u in &dj.order[1..] {
-        let u = u as usize;
-        set_bit(&mut part.node_words, u);
-        set_bit(&mut part.edge_words, dj.parent_edge[u].index());
-        part.stats.total_hops += dj.depth[u] as u64;
-        part.stats.max_hops = part.stats.max_hops.max(dj.depth[u]);
-        part.stats.total_latency += dj.dist[u];
-        part.stats.max_latency = part.stats.max_latency.max(dj.dist[u]);
-    }
-}
-
-/// Destination-subset campaign under hop forwarding: walk each
-/// destination's parent chain toward the source, stopping at the first
-/// node already stamped for this vantage (its suffix is marked).
-fn mark_subset_hops(
+/// Destination-subset campaign: walk each destination's parent chain
+/// toward the source, stopping at the first node already stamped for
+/// this vantage (its suffix is marked).
+fn mark_subset(
     tree: &CsrBfsTree,
     dests: &[NodeId],
     stamp: &mut [u32],
@@ -447,21 +306,18 @@ fn mark_subset_hops(
     let n = tree.dist.len();
     let parents_n = tree.parent_nodes();
     let parents_e = tree.parent_edges();
-    // The vantage observes itself even when every probe times out
-    // (`infer_map` sets the source bit before probing anything).
+    // The vantage observes itself even when every probe times out.
     set_bit(&mut part.node_words, tree.source.index());
     for &dst in dests {
         if dst.index() >= n {
-            continue; // unrouted prefix, like infer_map
+            continue; // unrouted prefix
         }
         part.stats.probes_sent += 1;
-        let d = tree.dist[dst.index()];
-        if d == UNREACHABLE {
+        if tree.dist[dst.index()] == UNREACHABLE {
             continue; // probe timed out
         }
         part.stats.probes_completed += 1;
-        part.stats.total_hops += d as u64;
-        part.stats.max_hops = part.stats.max_hops.max(d);
+        part.stats.add_path(tree, dst);
         let mut cur = dst;
         while cur != tree.source && stamp[cur.index()] != epoch {
             stamp[cur.index()] = epoch;
@@ -472,52 +328,12 @@ fn mark_subset_hops(
     }
 }
 
-/// Destination-subset campaign under latency forwarding.
-fn mark_subset_latency(
-    dj: &DijkstraScratch,
-    dests: &[NodeId],
-    stamp: &mut [u32],
-    epoch: u32,
-    part: &mut Partial,
-) {
-    let n = dj.dist.len();
-    let source = match dj.order.first() {
-        Some(&s) => NodeId(s),
-        None => return,
-    };
-    // The vantage observes itself even when every probe times out
-    // (`infer_map` sets the source bit before probing anything).
-    set_bit(&mut part.node_words, source.index());
-    for &dst in dests {
-        if dst.index() >= n {
-            continue;
-        }
-        part.stats.probes_sent += 1;
-        if !dj.done[dst.index()] {
-            continue;
-        }
-        part.stats.probes_completed += 1;
-        part.stats.total_hops += dj.depth[dst.index()] as u64;
-        part.stats.max_hops = part.stats.max_hops.max(dj.depth[dst.index()]);
-        part.stats.total_latency += dj.dist[dst.index()];
-        part.stats.max_latency = part.stats.max_latency.max(dj.dist[dst.index()]);
-        let mut cur = dst;
-        while cur != source && stamp[cur.index()] != epoch {
-            stamp[cur.index()] = epoch;
-            set_bit(&mut part.node_words, cur.index());
-            set_bit(&mut part.edge_words, dj.parent_edge[cur.index()].index());
-            cur = dj.parent_node[cur.index()];
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::traceroute::{infer_map, strided_vantages};
-    use hot_graph::graph::Graph;
+    use crate::traceroute::strided_vantages;
 
-    /// Square with a cheap diagonal (the traceroute.rs fixture).
+    /// Square with a cheap diagonal.
     fn square_diag() -> Graph<(), f64> {
         Graph::from_edges(
             4,
@@ -529,20 +345,6 @@ mod tests {
                 (0, 2, 0.5),
             ],
         )
-    }
-
-    #[test]
-    fn matches_infer_map_on_square() {
-        let g = square_diag();
-        for k in 1..=4 {
-            let vantages = strided_vantages(&g, k);
-            let classic = infer_map(&g, &vantages, None, |w| *w);
-            let batched = infer_map_batched(&g, &vantages, None, |w| *w, 2);
-            assert_eq!(classic.node_seen, batched.map.node_seen, "k = {}", k);
-            assert_eq!(classic.edge_seen, batched.map.edge_seen, "k = {}", k);
-            assert_eq!(classic.node_coverage, batched.map.node_coverage);
-            assert_eq!(classic.edge_coverage, batched.map.edge_coverage);
-        }
     }
 
     #[test]
@@ -586,29 +388,6 @@ mod tests {
         assert!((result.stats.total_latency - 2.5).abs() < 1e-12);
         assert!((result.stats.max_latency - 1.0).abs() < 1e-12);
         assert_eq!(result.stats.max_hops, 1);
-    }
-
-    #[test]
-    fn destination_subsets_restrict_the_map() {
-        let g = square_diag();
-        let csr = CsrGraph::from_graph(&g);
-        let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
-        let dests = [NodeId(1), NodeId(1), NodeId(0)];
-        let result = run_campaign(
-            &csr,
-            &ProbeCampaign {
-                vantages: &[NodeId(0)],
-                destinations: Some(&dests),
-                link_latency: Some(&latency),
-            },
-            1,
-        );
-        let classic = infer_map(&g, &[NodeId(0)], Some(&dests), |w| *w);
-        assert_eq!(result.map.node_seen, classic.node_seen);
-        assert_eq!(result.map.edge_seen, classic.edge_seen);
-        assert_eq!(result.stats.probes_sent, 3);
-        assert_eq!(result.stats.probes_completed, 3);
-        assert_eq!(result.stats.total_hops, 2); // 1 + 1 + 0
     }
 
     #[test]

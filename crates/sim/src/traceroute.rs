@@ -2,16 +2,18 @@
 //!
 //! §1 of the paper: "the available data are known to provide incomplete
 //! router-level maps"; §3.2 leans on Rocketfuel-class measurement studies.
-//! This module simulates the measurement process itself: from `k` vantage
-//! routers, trace the (shortest) forwarding path to every destination,
-//! and call the union of observed links "the map". Comparing the inferred
-//! map against the ground-truth topology quantifies both **coverage**
-//! (how much is missed) and **bias** (how the degree distribution of the
-//! observed subgraph differs from the truth — path unions over-sample
+//! The measurement process: from `k` vantage routers, trace the
+//! (shortest) forwarding path to every destination, and call the union
+//! of observed links "the map". Comparing the inferred map against the
+//! ground-truth topology quantifies both **coverage** (how much is
+//! missed) and **bias** (how the degree distribution of the observed
+//! subgraph differs from the truth — path unions over-sample
 //! high-betweenness routers).
+//!
+//! This module holds the map type and the vantage choice; the campaign
+//! engine that fills the map is [`crate::probe`].
 
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::shortest_path::dijkstra;
 
 /// The result of a measurement campaign.
 #[derive(Clone, Debug)]
@@ -70,71 +72,6 @@ impl InferredMap {
     }
 }
 
-/// Runs a measurement campaign: shortest paths (under `weight`) from each
-/// vantage to every destination; observed = union of path links.
-///
-/// Destinations: all nodes when `destinations` is `None`, else the given
-/// subset. Unreachable destinations are silently skipped (exactly like a
-/// traceroute timing out), and so are out-of-range vantage or
-/// destination ids — the convention `route()` and the BGP distance
-/// queries follow for unrouted addresses. This used to index
-/// `node_seen` with the raw id and panic.
-pub fn infer_map<N, E>(
-    truth: &Graph<N, E>,
-    vantages: &[NodeId],
-    destinations: Option<&[NodeId]>,
-    mut weight: impl FnMut(&E) -> f64,
-) -> InferredMap {
-    let n = truth.node_count();
-    let mut node_seen = vec![false; n];
-    let mut edge_seen = vec![false; truth.edge_count()];
-    let all: Vec<NodeId>;
-    let dests: &[NodeId] = match destinations {
-        Some(d) => d,
-        None => {
-            all = truth.node_ids().collect();
-            &all
-        }
-    };
-    for &v in vantages {
-        if v.index() >= n {
-            continue;
-        }
-        node_seen[v.index()] = true;
-        let sp = dijkstra(truth, v, |_, w| weight(w));
-        for &dst in dests {
-            if dst.index() >= n {
-                continue;
-            }
-            if let Some(path) = sp.edge_path_to(dst) {
-                node_seen[dst.index()] = true;
-                let mut cur = dst;
-                for e in path.iter().rev() {
-                    edge_seen[e.index()] = true;
-                    cur = truth.opposite(*e, cur);
-                    node_seen[cur.index()] = true;
-                }
-            }
-        }
-    }
-    let nodes_obs = node_seen.iter().filter(|&&s| s).count();
-    let edges_obs = edge_seen.iter().filter(|&&s| s).count();
-    InferredMap {
-        node_coverage: if n > 0 {
-            nodes_obs as f64 / n as f64
-        } else {
-            0.0
-        },
-        edge_coverage: if truth.edge_count() > 0 {
-            edges_obs as f64 / truth.edge_count() as f64
-        } else {
-            0.0
-        },
-        node_seen,
-        edge_seen,
-    }
-}
-
 /// Deterministic vantage choice: `k` nodes spread evenly over the id
 /// space (the reproducibility convention used across the workspace).
 pub fn strided_vantages<N, E>(g: &Graph<N, E>, k: usize) -> Vec<NodeId> {
@@ -149,7 +86,15 @@ pub fn strided_vantages<N, E>(g: &Graph<N, E>, k: usize) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hot_graph::graph::Graph;
+
+    /// A latency-forwarding campaign on one worker.
+    fn probe_map(
+        g: &Graph<(), f64>,
+        vantages: &[NodeId],
+        destinations: Option<&[NodeId]>,
+    ) -> InferredMap {
+        crate::probe::infer_map_batched(g, vantages, destinations, |w| *w, 1).map
+    }
 
     /// Square with a diagonal: shortest paths never use some edges.
     fn square_diag() -> Graph<(), f64> {
@@ -168,7 +113,7 @@ mod tests {
     #[test]
     fn single_vantage_tree_coverage() {
         let g = square_diag();
-        let map = infer_map(&g, &[NodeId(0)], None, |w| *w);
+        let map = probe_map(&g, &[NodeId(0)], None);
         // From node 0 with the cheap diagonal: paths 0-1, 0-2(diag), 0-3.
         assert_eq!(map.node_coverage, 1.0);
         let edges = map.edge_seen.iter().filter(|&&s| s).count();
@@ -179,15 +124,15 @@ mod tests {
     #[test]
     fn more_vantages_see_more() {
         let g = square_diag();
-        let one = infer_map(&g, &[NodeId(0)], None, |w| *w);
-        let three = infer_map(&g, &[NodeId(0), NodeId(1), NodeId(3)], None, |w| *w);
+        let one = probe_map(&g, &[NodeId(0)], None);
+        let three = probe_map(&g, &[NodeId(0), NodeId(1), NodeId(3)], None);
         assert!(three.edge_coverage >= one.edge_coverage);
     }
 
     #[test]
     fn inferred_graph_is_subgraph() {
         let g = square_diag();
-        let map = infer_map(&g, &[NodeId(1)], None, |w| *w);
+        let map = probe_map(&g, &[NodeId(1)], None);
         let inferred = map.to_graph(&g);
         assert!(inferred.edge_count() <= g.edge_count());
         assert!(inferred.node_count() <= g.node_count());
@@ -211,7 +156,7 @@ mod tests {
     fn degree_sequence_matches_materialized_graph() {
         let g = square_diag();
         for k in 1..=4 {
-            let map = infer_map(&g, &strided_vantages(&g, k), None, |w| *w);
+            let map = probe_map(&g, &strided_vantages(&g, k), None);
             assert_eq!(
                 map.degree_sequence(&g),
                 map.to_graph(&g).degree_sequence(),
@@ -222,21 +167,20 @@ mod tests {
     }
 
     /// Out-of-range vantage and destination ids are skipped, not
-    /// panicked on (regression: `node_seen[v.index()]` used to index
-    /// straight into the mask).
+    /// panicked on.
     #[test]
     fn out_of_range_ids_are_skipped() {
         let g = square_diag();
-        let map = infer_map(&g, &[NodeId(99), NodeId(0)], None, |w| *w);
-        let clean = infer_map(&g, &[NodeId(0)], None, |w| *w);
+        let map = probe_map(&g, &[NodeId(99), NodeId(0)], None);
+        let clean = probe_map(&g, &[NodeId(0)], None);
         assert_eq!(map.node_seen, clean.node_seen);
         assert_eq!(map.edge_seen, clean.edge_seen);
-        let map = infer_map(&g, &[NodeId(0)], Some(&[NodeId(1), NodeId(42)]), |w| *w);
-        let clean = infer_map(&g, &[NodeId(0)], Some(&[NodeId(1)]), |w| *w);
+        let map = probe_map(&g, &[NodeId(0)], Some(&[NodeId(1), NodeId(42)]));
+        let clean = probe_map(&g, &[NodeId(0)], Some(&[NodeId(1)]));
         assert_eq!(map.node_seen, clean.node_seen);
         assert_eq!(map.edge_seen, clean.edge_seen);
         // All-out-of-range campaign observes nothing.
-        let map = infer_map(&g, &[NodeId(99)], None, |w| *w);
+        let map = probe_map(&g, &[NodeId(99)], None);
         assert_eq!(map.node_coverage, 0.0);
         assert!(map.edge_seen.iter().all(|&s| !s));
     }
@@ -244,7 +188,7 @@ mod tests {
     #[test]
     fn restricted_destinations() {
         let g = square_diag();
-        let map = infer_map(&g, &[NodeId(0)], Some(&[NodeId(1)]), |w| *w);
+        let map = probe_map(&g, &[NodeId(0)], Some(&[NodeId(1)]));
         assert_eq!(map.edge_seen.iter().filter(|&&s| s).count(), 1);
         assert!(map.node_seen[0] && map.node_seen[1]);
         assert!(!map.node_seen[3]);
@@ -253,7 +197,7 @@ mod tests {
     #[test]
     fn unreachable_destinations_skipped() {
         let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 1.0)]);
-        let map = infer_map(&g, &[NodeId(0)], None, |w| *w);
+        let map = probe_map(&g, &[NodeId(0)], None);
         assert!(!map.node_seen[2]);
         assert!((map.node_coverage - 0.5).abs() < 1e-12);
     }

@@ -1,4 +1,11 @@
-//! Helpers shared by the traffic test binaries.
+//! Helpers shared by the integration test binaries: the source-band
+//! demand wrapper of the traffic suites, and the `Graph` shortest-path
+//! and traceroute references the CSR kernels are checked against. Each
+//! binary uses only part of this module.
+#![allow(dead_code)]
+
+pub mod shortest_path;
+pub mod traceroute;
 
 use hotgen::sim::demand::OdDemand;
 

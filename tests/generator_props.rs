@@ -7,14 +7,25 @@
 //! the demand-matrix generators behind the traffic engine conserve
 //! traffic, stay symmetric with a zero diagonal, and regenerate
 //! byte-identically from a fixed seed. These lock those invariants down.
+//!
+//! The path-sampling kernels are checked against the slow references in
+//! `tests/common`: the CSR Dijkstra against the `Graph` Dijkstra and
+//! Bellman–Ford, and the probe engine against the per-vantage
+//! traceroute reference.
 
+mod common;
+
+use common::shortest_path::{bellman_ford, dijkstra};
+use common::traceroute::infer_map;
 use hotgen::baselines::{ba, glp, waxman};
 use hotgen::core::fkp::{self, FkpConfig};
-use hotgen::graph::csr::CsrGraph;
+use hotgen::graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
 use hotgen::graph::traversal::is_connected;
 use hotgen::graph::tree::is_tree;
-use hotgen::graph::{Graph, NodeId};
+use hotgen::graph::{EdgeId, Graph, NodeId};
 use hotgen::sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
+use hotgen::sim::probe::{infer_map_batched, run_campaign, ProbeCampaign};
+use hotgen::sim::traceroute::strided_vantages;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -356,7 +367,7 @@ proptest! {
 /// A tie-heavy weighted multigraph from proptest edge pairs: integer
 /// weights in {0..3} manufacture many equal-cost paths (the hard case
 /// for bit-for-bit agreement between shortest-path engines) and keep
-/// zero-weight links in play, which `shortest_path::dijkstra` accepts.
+/// zero-weight links in play, which Dijkstra accepts.
 fn weighted_fixture(n: usize, pairs: &[(usize, usize)]) -> Graph<(), f64> {
     let edges: Vec<(usize, usize, f64)> = pairs
         .iter()
@@ -382,8 +393,6 @@ proptest! {
         dest_mode in 0usize..3,
         threads in 1usize..5,
     ) {
-        use hotgen::sim::probe::infer_map_batched;
-        use hotgen::sim::traceroute::{infer_map, strided_vantages};
         let g = weighted_fixture(n, &pairs);
         let vantages = strided_vantages(&g, k);
         let subset: Vec<NodeId>;
@@ -427,8 +436,6 @@ proptest! {
         overrun in 1usize..6,
         threads in 1usize..5,
     ) {
-        use hotgen::sim::probe::infer_map_batched;
-        use hotgen::sim::traceroute::{infer_map, strided_vantages};
         // 1..4 edges on up to 48 nodes: almost every vantage is isolated.
         let g = weighted_fixture(n, &pairs);
         let vantages = strided_vantages(&g, k);
@@ -458,8 +465,6 @@ proptest! {
         k in 1usize..10,
         threads in 1usize..5,
     ) {
-        use hotgen::sim::probe::{run_campaign, ProbeCampaign};
-        use hotgen::sim::traceroute::strided_vantages;
         let g = ba::generate(n, m, &mut StdRng::seed_from_u64(seed));
         let csr = CsrGraph::from_graph(&g);
         let vantages = strided_vantages(&g, k);
@@ -494,6 +499,251 @@ proptest! {
                 }
             }
             prev_edges = Some(out.map.edge_seen);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The CSR Dijkstra is the `Graph` reference operation for
+    /// operation: from every source of a tie-heavy multigraph with
+    /// zero-weight links, each node's distance (to the bit), parent
+    /// edge and hop depth, and the settle order agree. The integer
+    /// weights make every path sum exact, so the distances equal
+    /// Bellman–Ford's exactly. One tree is reused throughout, with a
+    /// BFS run after every other source, so both resets (after a
+    /// Dijkstra run and after a BFS run) are checked.
+    #[test]
+    fn csr_dijkstra_matches_graph_oracle(
+        n in 2usize..40,
+        pairs in proptest::collection::vec((0usize..40, 0usize..40), 1..120),
+    ) {
+        let g = weighted_fixture(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+        let mut tree = CsrBfsTree::sized(n);
+        for s in g.node_ids() {
+            csr.dijkstra_tree_into(s, &latency, &mut tree);
+            let oracle = dijkstra(&g, s, |_, w| *w);
+            let bf = bellman_ford(&g, s, |_, w| *w);
+            prop_assert_eq!(tree.visit_order(), &oracle.order[..], "settle order from {:?}", s);
+            let dist = latencies(&tree);
+            for v in g.node_ids() {
+                let i = v.index();
+                prop_assert_eq!(dist[i].to_bits(), oracle.dist[i].to_bits(), "{:?} -> {:?}", s, v);
+                prop_assert_eq!(dist[i].to_bits(), bf[i].to_bits(), "{:?} -> {:?}", s, v);
+                prop_assert_eq!(tree.parent(v), oracle.parent[i], "{:?} -> {:?}", s, v);
+                let depth = oracle.edge_path_to(v).map_or(UNREACHABLE, |p| p.len() as u32);
+                prop_assert_eq!(tree.dist[i], depth, "{:?} -> {:?}", s, v);
+            }
+            if s.index() % 2 == 1 {
+                csr.bfs_tree_into(s, &mut tree);
+                prop_assert!(tree.latency().is_none(), "a BFS tree has no latencies");
+            }
+        }
+    }
+}
+
+/// Square with a cheap diagonal.
+fn square_diag() -> Graph<(), f64> {
+    Graph::from_edges(
+        4,
+        vec![
+            (0, 1, 1.0),
+            (1, 2, 1.0),
+            (2, 3, 1.0),
+            (3, 0, 1.0),
+            (0, 2, 0.5),
+        ],
+    )
+}
+
+#[test]
+fn matches_infer_map_on_square() {
+    let g = square_diag();
+    for k in 1..=4 {
+        let vantages = strided_vantages(&g, k);
+        let classic = infer_map(&g, &vantages, None, |w| *w);
+        let batched = infer_map_batched(&g, &vantages, None, |w| *w, 2);
+        assert_eq!(classic.node_seen, batched.map.node_seen, "k = {}", k);
+        assert_eq!(classic.edge_seen, batched.map.edge_seen, "k = {}", k);
+        assert_eq!(classic.node_coverage, batched.map.node_coverage);
+        assert_eq!(classic.edge_coverage, batched.map.edge_coverage);
+    }
+}
+
+#[test]
+fn destination_subsets_restrict_the_map() {
+    let g = square_diag();
+    let csr = CsrGraph::from_graph(&g);
+    let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+    let dests = [NodeId(1), NodeId(1), NodeId(0)];
+    let result = run_campaign(
+        &csr,
+        &ProbeCampaign {
+            vantages: &[NodeId(0)],
+            destinations: Some(&dests),
+            link_latency: Some(&latency),
+        },
+        1,
+    );
+    let classic = infer_map(&g, &[NodeId(0)], Some(&dests), |w| *w);
+    assert_eq!(result.map.node_seen, classic.node_seen);
+    assert_eq!(result.map.edge_seen, classic.edge_seen);
+    assert_eq!(result.stats.probes_sent, 3);
+    assert_eq!(result.stats.probes_completed, 3);
+    assert_eq!(result.stats.total_hops, 2); // 1 + 1 + 0
+}
+
+/// The CSR Dijkstra tree of `g` from `source`, edge weights as latency.
+fn dijkstra_tree(g: &Graph<(), f64>, source: NodeId) -> CsrBfsTree {
+    let csr = CsrGraph::from_graph(g);
+    let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+    let mut tree = CsrBfsTree::sized(g.node_count());
+    csr.dijkstra_tree_into(source, &latency, &mut tree);
+    tree
+}
+
+/// Distances of a Dijkstra tree.
+fn latencies(tree: &CsrBfsTree) -> &[f64] {
+    tree.latency().expect("a Dijkstra tree has latencies")
+}
+
+/// The node sequence of the tree path from the source to `target`, or
+/// `None` when unreachable.
+fn node_path(tree: &CsrBfsTree, target: NodeId) -> Option<Vec<NodeId>> {
+    if tree.dist[target.index()] == UNREACHABLE {
+        return None;
+    }
+    let mut path = vec![target];
+    let mut cur = target;
+    while let Some((p, _)) = tree.parent(cur) {
+        path.push(p);
+        cur = p;
+    }
+    path.reverse();
+    Some(path)
+}
+
+/// A weighted multigraph on `n` nodes from proptest edge triples
+/// (endpoints taken mod `n`, self-loops dropped).
+fn random_weighted(n: usize, edges: Vec<(usize, usize, f64)>) -> Graph<(), f64> {
+    let mut g: Graph<(), f64> = Graph::new();
+    for _ in 0..n {
+        g.add_node(());
+    }
+    for (a, b, w) in edges {
+        let (a, b) = (a % n, b % n);
+        if a != b {
+            g.add_edge(NodeId(a as u32), NodeId(b as u32), w);
+        }
+    }
+    g
+}
+
+fn weighted_square() -> Graph<(), f64> {
+    // 0-1 (1), 1-2 (1), 0-2 (3), 2-3 (1)
+    Graph::from_edges(4, vec![(0, 1, 1.0), (1, 2, 1.0), (0, 2, 3.0), (2, 3, 1.0)])
+}
+
+#[test]
+fn dijkstra_prefers_two_hop_path() {
+    let g = weighted_square();
+    let tree = dijkstra_tree(&g, NodeId(0));
+    assert_eq!(latencies(&tree), &[0.0, 1.0, 2.0, 3.0]);
+    assert_eq!(
+        node_path(&tree, NodeId(2)),
+        Some(vec![NodeId(0), NodeId(1), NodeId(2)])
+    );
+}
+
+#[test]
+fn dijkstra_unreachable() {
+    let g: Graph<(), f64> = Graph::from_edges(3, vec![(0, 1, 1.0)]);
+    let tree = dijkstra_tree(&g, NodeId(0));
+    assert!(latencies(&tree)[2].is_infinite());
+    assert_eq!(node_path(&tree, NodeId(2)), None);
+    assert_eq!(tree.edge_path_to(NodeId(2)), None);
+}
+
+#[test]
+fn edge_path_matches_node_path() {
+    let g = weighted_square();
+    let tree = dijkstra_tree(&g, NodeId(0));
+    let nodes = node_path(&tree, NodeId(3)).unwrap();
+    let edges: Vec<EdgeId> = tree.edge_path_to(NodeId(3)).unwrap();
+    assert_eq!(edges.len(), nodes.len() - 1);
+    // Each edge must connect consecutive path nodes.
+    for (i, e) in edges.iter().enumerate() {
+        let (a, b) = g.edge_endpoints(*e);
+        assert!((a == nodes[i] && b == nodes[i + 1]) || (b == nodes[i] && a == nodes[i + 1]));
+    }
+}
+
+#[test]
+fn path_to_source_is_singleton() {
+    let g = weighted_square();
+    let tree = dijkstra_tree(&g, NodeId(1));
+    assert_eq!(node_path(&tree, NodeId(1)), Some(vec![NodeId(1)]));
+    assert_eq!(tree.edge_path_to(NodeId(1)), Some(vec![]));
+}
+
+#[test]
+fn all_pairs_symmetric() {
+    let g = weighted_square();
+    let m: Vec<Vec<f64>> = g
+        .node_ids()
+        .map(|s| latencies(&dijkstra_tree(&g, s)).to_vec())
+        .collect();
+    for i in 0..4 {
+        for j in 0..4 {
+            assert!((m[i][j] - m[j][i]).abs() < 1e-12);
+        }
+    }
+}
+
+#[test]
+fn zero_weight_edges_ok() {
+    let g: Graph<(), f64> = Graph::from_edges(3, vec![(0, 1, 0.0), (1, 2, 0.0)]);
+    let tree = dijkstra_tree(&g, NodeId(0));
+    assert_eq!(latencies(&tree), &[0.0, 0.0, 0.0]);
+}
+
+proptest! {
+    /// The CSR Dijkstra agrees with Bellman–Ford on random weighted graphs.
+    #[test]
+    fn dijkstra_matches_bellman_ford(
+        n in 2usize..12,
+        edges in proptest::collection::vec((0usize..12, 0usize..12, 0.0f64..10.0), 1..40),
+    ) {
+        let g = random_weighted(n, edges);
+        let tree = dijkstra_tree(&g, NodeId(0));
+        let dist = latencies(&tree);
+        let bf = bellman_ford(&g, NodeId(0), |_, w| *w);
+        for v in 0..n {
+            if dist[v].is_infinite() {
+                prop_assert!(bf[v].is_infinite());
+            } else {
+                prop_assert!((dist[v] - bf[v]).abs() < 1e-9,
+                    "node {}: dijkstra {} vs bf {}", v, dist[v], bf[v]);
+            }
+        }
+    }
+
+    /// Extracted paths have total weight equal to the reported distance.
+    #[test]
+    fn path_weight_equals_distance(
+        n in 2usize..10,
+        edges in proptest::collection::vec((0usize..10, 0usize..10, 0.1f64..5.0), 1..30),
+    ) {
+        let g = random_weighted(n, edges);
+        let tree = dijkstra_tree(&g, NodeId(0));
+        for v in 0..n {
+            if let Some(es) = tree.edge_path_to(NodeId(v as u32)) {
+                let total: f64 = es.iter().map(|e| *g.edge_weight(*e)).sum();
+                prop_assert!((total - latencies(&tree)[v]).abs() < 1e-9);
+            }
         }
     }
 }

@@ -1,6 +1,7 @@
 //! The acceptance bar for the batched probe pipeline: a vantage-point
 //! campaign on a seeded GLP graph must beat the per-vantage
-//! `infer_map` reference by ≥ 2× — with the inferred map bit-identical.
+//! `infer_map` reference (`tests/common/traceroute.rs`) by ≥ 2× — with
+//! the inferred map bit-identical.
 //!
 //! Like `traffic_speedup.rs` / `te_speedup.rs`, this is a *timing*
 //! test and lives alone in its own test binary so the measurement does
@@ -8,11 +9,14 @@
 //! builds the size drops and only equivalence is asserted; the timing
 //! gate arms in release on ≥ 4 cores (the release CI job).
 
+mod common;
+
+use common::traceroute::infer_map;
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::default_threads;
 use hotgen::sim::probe::{run_campaign, ProbeCampaign};
-use hotgen::sim::traceroute::{infer_map, strided_vantages};
+use hotgen::sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;

@@ -6,7 +6,8 @@ use hotgen::bgp::{AsTopology, UNREACHED};
 use hotgen::prelude::*;
 use hotgen::sim::demand::Demand;
 use hotgen::sim::failure::{route_demands, single_link_failures};
-use hotgen::sim::traceroute::{infer_map, strided_vantages};
+use hotgen::sim::probe::infer_map_batched;
+use hotgen::sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -123,12 +124,23 @@ fn traceroute_inference_is_conservative() {
         ..IspConfig::default()
     };
     let isp = generate_isp(&census, &traffic, &config, &mut StdRng::seed_from_u64(8));
-    let few = infer_map(&isp.graph, &strided_vantages(&isp.graph, 2), None, |l| {
-        l.length.max(1e-9)
-    });
-    let many = infer_map(&isp.graph, &strided_vantages(&isp.graph, 16), None, |l| {
-        l.length.max(1e-9)
-    });
+    let latency = |l: &hotgen::core::isp::Link| l.length.max(1e-9);
+    let few = infer_map_batched(
+        &isp.graph,
+        &strided_vantages(&isp.graph, 2),
+        None,
+        latency,
+        2,
+    )
+    .map;
+    let many = infer_map_batched(
+        &isp.graph,
+        &strided_vantages(&isp.graph, 16),
+        None,
+        latency,
+        2,
+    )
+    .map;
     // Coverage is monotone in vantage count and bounded by the truth.
     assert!(many.edge_coverage >= few.edge_coverage - 1e-12);
     assert!(many.edge_coverage <= 1.0 + 1e-12);
