@@ -1,98 +1,16 @@
-//! Temporal-engine micro-benchmarks: the incremental epoch commit
-//! against a from-scratch `CsrGraph::from_graph` rebuild, the rolling
-//! analytics (delta degree tracker + streamed Brandes–Pich pivots)
-//! against cold recomputes, and a full HOT evolution step. CI runs
-//! this harness with `CRITERION_JSON=BENCH_evolve.json` so the growth
+//! Temporal-engine micro-benchmark: a full HOT evolution (attachment,
+//! multihoming and re-optimization over 20 epochs). CI runs this
+//! harness with `CRITERION_JSON=BENCH_evolve.json` so the growth
 //! engine's perf trajectory is tracked per commit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hot_baselines::ba;
 use hot_econ::trend::TechTrend;
-use hot_graph::csr::CsrGraph;
-use hot_graph::epoch::EpochGraph;
-use hot_graph::graph::NodeId;
-use hot_graph::parallel::{default_threads, par_betweenness_sampled};
-use hot_metrics::rolling::{DeltaBetweenness, RollingDegrees};
 use hot_sim::evolve::{Evolution, EvolveConfig, HotGrowth, HotGrowthConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
-/// A 60k-router base with one epoch's worth of pending growth: the
-/// dirty-region fast path gets a small delta over a large clean prefix,
-/// exactly the shape the evolution engine commits every epoch.
-fn staged_epoch() -> EpochGraph<(), ()> {
-    let n = 60_000;
-    let mut rng = StdRng::seed_from_u64(20030617);
-    let base = ba::generate(n, 2, &mut rng);
-    let mut g = EpochGraph::new(base);
-    for _ in 0..80 {
-        let t = NodeId(rng.random_range(0..n) as u32);
-        let v = g.add_node(());
-        g.add_edge(t, v, ());
-    }
-    for _ in 0..200 {
-        let a = rng.random_range(0..n) as u32;
-        let b = rng.random_range(0..n) as u32;
-        if a != b {
-            g.add_edge(NodeId(a), NodeId(b), ());
-        }
-    }
-    g
-}
-
 fn bench_evolve(c: &mut Criterion) {
-    let threads = default_threads();
-    let staged = staged_epoch();
-
-    let mut group = c.benchmark_group("evolve_ba60k");
-    group.sample_size(10);
-    // The vendored criterion has no `iter_batched`, so each sample
-    // clones the staged graph inline; the clone cost is identical on
-    // both sides of the incremental-vs-full comparison, and the
-    // `clone_staged` entry measures it alone so the commit cost can be
-    // read off by subtraction.
-    group.bench_function("clone_staged", |b| {
-        b.iter(|| black_box(staged.clone().node_count()))
-    });
-    group.bench_function("commit_incremental", |b| {
-        b.iter(|| {
-            let mut g = staged.clone();
-            g.commit();
-            black_box(g.epoch())
-        })
-    });
-    group.bench_function("commit_full_rebuild", |b| {
-        b.iter(|| {
-            let mut g = staged.clone();
-            g.commit_full();
-            black_box(g.epoch())
-        })
-    });
-
-    let mut committed = staged.clone();
-    committed.commit();
-    let degrees = committed.csr().degree_sequence();
-    group.bench_function("rolling_degrees_cold", |b| {
-        b.iter(|| black_box(RollingDegrees::from_degrees(&degrees)))
-    });
-    let stride = 256;
-    group.bench_function("delta_betweenness_stream", |b| {
-        b.iter(|| {
-            let mut bw = DeltaBetweenness::new(0xE20, stride);
-            bw.update(staged.csr(), threads);
-            bw.update(committed.csr(), threads);
-            black_box(bw.pivot_count())
-        })
-    });
-    let pivots = DeltaBetweenness::pivots_for(0xE20, stride, committed.node_count());
-    group.bench_function("betweenness_cold_pivots", |b| {
-        b.iter(|| black_box(par_betweenness_sampled(committed.csr(), &pivots, threads)))
-    });
-    group.finish();
-
-    // One full HOT evolution step (attachment + commit) at scenario
-    // scale, amortized over the whole schedule.
+    // One full HOT evolution at scenario scale, amortized over the
+    // whole schedule.
     let mut group = c.benchmark_group("evolve_hot_step");
     group.sample_size(10);
     group.bench_function("hot_20epochs_x100", |b| {
@@ -117,11 +35,6 @@ fn bench_evolve(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // Keep the differential claim honest inside the harness too.
-    let mut check = staged.clone();
-    check.commit();
-    assert_eq!(check.csr(), &CsrGraph::from_graph(check.graph()));
 }
 
 criterion_group!(benches, bench_evolve);

@@ -48,11 +48,6 @@ impl DemandModel {
             }
         }
     }
-
-    /// Draws `n` demands.
-    pub fn sample_many(&self, n: usize, rng: &mut impl Rng) -> Vec<CustomerDemand> {
-        (0..n).map(|_| self.sample(rng)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -65,8 +60,8 @@ mod tests {
     fn uniform_is_constant() {
         let mut rng = StdRng::seed_from_u64(0);
         let m = DemandModel::Uniform { demand: 3.5 };
-        for d in m.sample_many(10, &mut rng) {
-            assert_eq!(d.value(), 3.5);
+        for _ in 0..10 {
+            assert_eq!(m.sample(&mut rng).value(), 3.5);
         }
     }
 
@@ -78,8 +73,8 @@ mod tests {
             max: 100.0,
             alpha: 1.2,
         };
-        let samples = m.sample_many(5000, &mut rng);
-        for d in &samples {
+        for _ in 0..5000 {
+            let d = m.sample(&mut rng);
             assert!(d.value() >= 1.0 && d.value() <= 100.0);
         }
     }
@@ -92,9 +87,8 @@ mod tests {
             max: 1000.0,
             alpha: 1.2,
         };
-        let samples = m.sample_many(20_000, &mut rng);
-        let mean = samples.iter().map(|d| d.value()).sum::<f64>() / samples.len() as f64;
-        let mut values: Vec<f64> = samples.iter().map(|d| d.value()).collect();
+        let mut values: Vec<f64> = (0..20_000).map(|_| m.sample(&mut rng).value()).collect();
+        let mean = values.iter().sum::<f64>() / values.len() as f64;
         values.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let median = values[values.len() / 2];
         // Heavy tail: mean well above median.
@@ -120,8 +114,10 @@ mod tests {
             max: 10.0,
             alpha: 1.5,
         };
-        let a = m.sample_many(50, &mut StdRng::seed_from_u64(7));
-        let b = m.sample_many(50, &mut StdRng::seed_from_u64(7));
-        assert_eq!(a, b);
+        let draw = |seed| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..50).map(|_| m.sample(&mut rng)).collect::<Vec<_>>()
+        };
+        assert_eq!(draw(7), draw(7));
     }
 }

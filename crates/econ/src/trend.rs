@@ -24,15 +24,27 @@ pub struct TechTrend {
 }
 
 impl TechTrend {
+    /// Whether `cost_decline` is a per-epoch cost multiplier
+    /// [`Self::new`] accepts: in `(0, 1]` (so not NaN).
+    pub fn cost_decline_is_valid(cost_decline: f64) -> bool {
+        cost_decline > 0.0 && cost_decline <= 1.0
+    }
+
+    /// Whether `demand_growth` is a per-epoch demand multiplier
+    /// [`Self::new`] accepts: finite and at least 1.
+    pub fn demand_growth_is_valid(demand_growth: f64) -> bool {
+        demand_growth >= 1.0 && demand_growth.is_finite()
+    }
+
     /// Validated constructor.
     pub fn new(cost_decline: f64, demand_growth: f64) -> Self {
         assert!(
-            cost_decline > 0.0 && cost_decline <= 1.0,
+            Self::cost_decline_is_valid(cost_decline),
             "cost_decline must be in (0, 1], got {}",
             cost_decline
         );
         assert!(
-            demand_growth >= 1.0 && demand_growth.is_finite(),
+            Self::demand_growth_is_valid(demand_growth),
             "demand_growth must be >= 1, got {}",
             demand_growth
         );

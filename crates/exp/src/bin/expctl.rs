@@ -10,7 +10,7 @@
 //! only changes wall-clock, never bytes — `--all --threads 1` and
 //! `--all --threads 8` write identical JSON files.
 
-use hot_exp::registry::{self, run_all, RunCtx, Scale};
+use hot_exp::registry::{self, RunCtx, Scale, ScenarioSpec};
 use hot_exp::report::{ExpReport, ExpStatus};
 use hot_exp::SEED;
 use std::path::{Path, PathBuf};
@@ -158,13 +158,15 @@ fn main() -> ExitCode {
         threads: args.threads,
         snapshot_dir: args.snapshot_dir.clone(),
     };
-    let reports: Vec<ExpReport> = if args.all {
-        run_all(ctx.clone())
+    // `--all` and `--run` share one loop: scenarios run one at a time,
+    // each with every `--threads` worker for its own kernels.
+    let specs: Vec<&ScenarioSpec> = if args.all {
+        registry::registry().iter().collect()
     } else {
         let mut out = Vec::new();
         for key in &args.run {
             match registry::find(key) {
-                Some(spec) => out.push((spec.run)(ctx.clone())),
+                Some(spec) => out.push(spec),
                 None => {
                     eprintln!("expctl: {}", unknown_scenario(key));
                     return ExitCode::FAILURE;
@@ -173,6 +175,7 @@ fn main() -> ExitCode {
         }
         out
     };
+    let reports: Vec<ExpReport> = specs.iter().map(|spec| (spec.run)(ctx.clone())).collect();
     let mut skipped = 0usize;
     for report in &reports {
         if let Err(msg) = emit(report, &args) {

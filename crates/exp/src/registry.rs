@@ -2,14 +2,12 @@
 //!
 //! Each entry is a [`ScenarioSpec`] — id, name, one-line summary, and a
 //! `fn(RunCtx) -> ExpReport` that resolves the scale to that scenario's
-//! parameter struct and runs it. [`run_all`] executes every entry on the
-//! deterministic chunk scheduler from `hot_graph::parallel`, so the
-//! registry sweep parallelizes across scenarios while every report stays
-//! a pure function of `(params, seed)`.
+//! parameter struct and runs it. A sweep runs the entries one at a
+//! time, each with every worker thread for its own kernels; every report
+//! stays a pure function of `(params, seed)`.
 
 use crate::report::ExpReport;
 use crate::scenarios;
-use hot_graph::parallel::par_map;
 
 /// How big a run should be.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -216,24 +214,6 @@ pub fn registry() -> &'static [ScenarioSpec] {
 /// Looks a scenario up by id (`"e7"`) or name (`"national-isp"`).
 pub fn find(key: &str) -> Option<&'static ScenarioSpec> {
     REGISTRY.iter().find(|s| s.id == key || s.name == key)
-}
-
-/// Runs every registered scenario and returns the reports in registry
-/// order. Scenarios execute in parallel on `ctx.threads` workers via the
-/// fixed-chunk scheduler; because each report is a pure function of
-/// `(params, seed)`, the output is identical at every thread count.
-pub fn run_all(ctx: RunCtx) -> Vec<ExpReport> {
-    let specs = registry();
-    // When the outer map is parallel, give each scenario's internal
-    // kernels a single worker so `--all --threads N` spawns ~N OS
-    // threads instead of N². Results are thread-count-independent, so
-    // this only shapes wall-clock.
-    let threads = ctx.threads;
-    let inner = RunCtx {
-        threads: if threads > 1 { 1 } else { threads },
-        ..ctx
-    };
-    par_map(specs, threads, |_, spec| (spec.run)(inner.clone()))
 }
 
 #[cfg(test)]

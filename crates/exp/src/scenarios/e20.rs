@@ -7,9 +7,9 @@
 //! falling ~10%/epoch): the HOT mechanism — capped, geography-aware
 //! attachment plus economically gated backbone reinforcement — against
 //! BA and GLP controls grown incrementally with the same arrival
-//! schedule. Rolling analytics (`hot_metrics::rolling`) track the
-//! degree CCDF and the load-concentration trajectory per epoch off the
-//! epoch graph's deltas.
+//! schedule. Per-epoch analytics (`hot_metrics::rolling`) record the
+//! degree CCDF and the load-concentration trajectory, recomputed each
+//! epoch from one CSR view of the grown graph.
 //!
 //! The claim under test: the HOT design's signatures are *stable
 //! under growth* — load Gini stays flat and the max degree stays
@@ -22,10 +22,10 @@ use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_econ::trend::TechTrend;
-use hot_graph::graph::EdgeId;
-use hot_metrics::rolling::{pow2_thresholds, DeltaBetweenness, RollingDegrees, Trajectory};
+use hot_metrics::rolling::{pow2_thresholds, DeltaBetweenness, Trajectory};
 use hot_sim::evolve::{
-    DegreeGrowth, Evolution, EvolveConfig, GrowthModel, HotGrowth, HotGrowthConfig,
+    degree_cap_is_valid, DegreeGrowth, Evolution, EvolveConfig, GrowthModel, HotGrowth,
+    HotGrowthConfig,
 };
 
 #[derive(Clone, Debug)]
@@ -105,9 +105,8 @@ pub struct TemporalRow {
     pub reopt_links: usize,
 }
 
-/// Runs one model through the schedule, tracking the rolling metrics
-/// off the epoch deltas (never a from-scratch recompute — the
-/// differential suite proves that equivalence separately).
+/// Runs one model through the schedule, recording every epoch's row
+/// (the seed network is epoch 0).
 fn evolve_trajectory<M: GrowthModel>(model: M, p: &Params, ctx: &RunCtx) -> TemporalRow {
     let cfg = EvolveConfig {
         epochs: p.epochs,
@@ -117,30 +116,28 @@ fn evolve_trajectory<M: GrowthModel>(model: M, p: &Params, ctx: &RunCtx) -> Temp
         seed: ctx.seed + 20,
     };
     let mut evo = Evolution::new(model, cfg);
-    let name = evo.model_name();
-    let mut degs = RollingDegrees::from_degrees(&evo.graph().csr().degree_sequence());
-    let mut bw = DeltaBetweenness::new(ctx.seed ^ 0xE20_B7EE, p.pivot_stride);
-    bw.update(evo.graph().csr(), ctx.threads);
+    let pivot_seed = ctx.seed ^ 0xE20_B7EE;
     let mut traj = Trajectory::new(pow2_thresholds(p.ccdf_cap));
-    traj.record(0, evo.graph().components(), &degs, &bw);
+    traj.record(0, evo.graph(), pivot_seed, p.pivot_stride, ctx.threads);
     let mut reopt_links = 0usize;
     for _ in 0..p.epochs {
         let delta = evo.step();
         reopt_links += delta.reopt_links;
-        degs.grow_to(evo.graph().node_count());
-        for e in delta.new_edges.clone() {
-            let (a, b) = evo.graph().graph().edge_endpoints(EdgeId(e as u32));
-            degs.add_edge(a.index(), b.index());
-        }
-        bw.update(evo.graph().csr(), ctx.threads);
-        traj.record(delta.epoch, evo.graph().components(), &degs, &bw);
+        traj.record(
+            delta.epoch,
+            evo.graph(),
+            pivot_seed,
+            p.pivot_stride,
+            ctx.threads,
+        );
     }
+    let final_components = traj.rows.last().expect("seed row").components;
     TemporalRow {
-        model: name,
+        model: evo.model_name(),
         trajectory: traj,
         final_nodes: evo.graph().node_count(),
         final_edges: evo.graph().edge_count(),
-        final_components: evo.graph().components(),
+        final_components,
         reopt_links,
     }
 }
@@ -234,6 +231,23 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report.into_skipped(format!(
             "degenerate schedule: epochs = {}, arrivals = {}, cities = {}, m = {}",
             p.epochs, p.arrivals_per_epoch, p.hot_cities, p.control_m
+        ));
+    }
+    if !degree_cap_is_valid(p.hot_degree_cap) {
+        return report.into_skipped(format!(
+            "hot_degree_cap = {} admits no through-path (need >= 2)",
+            p.hot_degree_cap
+        ));
+    }
+    if !DeltaBetweenness::stride_is_valid(p.pivot_stride) {
+        return report.into_skipped("pivot_stride = 0 samples no pivots (need >= 1)");
+    }
+    if !TechTrend::cost_decline_is_valid(p.cost_decline)
+        || !TechTrend::demand_growth_is_valid(p.demand_growth)
+    {
+        return report.into_skipped(format!(
+            "invalid trend: cost_decline = {} (need (0, 1]), demand_growth = {} (need finite >= 1)",
+            p.cost_decline, p.demand_growth
         ));
     }
     let rows = temporal_rows(p, &ctx);

@@ -45,11 +45,6 @@ impl BoundingBox {
         self.max_y - self.min_y
     }
 
-    /// Area.
-    pub fn area(&self) -> f64 {
-        self.width() * self.height()
-    }
-
     /// Center point.
     pub fn center(&self) -> Point {
         Point::new(
@@ -84,19 +79,6 @@ impl BoundingBox {
             p.y.clamp(self.min_y, self.max_y),
         )
     }
-
-    /// Smallest box containing all `points`; `None` when empty.
-    pub fn enclosing(points: &[Point]) -> Option<Self> {
-        let first = points.first()?;
-        let mut b = BoundingBox::new(first.x, first.y, first.x, first.y);
-        for p in &points[1..] {
-            b.min_x = b.min_x.min(p.x);
-            b.max_x = b.max_x.max(p.x);
-            b.min_y = b.min_y.min(p.y);
-            b.max_y = b.max_y.max(p.y);
-        }
-        Some(b)
-    }
 }
 
 #[cfg(test)]
@@ -110,7 +92,6 @@ mod tests {
         let b = BoundingBox::new(1.0, 2.0, 4.0, 6.0);
         assert_eq!(b.width(), 3.0);
         assert_eq!(b.height(), 4.0);
-        assert_eq!(b.area(), 12.0);
         assert_eq!(b.center(), Point::new(2.5, 4.0));
         assert!((b.diagonal() - 5.0).abs() < 1e-12);
     }
@@ -136,21 +117,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..1000 {
             assert!(b.contains(&b.sample_uniform(&mut rng)));
-        }
-    }
-
-    #[test]
-    fn enclosing_box() {
-        assert_eq!(BoundingBox::enclosing(&[]), None);
-        let pts = [
-            Point::new(1.0, 5.0),
-            Point::new(-2.0, 3.0),
-            Point::new(0.0, 7.0),
-        ];
-        let b = BoundingBox::enclosing(&pts).unwrap();
-        assert_eq!(b, BoundingBox::new(-2.0, 3.0, 1.0, 7.0));
-        for p in &pts {
-            assert!(b.contains(p));
         }
     }
 }

@@ -39,14 +39,6 @@ impl Point {
     pub fn midpoint(&self, other: &Point) -> Point {
         Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
     }
-
-    /// Linear interpolation: `t = 0` gives `self`, `t = 1` gives `other`.
-    pub fn lerp(&self, other: &Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
 }
 
 /// Distance metric selector used by generators that support both.
@@ -67,20 +59,6 @@ impl Metric {
             Metric::Manhattan => a.manhattan_dist(b),
         }
     }
-}
-
-/// Centroid of a non-empty set of points.
-///
-/// Returns `None` for an empty slice.
-pub fn centroid(points: &[Point]) -> Option<Point> {
-    if points.is_empty() {
-        return None;
-    }
-    let n = points.len() as f64;
-    let (sx, sy) = points
-        .iter()
-        .fold((0.0, 0.0), |(sx, sy), p| (sx + p.x, sy + p.y));
-    Some(Point::new(sx / n, sy / n))
 }
 
 /// Index of the point in `points` nearest to `target` (ties to the lowest
@@ -118,20 +96,6 @@ mod tests {
         let a = Point::new(0.0, 0.0);
         let b = Point::new(2.0, 4.0);
         assert_eq!(a.midpoint(&b), Point::new(1.0, 2.0));
-        assert_eq!(a.lerp(&b, 0.0), a);
-        assert_eq!(a.lerp(&b, 1.0), b);
-        assert_eq!(a.lerp(&b, 0.25), Point::new(0.5, 1.0));
-    }
-
-    #[test]
-    fn centroid_cases() {
-        assert_eq!(centroid(&[]), None);
-        let pts = [
-            Point::new(0.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(1.0, 3.0),
-        ];
-        assert_eq!(centroid(&pts), Some(Point::new(1.0, 1.0)));
     }
 
     #[test]

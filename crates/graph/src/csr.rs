@@ -146,10 +146,12 @@ impl CsrGraph {
     /// path). Validates the structural invariants — monotone offsets
     /// bracketing the adjacency arrays, equal-length parallel arrays, an
     /// even entry count (undirected edges appear once per endpoint),
-    /// in-range targets, and edge ids below the edge count (every CSR the
+    /// in-range targets, edge ids below the edge count (every CSR the
     /// workspace builds numbers its edges densely, and the edge-indexed
-    /// kernels rely on it) — so a corrupt or truncated snapshot fails
-    /// loudly instead of producing out-of-bounds kernels.
+    /// kernels rely on it), and each edge id at exactly two entries that
+    /// name each other's node — so a corrupt or truncated snapshot fails
+    /// loudly instead of producing out-of-bounds kernels or landing two
+    /// links' loads on one id.
     pub fn from_raw_parts(
         offsets: Vec<u32>,
         targets: Vec<NodeId>,
@@ -187,30 +189,38 @@ impl CsrGraph {
                 entries / 2
             ));
         }
+        // Pair each id's second entry with its first: `(owner, target)`
+        // must mirror. No id may take a third entry, so the 2m entries
+        // fill the m ids exactly twice each.
+        #[derive(Clone, Copy)]
+        enum Seen {
+            Never,
+            Once(NodeId, NodeId),
+            Paired,
+        }
+        let mut seen = vec![Seen::Never; entries / 2];
+        for v in 0..n {
+            let owner = NodeId(v as u32);
+            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
+            for (&t, e) in targets[lo..hi].iter().zip(&edge_ids[lo..hi]) {
+                let slot = &mut seen[e.index()];
+                *slot = match *slot {
+                    Seen::Never => Seen::Once(owner, t),
+                    Seen::Once(a, b) if (a, b) == (t, owner) => Seen::Paired,
+                    _ => {
+                        return Err(format!(
+                            "edge id {} is not one mirrored pair of entries (at node {})",
+                            e.0, v
+                        ))
+                    }
+                };
+            }
+        }
         Ok(CsrGraph {
             offsets,
             targets,
             edge_ids,
         })
-    }
-
-    /// Crate-internal assembler for the epoch engine's incremental
-    /// rebuild (`crate::epoch`): the caller constructs the arrays to the
-    /// same invariants [`Self::from_raw_parts`] checks, so release
-    /// builds skip the O(n + m) validation pass. Debug builds still
-    /// validate, which is what the differential tests run under.
-    pub(crate) fn assemble(offsets: Vec<u32>, targets: Vec<NodeId>, edge_ids: Vec<EdgeId>) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            return Self::from_raw_parts(offsets, targets, edge_ids)
-                .expect("incremental rebuild produced an invalid CSR");
-        }
-        #[cfg(not(debug_assertions))]
-        CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-        }
     }
 
     /// The raw offset array: node `v`'s adjacency entries live at
@@ -992,6 +1002,25 @@ mod tests {
             CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
                 .is_err(),
             "edge id out of range"
+        );
+        // Each id names one link: exactly two entries, mirroring each
+        // other. A copied in-range id (three entries for one id, one for
+        // another) and two swapped ids (each twice, but not mirrored)
+        // are both rejected.
+        let mut edge_ids = csr.edge_ids_raw().to_vec();
+        assert_ne!(edge_ids[3], edge_ids[0]);
+        edge_ids[3] = edge_ids[0];
+        assert!(
+            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
+                .is_err(),
+            "duplicated edge id"
+        );
+        let mut edge_ids = csr.edge_ids_raw().to_vec();
+        edge_ids.swap(0, 1);
+        assert!(
+            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
+                .is_err(),
+            "swapped edge ids"
         );
     }
 

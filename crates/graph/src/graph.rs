@@ -227,12 +227,6 @@ impl<N, E> Graph<N, E> {
             .map(|&(_, e)| e)
     }
 
-    /// Whether at least one edge connects `a` and `b`.
-    #[inline]
-    pub fn has_edge(&self, a: NodeId, b: NodeId) -> bool {
-        self.find_edge(a, b).is_some()
-    }
-
     /// Maps node and edge annotations to produce a structurally identical
     /// graph with new weights.
     pub fn map<N2, E2>(
@@ -402,7 +396,7 @@ mod tests {
         assert!(g.find_edge(NodeId(0), NodeId(1)).is_some());
         assert!(g.find_edge(NodeId(1), NodeId(0)).is_some());
         assert!(g.find_edge(NodeId(0), NodeId(3)).is_none());
-        assert!(g.has_edge(NodeId(2), NodeId(3)));
+        assert!(g.find_edge(NodeId(2), NodeId(3)).is_some());
     }
 
     #[test]
@@ -453,9 +447,9 @@ mod tests {
         let h = g.edge_subgraph(&keep);
         assert_eq!(h.node_count(), 4);
         assert_eq!(h.edge_count(), 2);
-        assert!(h.has_edge(NodeId(0), NodeId(1)));
-        assert!(h.has_edge(NodeId(2), NodeId(3)));
-        assert!(!h.has_edge(NodeId(0), NodeId(2)));
+        assert!(h.find_edge(NodeId(0), NodeId(1)).is_some());
+        assert!(h.find_edge(NodeId(2), NodeId(3)).is_some());
+        assert!(h.find_edge(NodeId(0), NodeId(2)).is_none());
     }
 
     #[test]

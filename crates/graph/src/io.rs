@@ -520,16 +520,31 @@ mod tests {
         0,
     ];
 
+    /// Whether every edge id sits at exactly two adjacency entries that
+    /// name each other's node (one undirected link per id).
+    fn edge_ids_pair_up(csr: &CsrGraph) -> bool {
+        let mut ends: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); csr.edge_count()];
+        for v in 0..csr.node_count() {
+            let v = NodeId(v as u32);
+            for (&t, e) in csr.neighbors(v).iter().zip(csr.incident_edges(v)) {
+                ends[e.index()].push((v, t));
+            }
+        }
+        ends.iter()
+            .all(|x| x.len() == 2 && x[0] == (x[1].1, x[1].0))
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(1024))]
 
         /// Flipped, truncated, extended or forged payloads, re-signed so
         /// the checksum passes, decode to an error or to a snapshot that
-        /// re-serializes to the same bytes and that edge-indexed kernels
+        /// re-serializes to the same bytes, pairs every edge id with
+        /// exactly two mirrored entries, and that edge-indexed kernels
         /// accept; they never panic.
         #[test]
         fn snapshot_mutations_never_panic(
-            op in 0usize..5,
+            op in 0usize..6,
             at in 0usize..4096,
             value in 0usize..256,
             extra in proptest::collection::vec(0usize..256, 1..24),
@@ -550,7 +565,7 @@ mod tests {
                     let forged = HOSTILE[value % HOSTILE.len()];
                     bytes[i..i + 8].copy_from_slice(&forged.to_le_bytes());
                 }
-                _ => {
+                4 => {
                     // An edge id at or past the edge count, in an
                     // otherwise intact CSR. The edge-id section follows
                     // the 28-byte header, the offsets and the targets.
@@ -558,6 +573,15 @@ mod tests {
                     let i = 28 + 4 * (sample.csr.node_count() + 1) + 4 * (entries + at % entries);
                     let forged = (entries / 2 + value) as u32;
                     bytes[i..i + 4].copy_from_slice(&forged.to_le_bytes());
+                }
+                _ => {
+                    // One in-range edge id copied over another entry's,
+                    // so one id appears three times and another once.
+                    let entries = sample.csr.targets().len();
+                    let ids = 28 + 4 * (sample.csr.node_count() + 1) + 4 * entries;
+                    let from = ids + 4 * (at % entries);
+                    let to = ids + 4 * ((at + 1 + value % (entries - 1)) % entries);
+                    bytes.copy_within(from..from + 4, to);
                 }
             }
             bytes.extend_from_slice(&[0; 8]);
@@ -567,6 +591,7 @@ mod tests {
                 if bytes[8..12] == SNAPSHOT_VERSION.to_le_bytes() {
                     proptest::prop_assert_eq!(s.to_bytes(), bytes);
                 }
+                proptest::prop_assert!(edge_ids_pair_up(&s.csr));
                 let (masked, _) = s.csr.edge_masked(&vec![true; s.csr.edge_count()]);
                 proptest::prop_assert_eq!(masked, s.csr);
             }

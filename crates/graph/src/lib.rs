@@ -18,12 +18,11 @@
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
 //! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; BFS and Dijkstra trees |
-//! | [`epoch`] | [`EpochGraph`] — append-only growth with incremental CSR commits |
 //! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_path_summary`, `par_avg_path_length` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and component bookkeeping |
 //! | [`traversal`] | BFS orders, hop distances, connected components |
 //! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
-//! | [`tree`] | rooted-tree views: parents, depths, subtree sizes, leaves |
+//! | [`tree`] | rooted-tree views: parents, depths, leaves |
 //! | [`degree`] | degree sequences, histograms, CCDFs |
 //! | [`betweenness`] | Brandes betweenness centrality (unweighted) |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |
@@ -51,7 +50,6 @@
 pub mod betweenness;
 pub mod csr;
 pub mod degree;
-pub mod epoch;
 pub mod flow;
 pub mod graph;
 pub mod io;
@@ -63,7 +61,6 @@ pub mod tree;
 pub mod unionfind;
 
 pub use csr::CsrGraph;
-pub use epoch::EpochGraph;
 pub use graph::{EdgeId, Graph, NodeId};
 pub use tree::RootedTree;
 pub use unionfind::UnionFind;

@@ -2,7 +2,7 @@
 //!
 //! Most of the paper's optimization formulations (FKP growth, buy-at-bulk
 //! access design, Esau–Williams) produce trees rooted at a core node, so a
-//! first-class rooted-tree representation — parents, depths, subtree sizes —
+//! first-class rooted-tree representation — parents, children, depths —
 //! is used throughout the workspace.
 
 use crate::graph::{Graph, NodeId};
@@ -170,21 +170,6 @@ impl RootedTree {
             .collect()
     }
 
-    /// Size of the subtree rooted at each node (including the node itself).
-    ///
-    /// Computed iteratively in reverse BFS order, so it is safe for deep
-    /// trees (the FKP model with large α produces paths).
-    pub fn subtree_sizes(&self) -> Vec<usize> {
-        let order = self.bfs_order();
-        let mut size = vec![1usize; self.len()];
-        for &v in order.iter().rev() {
-            if let Some(p) = self.parent[v.index()] {
-                size[p.index()] += size[v.index()];
-            }
-        }
-        size
-    }
-
     /// Nodes in BFS order from the root.
     pub fn bfs_order(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.len());
@@ -275,18 +260,6 @@ mod tests {
     }
 
     #[test]
-    fn subtree_sizes_sum() {
-        let g = caterpillar();
-        let t = RootedTree::from_graph(&g, NodeId(0)).unwrap();
-        let sizes = t.subtree_sizes();
-        assert_eq!(sizes[0], 5); // root subtree is everything
-        assert_eq!(sizes[1], 4);
-        assert_eq!(sizes[3], 2);
-        assert_eq!(sizes[2], 1);
-        assert_eq!(sizes[4], 1);
-    }
-
-    #[test]
     fn leaves_and_degrees() {
         let g = caterpillar();
         let t = RootedTree::from_graph(&g, NodeId(0)).unwrap();
@@ -331,19 +304,5 @@ mod tests {
         let order = t.bfs_order();
         assert_eq!(order[0], NodeId(1));
         assert_eq!(order.len(), 5);
-    }
-
-    #[test]
-    fn deep_path_subtree_sizes_no_overflow() {
-        // A 10_000-node path; recursion would overflow, iteration must not.
-        let n = 10_000;
-        let mut t = RootedTree::new_incremental(NodeId(0), n);
-        for i in 1..n as u32 {
-            t.attach(NodeId(i), NodeId(i - 1));
-        }
-        let sizes = t.subtree_sizes();
-        assert_eq!(sizes[0], n);
-        assert_eq!(sizes[n - 1], 1);
-        assert_eq!(t.height(), n as u32 - 1);
     }
 }

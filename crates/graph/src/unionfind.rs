@@ -20,19 +20,6 @@ impl UnionFind {
         }
     }
 
-    /// Appends one new singleton element, returning its index.
-    ///
-    /// This is the growth path for incremental connectivity: arriving
-    /// nodes join the forest in O(1) without rebuilding it (the epoch
-    /// engine in `crate::epoch` calls this once per `add_node`).
-    pub fn push(&mut self) -> usize {
-        let id = self.parent.len();
-        self.parent.push(id);
-        self.rank.push(0);
-        self.sets += 1;
-        id
-    }
-
     /// Number of elements.
     pub fn len(&self) -> usize {
         self.parent.len()
@@ -114,22 +101,6 @@ mod tests {
         assert_eq!(uf.set_count(), 3);
         assert!(uf.connected(0, 2));
         assert!(!uf.connected(0, 3));
-    }
-
-    #[test]
-    fn push_grows_singletons() {
-        let mut uf = UnionFind::new(2);
-        uf.union(0, 1);
-        assert_eq!(uf.push(), 2);
-        assert_eq!(uf.len(), 3);
-        assert_eq!(uf.set_count(), 2);
-        assert!(!uf.connected(0, 2));
-        uf.union(1, 2);
-        assert_eq!(uf.set_count(), 1);
-        // Growth after compression keeps earlier queries valid.
-        assert_eq!(uf.push(), 3);
-        assert!(uf.connected(0, 2));
-        assert!(!uf.connected(3, 0));
     }
 
     #[test]

@@ -64,26 +64,6 @@ pub fn rich_club_coefficient<N, E>(g: &Graph<N, E>, k: u32) -> Option<f64> {
     Some(club_edges as f64 / (n_club * (n_club - 1) / 2) as f64)
 }
 
-/// Rich-club profile at the degree deciles of the graph, as
-/// `(k, φ(k))` pairs (entries with undefined φ skipped).
-pub fn rich_club_profile<N, E>(g: &Graph<N, E>) -> Vec<(u32, f64)> {
-    let mut degs = g.degree_sequence();
-    degs.sort_unstable();
-    degs.dedup();
-    let mut out = Vec::new();
-    for i in 0..10 {
-        let idx = i * degs.len() / 10;
-        if let Some(&k) = degs.get(idx) {
-            if let Some(phi) = rich_club_coefficient(g, k) {
-                if out.last().map(|&(lk, _)| lk != k).unwrap_or(true) {
-                    out.push((k, phi));
-                }
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -169,7 +149,13 @@ mod tests {
             edges.push((i, 5 + i, ()));
         }
         let g: Graph<(), ()> = Graph::from_edges(10, edges);
-        let profile = rich_club_profile(&g);
+        let mut degs = g.degree_sequence();
+        degs.sort_unstable();
+        degs.dedup();
+        let profile: Vec<(u32, f64)> = degs
+            .into_iter()
+            .filter_map(|k| rich_club_coefficient(&g, k).map(|phi| (k, phi)))
+            .collect();
         assert!(!profile.is_empty());
         for (k, phi) in profile {
             assert!(phi >= 0.0 && phi <= 1.0, "phi({}) = {}", k, phi);

@@ -42,11 +42,6 @@ pub fn expansion_at<N, E>(g: &Graph<N, E>, h: u32) -> f64 {
     total / srcs.len() as f64
 }
 
-/// The expansion profile `h → expansion_at(h)` for `h = 0..=max_h`.
-pub fn expansion_profile<N, E>(g: &Graph<N, E>, max_h: u32) -> Vec<f64> {
-    (0..=max_h).map(|h| expansion_at(g, h)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +78,7 @@ mod tests {
     #[test]
     fn profile_monotone_from_self() {
         let g = path(30);
-        let prof = expansion_profile(&g, 5);
+        let prof: Vec<f64> = (0..=5).map(|h| expansion_at(&g, h)).collect();
         assert!((prof[0] - 1.0 / 30.0).abs() < 1e-12); // just the node itself
         for w in prof.windows(2) {
             assert!(w[1] >= w[0]);

@@ -1,40 +1,31 @@
-//! Rolling (per-epoch) analytics for the temporal engine.
+//! Per-epoch analytics for the temporal engine.
 //!
 //! The paper's question for the temporal internet (§5) is not what one
 //! snapshot looks like but how the *distributional* signatures move as
 //! the network grows: does the degree CCDF sprout a heavier tail, does
 //! load (betweenness) concentrate onto emerging hubs, or does the
-//! design's flat core hold? Recomputing every metric from scratch each
-//! epoch makes a 50-epoch run cost 50 full passes; the trackers here
-//! update from the epoch's *delta* instead and stay bit-identical to a
-//! from-scratch recompute — the property `tests/evolve_equivalence.rs`
-//! locks down:
+//! design's flat core hold? [`Trajectory::record`] recomputes one
+//! epoch's row from the grown graph through a single CSR view:
 //!
-//! - [`RollingDegrees`] mirrors the degree sequence and its histogram
-//!   under edge arrivals (integer arithmetic, trivially order-exact);
-//! - [`DeltaBetweenness`] keeps a Brandes–Pich pivot *stream* whose
-//!   membership is a pure per-node hash, so the pivot set at `n` nodes
-//!   is the same whether reached incrementally or from scratch — the
-//!   estimate only pays for the pivots, never re-draws them, and stays
-//!   deterministic at every thread count;
+//! - [`RollingDegrees`] summarizes the degree sequence as a histogram
+//!   (integer arithmetic, so every statistic is order-exact);
+//! - [`DeltaBetweenness`] is a Brandes–Pich pivot *stream* whose
+//!   membership is a pure per-node hash, so growth only ever appends
+//!   pivots and the estimate is deterministic at every thread count;
 //! - [`Trajectory`] records one [`EpochMetrics`] row per epoch at a
 //!   fixed threshold grid so rows are comparable across the run.
 
 use crate::bias::{concentration, Concentration};
 use hot_graph::csr::CsrGraph;
-use hot_graph::graph::NodeId;
+use hot_graph::graph::{Graph, NodeId};
 use hot_graph::parallel::par_betweenness_sampled;
+use hot_graph::unionfind::UnionFind;
 
-/// Incrementally maintained degree sequence + histogram.
-///
-/// Feed it the epoch's new nodes ([`Self::grow_to`]) and new edges
-/// ([`Self::add_edge`]); every query then reads the mirror. The
-/// histogram is a multiset, so update order is irrelevant and the
-/// state after any growth schedule equals [`Self::from_degrees`] of
-/// the final sequence exactly.
-#[derive(Clone, Debug, Default)]
+/// Degree histogram of one degree sequence, with the summary
+/// statistics a trajectory row reports.
+#[derive(Clone, Debug)]
 pub struct RollingDegrees {
-    deg: Vec<u32>,
+    nodes: usize,
     /// `hist[d]` = number of nodes with degree `d`.
     hist: Vec<u64>,
     edges: u64,
@@ -42,12 +33,7 @@ pub struct RollingDegrees {
 }
 
 impl RollingDegrees {
-    /// Empty tracker (no nodes).
-    pub fn new() -> Self {
-        RollingDegrees::default()
-    }
-
-    /// Tracker seeded from an existing degree sequence.
+    /// Histogram of a degree sequence.
     pub fn from_degrees(sample: &[u32]) -> Self {
         let max = sample.iter().copied().max().unwrap_or(0);
         let mut hist = vec![0u64; max as usize + 1];
@@ -58,58 +44,23 @@ impl RollingDegrees {
         }
         debug_assert_eq!(total % 2, 0, "undirected degree sum is even");
         RollingDegrees {
-            deg: sample.to_vec(),
+            nodes: sample.len(),
             hist,
             edges: total / 2,
             max,
         }
     }
 
-    /// Appends isolated nodes until `n` are tracked (no-op if already
-    /// there; panics if asked to shrink).
-    pub fn grow_to(&mut self, n: usize) {
-        assert!(n >= self.deg.len(), "RollingDegrees never shrinks");
-        let added = n - self.deg.len();
-        self.deg.resize(n, 0);
-        if self.hist.is_empty() {
-            self.hist.push(0);
-        }
-        self.hist[0] += added as u64;
-    }
-
-    /// Applies one undirected edge between tracked nodes.
-    pub fn add_edge(&mut self, a: usize, b: usize) {
-        assert_ne!(a, b, "self-loops are excluded upstream");
-        for v in [a, b] {
-            let d = self.deg[v];
-            self.hist[d as usize] -= 1;
-            let d = d + 1;
-            self.deg[v] = d;
-            if d as usize >= self.hist.len() {
-                self.hist.resize(d as usize + 1, 0);
-            }
-            self.hist[d as usize] += 1;
-            self.max = self.max.max(d);
-        }
-        self.edges += 1;
-    }
-
-    /// Tracked node count.
+    /// Node count.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.deg.len()
+        self.nodes
     }
 
-    /// Tracked edge count.
+    /// Edge count (half the degree sum).
     #[inline]
     pub fn edge_count(&self) -> u64 {
         self.edges
-    }
-
-    /// The mirrored degree sequence.
-    #[inline]
-    pub fn degrees(&self) -> &[u32] {
-        &self.deg
     }
 
     /// The degree histogram (`hist()[d]` nodes have degree `d`).
@@ -126,30 +77,30 @@ impl RollingDegrees {
 
     /// Mean degree `2m / n` (0 when empty).
     pub fn mean_degree(&self) -> f64 {
-        if self.deg.is_empty() {
+        if self.nodes == 0 {
             0.0
         } else {
-            2.0 * self.edges as f64 / self.deg.len() as f64
+            2.0 * self.edges as f64 / self.nodes as f64
         }
     }
 
     /// Fraction of nodes with degree exactly 1 (the access leaves).
     pub fn leaf_fraction(&self) -> f64 {
-        if self.deg.is_empty() {
+        if self.nodes == 0 {
             0.0
         } else {
-            *self.hist.get(1).unwrap_or(&0) as f64 / self.deg.len() as f64
+            *self.hist.get(1).unwrap_or(&0) as f64 / self.nodes as f64
         }
     }
 
     /// CCDF at `k`: fraction of nodes with degree ≥ `k` (0 when empty).
     pub fn ccdf_at(&self, k: u32) -> f64 {
-        if self.deg.is_empty() {
+        if self.nodes == 0 {
             return 0.0;
         }
         let from = (k as usize).min(self.hist.len());
         let above: u64 = self.hist[from..].iter().sum();
-        above as f64 / self.deg.len() as f64
+        above as f64 / self.nodes as f64
     }
 }
 
@@ -174,34 +125,18 @@ pub fn pow2_thresholds(cap: u32) -> Vec<u32> {
 /// Pivot membership is a pure function of `(seed, node id)` (a
 /// splitmix64 hash threshold at rate `1 / stride`, with node 0 always
 /// a pivot so the set is never empty). Growth only ever *appends*
-/// pivots, so the set at `n` nodes is identical whether the tracker
-/// followed the evolution epoch by epoch or was handed the final graph
-/// cold — which is what makes the rolling estimate bit-exact against
-/// the from-scratch reference. The estimate itself is
-/// [`par_betweenness_sampled`] on the fixed-chunk scheduler:
-/// deterministic at every thread count, and with `stride == 1` it
-/// degenerates to the exact parallel Brandes.
-#[derive(Clone, Debug)]
-pub struct DeltaBetweenness {
-    seed: u64,
-    stride: u64,
-    /// Nodes whose membership has been decided (pivot stream position).
-    covered: usize,
-    pivots: Vec<NodeId>,
-    values: Vec<f64>,
-}
+/// pivots: the set at `n` nodes extends the set at any smaller count,
+/// so the sampled sources stay put as the network grows. The estimate
+/// is [`par_betweenness_sampled`] over [`Self::pivots_for`] on the
+/// fixed-chunk scheduler: deterministic at every thread count, and with
+/// `stride == 1` it is the exact parallel Brandes.
+pub struct DeltaBetweenness;
 
 impl DeltaBetweenness {
-    /// Tracker sampling ~`1 / stride` of the nodes as pivots.
-    pub fn new(seed: u64, stride: u64) -> Self {
-        assert!(stride >= 1, "stride must be at least 1");
-        DeltaBetweenness {
-            seed,
-            stride,
-            covered: 0,
-            pivots: Vec::new(),
-            values: Vec::new(),
-        }
+    /// Whether `stride` is a pivot rate [`Self::pivots_for`] accepts:
+    /// at least 1 (one pivot per `stride` nodes).
+    pub fn stride_is_valid(stride: u64) -> bool {
+        stride >= 1
     }
 
     /// Whether `v` is in the pivot stream for `(seed, stride)`.
@@ -216,51 +151,14 @@ impl DeltaBetweenness {
         z % stride == 0
     }
 
-    /// The from-scratch reference: the pivot set an identically
-    /// configured tracker reaches after covering `n` nodes, in the same
-    /// (ascending) order.
+    /// The pivots among the first `n` nodes, ascending. Panics unless
+    /// `stride` passes [`Self::stride_is_valid`].
     pub fn pivots_for(seed: u64, stride: u64, n: usize) -> Vec<NodeId> {
+        assert!(Self::stride_is_valid(stride), "stride must be at least 1");
         (0..n as u32)
             .filter(|&v| Self::is_pivot(seed, stride, v))
             .map(NodeId)
             .collect()
-    }
-
-    /// Extends the pivot stream to cover `n` nodes (append-only).
-    pub fn extend_to(&mut self, n: usize) {
-        for v in self.covered as u32..n as u32 {
-            if Self::is_pivot(self.seed, self.stride, v) {
-                self.pivots.push(NodeId(v));
-            }
-        }
-        self.covered = self.covered.max(n);
-    }
-
-    /// Re-estimates betweenness on the committed view: extends the
-    /// pivot stream over any new nodes and runs the sampled kernel over
-    /// the (stable) pivot set. Returns the per-node estimate.
-    pub fn update(&mut self, csr: &CsrGraph, threads: usize) -> &[f64] {
-        self.extend_to(csr.node_count());
-        self.values = par_betweenness_sampled(csr, &self.pivots, threads);
-        &self.values
-    }
-
-    /// The last estimate (empty before the first [`Self::update`]).
-    #[inline]
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Current pivot count.
-    #[inline]
-    pub fn pivot_count(&self) -> usize {
-        self.pivots.len()
-    }
-
-    /// Load concentration (Gini + top-decile share) of the last
-    /// estimate.
-    pub fn load(&self) -> Concentration {
-        concentration(&self.values)
     }
 }
 
@@ -271,7 +169,7 @@ pub struct EpochMetrics {
     pub epoch: u64,
     pub nodes: usize,
     pub edges: u64,
-    /// Connected components (from the epoch engine's union-find).
+    /// Connected components (isolated nodes count).
     pub components: usize,
     pub mean_degree: f64,
     pub max_degree: u32,
@@ -301,19 +199,31 @@ impl Trajectory {
         }
     }
 
-    /// Appends one epoch's row built from the tracker states.
-    pub fn record(
+    /// Appends the row for `g` at `epoch`, recomputed from one CSR view:
+    /// components by union-find over the links, the degree histogram,
+    /// and the load concentration of the sampled betweenness over the
+    /// pivot stream `(pivot_seed, pivot_stride)` on `threads` workers.
+    pub fn record<N, E>(
         &mut self,
         epoch: u64,
-        components: usize,
-        degrees: &RollingDegrees,
-        betweenness: &DeltaBetweenness,
+        g: &Graph<N, E>,
+        pivot_seed: u64,
+        pivot_stride: u64,
+        threads: usize,
     ) {
+        let csr = CsrGraph::from_graph(g);
+        let mut uf = UnionFind::new(g.node_count());
+        for (_, a, b, _) in g.edges() {
+            uf.union(a.index(), b.index());
+        }
+        let degrees = RollingDegrees::from_degrees(&csr.degree_sequence());
+        let pivots = DeltaBetweenness::pivots_for(pivot_seed, pivot_stride, g.node_count());
+        let betweenness = par_betweenness_sampled(&csr, &pivots, threads);
         self.rows.push(EpochMetrics {
             epoch,
             nodes: degrees.node_count(),
             edges: degrees.edge_count(),
-            components,
+            components: uf.set_count(),
             mean_degree: degrees.mean_degree(),
             max_degree: degrees.max_degree(),
             leaf_fraction: degrees.leaf_fraction(),
@@ -322,8 +232,8 @@ impl Trajectory {
                 .iter()
                 .map(|&k| degrees.ccdf_at(k))
                 .collect(),
-            load: betweenness.load(),
-            pivots: betweenness.pivot_count(),
+            load: concentration(&betweenness),
+            pivots: pivots.len(),
         });
     }
 
@@ -349,28 +259,28 @@ impl Trajectory {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hot_graph::graph::Graph;
     use hot_graph::parallel::par_betweenness;
 
     #[test]
     fn rolling_degrees_match_from_scratch() {
-        let mut r = RollingDegrees::new();
         let edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 1), (4, 0)];
         let mut deg = vec![0u32; 6];
-        r.grow_to(6);
         for &(a, b) in &edges {
-            r.add_edge(a, b);
             deg[a] += 1;
             deg[b] += 1;
         }
-        let scratch = RollingDegrees::from_degrees(&deg);
-        assert_eq!(r.degrees(), scratch.degrees());
-        assert_eq!(r.hist(), scratch.hist());
-        assert_eq!(r.max_degree(), scratch.max_degree());
-        assert_eq!(r.edge_count(), scratch.edge_count());
-        assert_eq!(r.mean_degree().to_bits(), scratch.mean_degree().to_bits());
-        assert_eq!(r.ccdf_at(2).to_bits(), scratch.ccdf_at(2).to_bits());
-        // Node 5 is isolated, nodes 0..5 are not leaves except 4 and 5.
+        let r = RollingDegrees::from_degrees(&deg);
+        let mut hist = [0u64; 4];
+        for &d in &deg {
+            hist[d as usize] += 1;
+        }
+        assert_eq!(r.hist(), &hist[..]);
+        assert_eq!(r.node_count(), 6);
+        assert_eq!(r.edge_count(), edges.len() as u64);
+        assert_eq!(r.max_degree(), 3);
+        assert_eq!(r.mean_degree().to_bits(), 2.0f64.to_bits());
+        assert_eq!(r.ccdf_at(2), 4.0 / 6.0);
+        // Node 5 is isolated, node 4 is the only leaf.
         assert_eq!(r.ccdf_at(1), 5.0 / 6.0);
         assert_eq!(r.leaf_fraction(), 1.0 / 6.0);
         assert_eq!(r.ccdf_at(100), 0.0);
@@ -378,7 +288,7 @@ mod tests {
 
     #[test]
     fn empty_tracker_is_all_zeros() {
-        let r = RollingDegrees::new();
+        let r = RollingDegrees::from_degrees(&[]);
         assert_eq!(r.node_count(), 0);
         assert_eq!(r.mean_degree(), 0.0);
         assert_eq!(r.ccdf_at(1), 0.0);
@@ -399,14 +309,11 @@ mod tests {
         let large = DeltaBetweenness::pivots_for(7, 4, 200);
         assert!(large.len() > small.len());
         assert_eq!(&large[..small.len()], &small[..]);
-        // Incremental extension reaches the identical set.
-        let mut d = DeltaBetweenness::new(7, 4);
-        d.extend_to(13);
-        d.extend_to(13);
-        d.extend_to(200);
-        assert_eq!(d.pivot_count(), large.len());
+        let tiny = DeltaBetweenness::pivots_for(7, 4, 13);
+        assert_eq!(&small[..tiny.len()], &tiny[..]);
         // Node 0 is always a pivot, so the stream is never empty.
         assert_eq!(DeltaBetweenness::pivots_for(99, 1_000_000, 5).len(), 1);
+        assert!(!DeltaBetweenness::stride_is_valid(0));
     }
 
     #[test]
@@ -424,41 +331,34 @@ mod tests {
             ],
         );
         let csr = CsrGraph::from_graph(&g);
-        let mut d = DeltaBetweenness::new(1, 1);
-        let est = d.update(&csr, 2).to_vec();
+        let pivots = DeltaBetweenness::pivots_for(1, 1, csr.node_count());
+        assert_eq!(pivots.len(), 6);
+        let est = par_betweenness_sampled(&csr, &pivots, 2);
         let exact = par_betweenness(&csr, 2);
         for (a, b) in est.iter().zip(&exact) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
-        assert_eq!(d.pivot_count(), 6);
-        assert!(d.load().gini >= 0.0);
+        assert!(concentration(&est).gini >= 0.0);
     }
 
     #[test]
     fn trajectory_records_and_summarizes() {
         let mut t = Trajectory::new(pow2_thresholds(4));
-        let mut r = RollingDegrees::new();
-        let mut d = DeltaBetweenness::new(3, 1);
         let g: Graph<(), ()> = Graph::from_edges(3, vec![(0, 1, ()), (1, 2, ())]);
-        r.grow_to(3);
-        r.add_edge(0, 1);
-        r.add_edge(1, 2);
-        d.update(&CsrGraph::from_graph(&g), 1);
-        t.record(0, 1, &r, &d);
+        t.record(0, &g, 3, 1, 1);
         assert_eq!(t.gini_drift(), 0.0, "single row has no drift");
         assert_eq!(t.max_degree_ratio(), 1.0);
         let mut g2 = g.clone();
-        for i in 0..4 {
+        for _ in 0..4 {
             let v = g2.add_node(());
             g2.add_edge(NodeId(1), v, ());
-            r.grow_to(v.index() + 1);
-            r.add_edge(1, v.index());
-            let _ = i;
         }
-        d.update(&CsrGraph::from_graph(&g2), 1);
-        t.record(1, 1, &r, &d);
+        t.record(1, &g2, 3, 1, 1);
         assert_eq!(t.rows.len(), 2);
         assert_eq!(t.rows[1].nodes, 7);
+        assert_eq!(t.rows[1].edges, 6);
+        assert_eq!(t.rows[1].components, 1);
+        assert_eq!(t.rows[1].pivots, 7);
         assert_eq!(t.rows[1].max_degree, 6);
         assert_eq!(t.max_degree_ratio(), 3.0);
         assert!(t.gini_drift() > 0.0, "star-ification concentrates load");

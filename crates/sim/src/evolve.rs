@@ -5,12 +5,12 @@
 //! of providers optimizing under economic and technology constraints
 //! that move — demand compounds, transport cost per bit collapses, new
 //! ISPs enter, and installed plant is periodically reinforced but never
-//! unbuilt. This module simulates that process over the epoch/versioned
-//! view API ([`hot_graph::epoch::EpochGraph`]): each simulated epoch
-//! appends arrivals and links, optionally re-optimizes the backbone
-//! under the epoch's prices ([`hot_econ::trend::TechTrend`] +
-//! [`CableCatalog`] economics), and commits — the incremental CSR
-//! rebuild and live union-find keep per-epoch analytics cheap.
+//! unbuilt. This module simulates that process on an append-only
+//! [`Graph`]: each simulated epoch appends arrivals and links and
+//! optionally re-optimizes the backbone under the epoch's prices
+//! ([`hot_econ::trend::TechTrend`] + [`CableCatalog`] economics).
+//! Per-epoch analytics (`hot_metrics::rolling`) read the graph between
+//! steps through one freshly built CSR view.
 //!
 //! Two families of [`GrowthModel`] are provided:
 //!
@@ -29,7 +29,7 @@
 //!
 //! The engine is strictly serial and RNG-driven from one seed: a run
 //! is a pure function of `(model, config)`, and thread count only ever
-//! affects the analytics computed *on* the committed views (which run
+//! affects the analytics computed *on* each epoch's graph (which run
 //! on the fixed-chunk scheduler) — so E20 reports are byte-identical at
 //! any thread count, like every other scenario.
 
@@ -38,11 +38,9 @@ use hot_econ::cost::LinkCost;
 use hot_econ::trend::TechTrend;
 use hot_geo::bbox::BoundingBox;
 use hot_geo::point::Point;
-use hot_graph::epoch::EpochGraph;
 use hot_graph::graph::{Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::ops::Range;
 
 /// What a node is in the evolving network.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -56,7 +54,7 @@ pub enum NodeRole {
 
 /// The evolving network: roles on nodes, geometric length on links
 /// (1.0 for the geography-free controls).
-pub type EvolveGraph = EpochGraph<NodeRole, f64>;
+pub type EvolveGraph = Graph<NodeRole, f64>;
 
 /// Engine-level schedule: how long, how fast, under which trend.
 #[derive(Clone, Debug)]
@@ -76,17 +74,12 @@ pub struct EvolveConfig {
     pub seed: u64,
 }
 
-/// What one epoch changed, in terms of the epoch graph's id ranges —
-/// exactly what the rolling metrics need to update themselves.
-#[derive(Clone, Debug)]
+/// What one epoch did.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct EpochDelta {
     /// The simulated epoch just completed (1-based; 0 is the seed).
     pub epoch: u64,
-    /// Node ids added this epoch.
-    pub new_nodes: Range<usize>,
-    /// Edge ids added this epoch.
-    pub new_edges: Range<usize>,
-    /// Backbone links added by re-optimization (subset of `new_edges`).
+    /// Backbone links added by re-optimization this epoch.
     pub reopt_links: usize,
 }
 
@@ -135,12 +128,11 @@ pub struct Evolution<M> {
 }
 
 impl<M: GrowthModel> Evolution<M> {
-    /// Seeds the model and commits the epoch-0 view.
+    /// Seeds the model's epoch-0 network.
     pub fn new(mut model: M, config: EvolveConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed);
-        let mut graph = EpochGraph::new(Graph::new());
+        let mut graph = Graph::new();
         model.init(&mut graph, &mut rng);
-        graph.commit();
         Evolution {
             config,
             model,
@@ -156,18 +148,10 @@ impl<M: GrowthModel> Evolution<M> {
         self.epoch
     }
 
-    /// The evolving graph (committed view = this epoch's network).
+    /// The network as of the last completed epoch.
     #[inline]
     pub fn graph(&self) -> &EvolveGraph {
         &self.graph
-    }
-
-    /// Mutable access for analytics that need the union-find
-    /// (`connected` path-compresses). Structure edits should go through
-    /// the model, not here.
-    #[inline]
-    pub fn graph_mut(&mut self) -> &mut EvolveGraph {
-        &mut self.graph
     }
 
     /// The schedule this run executes.
@@ -181,22 +165,9 @@ impl<M: GrowthModel> Evolution<M> {
         self.model.name()
     }
 
-    /// Advances one epoch with the incremental commit (the production
-    /// path).
+    /// Advances one epoch: arrivals, then re-optimization when the
+    /// schedule calls for it.
     pub fn step(&mut self) -> EpochDelta {
-        self.step_inner(false)
-    }
-
-    /// Advances one epoch with the from-scratch commit — the reference
-    /// the differential suite compares [`Self::step`] against. Same
-    /// mutations, same RNG draws, different rebuild path.
-    pub fn step_reference(&mut self) -> EpochDelta {
-        self.step_inner(true)
-    }
-
-    fn step_inner(&mut self, full_rebuild: bool) -> EpochDelta {
-        let nodes0 = self.graph.node_count();
-        let edges0 = self.graph.edge_count();
         self.epoch += 1;
         let demand = self.config.trend.demand_factor(self.epoch);
         let cost = self.config.trend.cost_factor(self.epoch);
@@ -215,31 +186,19 @@ impl<M: GrowthModel> Evolution<M> {
             } else {
                 0
             };
-        if full_rebuild {
-            self.graph.commit_full();
-        } else {
-            self.graph.commit();
-        }
         EpochDelta {
             epoch: self.epoch,
-            new_nodes: nodes0..self.graph.node_count(),
-            new_edges: edges0..self.graph.edge_count(),
             reopt_links,
         }
     }
 
     /// Runs the configured number of epochs, handing every delta (and
-    /// the committed graph) to `observer`.
-    pub fn run(&mut self, mut observer: impl FnMut(&mut EvolveGraph, &EpochDelta)) {
+    /// the grown graph) to `observer`.
+    pub fn run(&mut self, mut observer: impl FnMut(&EvolveGraph, &EpochDelta)) {
         for _ in 0..self.config.epochs {
             let delta = self.step();
-            observer(&mut self.graph, &delta);
+            observer(&self.graph, &delta);
         }
-    }
-
-    /// Unwraps the evolved graph.
-    pub fn into_graph(self) -> EvolveGraph {
-        self.graph
     }
 }
 
@@ -286,6 +245,12 @@ impl Default for HotGrowthConfig {
     }
 }
 
+/// Whether `cap` is a per-router access degree cap [`HotGrowth::new`]
+/// accepts: at least 2, so a router can take an uplink and a customer.
+pub fn degree_cap_is_valid(cap: u32) -> bool {
+    cap >= 2
+}
+
 /// The paper's mechanism as an incremental process: constrained
 /// optimization at the access edge, explicit economics in the core.
 pub struct HotGrowth {
@@ -314,7 +279,10 @@ pub struct HotGrowth {
 impl HotGrowth {
     pub fn new(cfg: HotGrowthConfig) -> Self {
         assert!(cfg.cities >= 1, "need at least one metro");
-        assert!(cfg.degree_cap >= 2, "cap must admit a through-path");
+        assert!(
+            degree_cap_is_valid(cfg.degree_cap),
+            "cap must admit a through-path"
+        );
         let link_cost = LinkCost::cables_only(cfg.catalog.clone());
         HotGrowth {
             cfg,
@@ -385,7 +353,7 @@ impl HotGrowth {
                     .max_by(|a, b| a.1.cmp(b.1).then(b.0.cmp(&a.0)))
                     .map(|(i, _)| self.cores[i])
                     .expect("previous cores exist");
-                if busiest != nearest && g.graph().find_edge(NodeId(busiest), v).is_none() {
+                if busiest != nearest && g.find_edge(NodeId(busiest), v).is_none() {
                     g.add_edge(
                         NodeId(busiest),
                         v,
@@ -411,7 +379,7 @@ impl HotGrowth {
         let mut second: Option<(f64, u32)> = None;
         for &cand in &self.city_members[city] {
             let v = NodeId(cand);
-            if (g.graph().degree(v) as u32) >= self.cfg.degree_cap {
+            if (g.degree(v) as u32) >= self.cfg.degree_cap {
                 continue;
             }
             let score = self.cfg.alpha * self.pos[cand as usize].dist(&p) * scale
@@ -460,7 +428,7 @@ impl GrowthModel for HotGrowth {
             let d = self.pos[first.index()]
                 .dist(&self.pos[last.index()])
                 .max(1e-9);
-            if g.graph().find_edge(first, last).is_none() {
+            if g.find_edge(first, last).is_none() {
                 g.add_edge(first, last, d);
             }
         }
@@ -497,7 +465,7 @@ impl GrowthModel for HotGrowth {
             if cost_factor < self.cfg.multihome_cost_threshold {
                 if let Some(alt) = runner_up {
                     let alt = NodeId(alt);
-                    if g.graph().find_edge(alt, v).is_none() {
+                    if g.find_edge(alt, v).is_none() {
                         g.add_edge(alt, v, self.pos[alt.index()].dist(&p).max(1e-9));
                     }
                 }
@@ -548,7 +516,7 @@ impl GrowthModel for HotGrowth {
         for i in 0..self.cores.len() {
             for j in (i + 1)..self.cores.len() {
                 let (a, b) = (self.cores[i], self.cores[j]);
-                if g.graph().find_edge(NodeId(a), NodeId(b)).is_some() {
+                if g.find_edge(NodeId(a), NodeId(b)).is_some() {
                     continue;
                 }
                 let flow = self.served[i] as f64
@@ -636,7 +604,7 @@ impl DegreeGrowth {
             if exclude.contains(&(v as u32)) {
                 continue;
             }
-            total += (g.graph().degree(NodeId(v as u32)) as f64 - self.beta).max(1e-9);
+            total += (g.degree(NodeId(v as u32)) as f64 - self.beta).max(1e-9);
         }
         if total <= 0.0 {
             return None;
@@ -646,7 +614,7 @@ impl DegreeGrowth {
             if exclude.contains(&(v as u32)) {
                 continue;
             }
-            r -= (g.graph().degree(NodeId(v as u32)) as f64 - self.beta).max(1e-9);
+            r -= (g.degree(NodeId(v as u32)) as f64 - self.beta).max(1e-9);
             if r <= 0.0 {
                 return Some(NodeId(v as u32));
             }
@@ -700,7 +668,7 @@ impl GrowthModel for DegreeGrowth {
                         let Some(b) = self.preferential_pick(g, &[a.0], rng) else {
                             break;
                         };
-                        if g.graph().find_edge(a, b).is_none() {
+                        if g.find_edge(a, b).is_none() {
                             g.add_edge(a, b, 1.0);
                             placed = true;
                             break;
@@ -728,6 +696,7 @@ impl GrowthModel for DegreeGrowth {
 mod tests {
     use super::*;
     use hot_graph::csr::CsrGraph;
+    use hot_graph::unionfind::UnionFind;
 
     fn tiny_config(seed: u64) -> EvolveConfig {
         EvolveConfig {
@@ -737,6 +706,14 @@ mod tests {
             reopt_interval: 2,
             seed,
         }
+    }
+
+    fn components(g: &EvolveGraph) -> usize {
+        let mut uf = UnionFind::new(g.node_count());
+        for (_, a, b, _) in g.edges() {
+            uf.union(a.index(), b.index());
+        }
+        uf.set_count()
     }
 
     #[test]
@@ -750,8 +727,8 @@ mod tests {
                 tiny_config(seed),
             );
             let mut deltas = Vec::new();
-            evo.run(|g, d| deltas.push((d.new_nodes.clone(), d.new_edges.clone(), g.epoch())));
-            (deltas, evo.graph().csr().clone())
+            evo.run(|g, d| deltas.push((d.clone(), g.node_count(), g.edge_count())));
+            (deltas, CsrGraph::from_graph(evo.graph()))
         };
         let (d1, c1) = run(11);
         let (d2, c2) = run(11);
@@ -771,15 +748,15 @@ mod tests {
         let cap = cfg.degree_cap;
         let mut evo = Evolution::new(HotGrowth::new(cfg), tiny_config(7));
         evo.run(|_, _| {});
+        assert_eq!(evo.epoch(), 6);
         let g = evo.graph();
-        assert_eq!(g.components(), 1, "arrivals always attach");
-        assert_eq!(g.epoch(), 7, "seed commit + 6 epochs");
+        assert_eq!(components(g), 1, "arrivals always attach");
         // Customers never exceed the cap; cores may only via trunks /
         // entry peering, which are few.
         for v in 0..g.node_count() {
             let v = NodeId(v as u32);
             if *g.node_weight(v) == NodeRole::Customer {
-                assert!(g.graph().degree(v) as u32 <= cap);
+                assert!(g.degree(v) as u32 <= cap);
             }
         }
         let reopt_epochs = 3u64; // epochs 2, 4, 6
@@ -795,18 +772,18 @@ mod tests {
         let mut evo = Evolution::new(DegreeGrowth::ba(2), tiny_config(3));
         evo.run(|_, _| {});
         let g = evo.graph();
-        assert_eq!(g.components(), 1);
+        assert_eq!(components(g), 1);
         assert_eq!(g.node_count(), 3 + 60, "clique seed + 60 arrivals");
         assert_eq!(g.edge_count(), 3 + 60 * 2);
         let max_deg = (0..g.node_count())
-            .map(|v| g.graph().degree(NodeId(v as u32)))
+            .map(|v| g.degree(NodeId(v as u32)))
             .max()
             .unwrap();
         assert!(max_deg > 8, "preferential attachment grows hubs");
         // GLP variant stays runnable and multigraph-free.
         let mut glp = Evolution::new(DegreeGrowth::glp(2), tiny_config(3));
         glp.run(|_, _| {});
-        let gg = glp.graph().graph();
+        let gg = glp.graph();
         for (e, a, b, _) in gg.edges() {
             assert_ne!(a, b);
             let dup = gg
@@ -814,32 +791,6 @@ mod tests {
                 .filter(|&(e2, x, y, _)| e2 != e && ((x, y) == (a, b) || (x, y) == (b, a)))
                 .count();
             assert_eq!(dup, 0, "controls avoid parallel links");
-        }
-    }
-
-    #[test]
-    fn incremental_and_reference_steps_agree() {
-        let mk = || {
-            Evolution::new(
-                HotGrowth::new(HotGrowthConfig {
-                    cities: 3,
-                    ..HotGrowthConfig::default()
-                }),
-                tiny_config(42),
-            )
-        };
-        let mut inc = mk();
-        let mut full = mk();
-        for _ in 0..6 {
-            let a = inc.step();
-            let b = full.step_reference();
-            assert_eq!(a.new_nodes, b.new_nodes);
-            assert_eq!(a.new_edges, b.new_edges);
-            assert_eq!(inc.graph().csr(), full.graph().csr());
-            assert_eq!(
-                inc.graph().csr(),
-                &CsrGraph::from_graph(inc.graph().graph())
-            );
         }
     }
 }

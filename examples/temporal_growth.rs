@@ -9,8 +9,7 @@
 //! ```
 
 use hotgen::econ::trend::TechTrend;
-use hotgen::graph::graph::EdgeId;
-use hotgen::metrics::rolling::{DeltaBetweenness, RollingDegrees};
+use hotgen::metrics::rolling::Trajectory;
 use hotgen::sim::evolve::{
     DegreeGrowth, Evolution, EvolveConfig, GrowthModel, HotGrowth, HotGrowthConfig,
 };
@@ -39,28 +38,21 @@ fn evolve_and_report<M: GrowthModel>(model: M) {
         "{:>5} {:>7} {:>7} {:>8} {:>8} {:>9} {:>8}",
         "epoch", "nodes", "links", "mean-deg", "max-deg", "bw-gini", "new-bb"
     );
-    // Rolling analytics ride the epoch deltas; nothing is recomputed
-    // from scratch (the differential test suite proves the bit-exact
-    // equivalence separately).
-    let mut degs = RollingDegrees::from_degrees(&evo.graph().csr().degree_sequence());
-    let mut bw = DeltaBetweenness::new(0xE20, 8);
-    bw.update(evo.graph().csr(), 0);
+    // Each epoch's row is recomputed from the grown graph: degree
+    // statistics plus a betweenness estimate over about one node in 8.
+    let mut traj = Trajectory::new(Vec::new());
     for _ in 0..EPOCHS {
         let delta = evo.step();
-        degs.grow_to(evo.graph().node_count());
-        for e in delta.new_edges.clone() {
-            let (a, b) = evo.graph().graph().edge_endpoints(EdgeId(e as u32));
-            degs.add_edge(a.index(), b.index());
-        }
-        bw.update(evo.graph().csr(), 0);
+        traj.record(delta.epoch, evo.graph(), 0xE20, 8, 0);
+        let row = traj.rows.last().expect("just recorded");
         println!(
             "{:>5} {:>7} {:>7} {:>8.3} {:>8} {:>9.4} {:>8}",
             delta.epoch,
-            degs.node_count(),
-            degs.edge_count(),
-            degs.mean_degree(),
-            degs.max_degree(),
-            bw.load().gini,
+            row.nodes,
+            row.edges,
+            row.mean_degree,
+            row.max_degree,
+            row.load.gini,
             delta.reopt_links,
         );
     }

@@ -197,7 +197,7 @@ fn snapshot_cache_replays_identical_bytes() {
 /// visible in the structured output.
 #[test]
 fn degenerate_params_skip_cleanly() {
-    use hot_exp::scenarios::{e1, e12, e13, e15, e16, e17, e18, e2, e5, e9};
+    use hot_exp::scenarios::{e1, e12, e13, e15, e16, e17, e18, e2, e20, e5, e9};
     let report = e15::run(
         &e15::Params {
             glp_n: 3,
@@ -343,4 +343,52 @@ fn degenerate_params_skip_cleanly() {
             }
         }
     }
+    // E20: a degree cap below 2, a zero pivot stride, and trends that
+    // `TechTrend::new` rejects must skip before any network is grown.
+    let with = |corrupt: fn(&mut e20::Params)| {
+        let mut p = e20::Params::golden();
+        corrupt(&mut p);
+        p
+    };
+    let cases = [
+        ("hot_degree_cap", with(|p| p.hot_degree_cap = 1)),
+        ("hot_degree_cap", with(|p| p.hot_degree_cap = 0)),
+        ("pivot_stride", with(|p| p.pivot_stride = 0)),
+        ("cost_decline", with(|p| p.cost_decline = 0.0)),
+        ("cost_decline", with(|p| p.cost_decline = 1.5)),
+        ("cost_decline", with(|p| p.cost_decline = f64::NAN)),
+        ("demand_growth", with(|p| p.demand_growth = 0.5)),
+        ("demand_growth", with(|p| p.demand_growth = f64::NAN)),
+        ("demand_growth", with(|p| p.demand_growth = f64::INFINITY)),
+    ];
+    for (field, p) in cases {
+        match &e20::run(&p, ctx(1)).status {
+            ExpStatus::Skipped { reason } => assert!(reason.contains(field), "{}", reason),
+            other => panic!("e20 with a bad {}: {:?}", field, other),
+        }
+    }
+}
+
+/// The full E20 golden report is byte-identical at 1 and 8 threads
+/// (the engine is serial; the analytics run on the fixed-chunk
+/// scheduler).
+#[test]
+fn e20_report_is_byte_identical_across_thread_counts() {
+    use hot_exp::scenarios::e20;
+    let run = |threads| {
+        let ctx = RunCtx {
+            scale: Scale::Golden,
+            seed: hot_exp::SEED,
+            threads,
+            snapshot_dir: None,
+        };
+        e20::run(&e20::Params::golden(), ctx).to_json().pretty()
+    };
+    let one = run(1);
+    let eight = run(8);
+    assert_eq!(one, eight, "E20 must not depend on thread count");
+    assert!(
+        one.contains("\"epochs\": 24"),
+        "golden preset runs 24 epochs"
+    );
 }

@@ -748,25 +748,23 @@ proptest! {
     }
 }
 
-/// A growth-only mutation schedule for the epoch-API properties: per
-/// epoch, a few arrivals (each wired to an existing node) plus a few
-/// reinforcement edges between existing nodes, all derived from the
-/// proptest-drawn pair list.
+/// A growth-only mutation schedule: per epoch, a few arrivals (each
+/// wired to an existing node) plus a few reinforcement edges between
+/// existing nodes, all derived from the proptest-drawn pair list.
+/// `per_epoch` sees the 1-based epoch and the grown graph.
 fn run_epoch_schedule(
     seed_nodes: usize,
     epochs: &[Vec<(usize, usize)>],
-    mut per_epoch: impl FnMut(&mut hotgen::graph::epoch::EpochGraph<(), ()>),
+    mut per_epoch: impl FnMut(u64, &Graph<(), ()>),
 ) {
-    use hotgen::graph::epoch::EpochGraph;
-    let mut seed: Graph<(), ()> = Graph::new();
+    let mut g: Graph<(), ()> = Graph::new();
     for _ in 0..seed_nodes {
-        seed.add_node(());
+        g.add_node(());
     }
     for i in 1..seed_nodes {
-        seed.add_edge(NodeId((i - 1) as u32), NodeId(i as u32), ());
+        g.add_edge(NodeId((i - 1) as u32), NodeId(i as u32), ());
     }
-    let mut g = EpochGraph::new(seed);
-    for ops in epochs {
+    for (epoch, ops) in (1u64..).zip(epochs) {
         for &(a, b) in ops {
             if a % 3 == 0 {
                 // An arrival: new node wired to an existing one.
@@ -782,78 +780,19 @@ fn run_epoch_schedule(
                 }
             }
         }
-        g.commit();
-        per_epoch(&mut g);
+        per_epoch(epoch, &g);
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Growth-only schedules only grow: committed node/edge counts are
-    /// monotone non-decreasing, the epoch counter ticks once per
-    /// commit, and the committed view always matches a from-scratch
-    /// rebuild of the live graph.
-    #[test]
-    fn epoch_counts_are_monotone_under_growth(
-        seed_nodes in 2usize..12,
-        epochs in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0usize..64), 0..12),
-            1..8,
-        ),
-    ) {
-        let mut prev = (0usize, 0usize, 0u64);
-        let mut first = true;
-        run_epoch_schedule(seed_nodes, &epochs, |g| {
-            assert!(!g.is_dirty(), "commit clears the dirty set");
-            let now = (g.committed_node_count(), g.committed_edge_count(), g.epoch());
-            assert_eq!(now.0, g.node_count());
-            assert_eq!(now.1, g.edge_count());
-            if !first {
-                assert!(now.0 >= prev.0, "node count shrank");
-                assert!(now.1 >= prev.1, "edge count shrank");
-                assert_eq!(now.2, prev.2 + 1, "epoch must tick once per commit");
-            }
-            assert_eq!(g.csr(), &CsrGraph::from_graph(g.graph()));
-            first = false;
-            prev = now;
-        });
-    }
-
-    /// The live union-find agrees with BFS reachability after every
-    /// epoch: same component count, and `connected(a, b)` answers
-    /// exactly like component labels from a BFS sweep.
-    #[test]
-    fn epoch_connectivity_matches_bfs_reachability(
-        seed_nodes in 2usize..12,
-        epochs in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0usize..64), 0..12),
-            1..8,
-        ),
-    ) {
-        use hotgen::graph::traversal::connected_components;
-        run_epoch_schedule(seed_nodes, &epochs, |g| {
-            let labels = connected_components(g.graph());
-            let bfs_comps = labels.iter().collect::<std::collections::HashSet<_>>().len();
-            assert_eq!(g.components(), bfs_comps, "union-find vs BFS component count");
-            let n = g.node_count();
-            for a in (0..n).step_by(3) {
-                for b in (0..n).step_by(5) {
-                    assert_eq!(
-                        g.connected(NodeId(a as u32), NodeId(b as u32)),
-                        labels[a] == labels[b],
-                        "connected({}, {}) disagrees with BFS", a, b
-                    );
-                }
-            }
-        });
-    }
-
     /// Mid-evolution state survives a binary snapshot round-trip: at
-    /// every epoch, the committed CSR serialized through
-    /// `Snapshot::to_bytes`/`from_bytes` (with a node column carrying
-    /// the epoch stamp) comes back bit-identical — so an evolution can
-    /// be checkpointed and resumed from disk at any epoch boundary.
+    /// every epoch, the CSR view rebuilt from the grown graph and
+    /// serialized through `Snapshot::to_bytes`/`from_bytes` (with a
+    /// node column carrying the epoch stamp) comes back bit-identical —
+    /// so an evolution can be checkpointed and resumed from disk at any
+    /// epoch boundary.
     #[test]
     fn epoch_state_roundtrips_through_snapshots(
         seed_nodes in 2usize..10,
@@ -863,16 +802,17 @@ proptest! {
         ),
     ) {
         use hotgen::graph::io::Snapshot;
-        run_epoch_schedule(seed_nodes, &epochs, |g| {
-            let mut snap = Snapshot::new(g.csr().clone());
+        run_epoch_schedule(seed_nodes, &epochs, |epoch, g| {
+            let csr = CsrGraph::from_graph(g);
+            let mut snap = Snapshot::new(csr.clone());
             snap.node_u32.push((
                 "epoch".to_string(),
-                vec![g.epoch() as u32; g.node_count()],
+                vec![epoch as u32; g.node_count()],
             ));
             let restored = Snapshot::from_bytes(&snap.to_bytes())
                 .expect("round-trip of a freshly written snapshot");
             assert_eq!(&restored, &snap, "snapshot round-trip must be lossless");
-            assert_eq!(&restored.csr, g.csr());
+            assert_eq!(restored.csr, csr);
         });
     }
 }
