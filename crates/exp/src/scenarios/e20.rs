@@ -203,7 +203,7 @@ fn model_section(row: &TemporalRow) -> Section {
     .fact("final_pivots", last.pivots)
     .table(t)
     .table(ccdf)
-    .note("per-epoch rows come off the rolling trackers (incremental CSR commits)")
+    .note("per-epoch rows are recomputed from one CSR view of each epoch's graph")
 }
 
 pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
