@@ -10,8 +10,8 @@
 //! paper draws.
 
 use crate::random::gnp;
+use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::traversal::connected_components;
 use rand::Rng;
 
 /// Transit-stub parameters.
@@ -117,13 +117,14 @@ fn add_connected_domain(
         g.add_edge(ids[a.index()], ids[b.index()], ());
     }
     // Fix-up: if the block is disconnected, stitch components with a path.
-    let labels = connected_components(&block);
-    let k = labels.iter().copied().max().map_or(0, |m| m + 1);
+    let components = CsrGraph::from_graph(&block).components(None);
+    let k = components.sizes.len() as u32;
     if k > 1 {
         // First node of each component, linked in a chain.
         let mut reps = Vec::with_capacity(k as usize);
         for c in 0..k {
-            let rep = labels
+            let rep = components
+                .labels
                 .iter()
                 .position(|&l| l == c)
                 .expect("component non-empty");

@@ -2,12 +2,11 @@
 //! leans on.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use hot_graph::betweenness::betweenness;
 use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::flow::max_flow;
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::mst::{kruskal, prim};
-use hot_graph::parallel::{default_threads, par_avg_path_length, par_betweenness};
+use hot_graph::parallel::{default_threads, par_betweenness, par_path_summary};
 use hot_graph::spectral::spectral_radius;
 use std::hint::black_box;
 
@@ -57,7 +56,10 @@ fn bench_graph(c: &mut Criterion) {
     let small = grid(20, 20);
     let mut heavy = c.benchmark_group("graph_grid20x20_heavy");
     heavy.sample_size(10);
-    heavy.bench_function("betweenness", |b| b.iter(|| black_box(betweenness(&small))));
+    heavy.bench_function("betweenness", |b| {
+        let csr = CsrGraph::from_graph(&small);
+        b.iter(|| black_box(par_betweenness(&csr, 1)))
+    });
     heavy.bench_function("spectral_radius", |b| {
         b.iter(|| black_box(spectral_radius(&small)))
     });
@@ -83,11 +85,12 @@ fn bench_csr(c: &mut Criterion) {
     group.bench_function(format!("betweenness_par{}", threads).as_str(), |b| {
         b.iter(|| black_box(par_betweenness(&csr, threads)))
     });
+    let all: Vec<NodeId> = g.node_ids().collect();
     group.bench_function("avg_path_length_serial", |b| {
-        b.iter(|| black_box(par_avg_path_length(&csr, 1)))
+        b.iter(|| black_box(par_path_summary(&csr, &all, 1).mean_distance()))
     });
     group.bench_function(format!("avg_path_length_par{}", threads).as_str(), |b| {
-        b.iter(|| black_box(par_avg_path_length(&csr, threads)))
+        b.iter(|| black_box(par_path_summary(&csr, &all, threads).mean_distance()))
     });
     group.bench_function("largest_component", |b| {
         b.iter(|| black_box(csr.largest_component_size()))

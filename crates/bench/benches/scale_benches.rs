@@ -1,7 +1,8 @@
 //! Scale-path benches: the kernels that make 1M+ routers routine —
-//! direction-optimizing BFS vs the classic queue sweep, pivot-sampled
-//! vs exact betweenness, and binary snapshot serialization vs
-//! regeneration.
+//! direction-optimizing BFS, pivot-sampled vs exact betweenness, and
+//! binary snapshot serialization vs regeneration. The classic queue BFS
+//! the direction-optimizing kernel is checked against is test code
+//! (`tests/common/traversal.rs`), timed only by the speedup gate.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hot_baselines::glp;
@@ -29,13 +30,6 @@ fn bench_bfs(c: &mut Criterion) {
     let csr = glp_csr(20_000);
     let sources: Vec<NodeId> = (0..64u32).map(|i| NodeId(i * 311)).collect();
     let mut group = c.benchmark_group("scale_bfs_glp20k");
-    group.bench_function("classic_64src", |b| {
-        b.iter(|| {
-            for &s in &sources {
-                black_box(csr.bfs_distances(s));
-            }
-        })
-    });
     group.bench_function("dirop_64src", |b| {
         let mut scratch = BfsScratch::sized(csr.node_count());
         b.iter(|| {

@@ -1,16 +1,16 @@
-//! Traffic-engine micro-benchmarks: demand-matrix construction, the
-//! batched link-load engine (serial vs parallel, tree-path vs ECMP),
-//! and the naive per-flow baseline it replaces. CI runs this harness
-//! with `CRITERION_JSON=BENCH_traffic.json` so the engine's perf
-//! trajectory is tracked per commit.
+//! Traffic-engine micro-benchmarks: demand-matrix construction and the
+//! batched link-load engine (serial vs parallel, tree-path vs ECMP).
+//! The per-flow reference it is checked against is test code
+//! (`tests/common/per_flow.rs`) and is timed only by the speedup gate.
+//! CI runs this harness with `CRITERION_JSON=BENCH_traffic.json` so the
+//! engine's perf trajectory is tracked per commit.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hot_baselines::glp;
 use hot_graph::csr::CsrGraph;
-use hot_graph::parallel::{bfs_forest, default_threads};
-use hot_graph::NodeId;
+use hot_graph::parallel::default_threads;
 use hot_sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
-use hot_sim::traffic::{link_loads, link_loads_multi, naive_link_load, RoutePolicy};
+use hot_sim::traffic::{link_loads, link_loads_multi, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::hint::black_box;
@@ -75,25 +75,6 @@ fn bench_traffic(c: &mut Criterion) {
         })
     });
     group.finish();
-
-    // The per-flow baseline on a 400-source band (materialized flows +
-    // tree cache + per-flow walks) vs the batched engine on the same
-    // band — the speedup the differential suite release-arms.
-    let sources: Vec<NodeId> = (0..400u32).map(NodeId).collect();
-    let flows = gravity.flows_from(&sources);
-    let mut baseline = c.benchmark_group("traffic_glp2000_band400");
-    baseline.sample_size(10);
-    baseline.bench_function("naive_per_flow", |b| {
-        let forest = bfs_forest(&csr, &sources, 1);
-        b.iter(|| black_box(naive_link_load(&csr, &forest, &flows)))
-    });
-    baseline.bench_function("naive_with_forest_build", |b| {
-        b.iter(|| {
-            let forest = bfs_forest(&csr, &sources, 1);
-            black_box(naive_link_load(&csr, &forest, &flows))
-        })
-    });
-    baseline.finish();
 }
 
 criterion_group!(benches, bench_traffic);

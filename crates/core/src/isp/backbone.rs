@@ -19,7 +19,6 @@ use hot_geo::point::Point;
 use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::mst::kruskal;
-use hot_graph::traversal::is_connected;
 
 /// Backbone design parameters.
 #[derive(Clone, Debug)]
@@ -183,12 +182,14 @@ fn link_lengths(pops: &[Point], edges: &[(usize, usize)]) -> Vec<f64> {
 
 /// Edges of `edges` that are bridges (removal disconnects the graph).
 fn bridges(pops: &[Point], edges: &[(usize, usize)]) -> Vec<usize> {
-    let g = graph_from(pops, edges);
+    let csr = CsrGraph::from_graph(&graph_from(pops, edges));
+    let mut keep = vec![true; edges.len()];
     (0..edges.len())
         .filter(|&i| {
-            let mut keep = vec![true; edges.len()];
             keep[i] = false;
-            !is_connected(&g.edge_subgraph(&keep))
+            let cut = csr.edge_masked(&keep).0.component_count() > 1;
+            keep[i] = true;
+            cut
         })
         .collect()
 }
@@ -206,11 +207,10 @@ fn augment_to_two_edge_connected(pops: &[Point], edges: &mut Vec<(usize, usize)>
             break;
         };
         // Partition without the bridge.
-        let g = graph_from(pops, edges);
         let mut keep = vec![true; edges.len()];
         keep[bridge] = false;
-        let sub = g.edge_subgraph(&keep);
-        let labels = hot_graph::traversal::connected_components(&sub);
+        let (sub, _) = CsrGraph::from_graph(&graph_from(pops, edges)).edge_masked(&keep);
+        let labels = sub.components(None).labels;
         let (ba, _) = (edges[bridge].0, edges[bridge].1);
         let side_a = labels[ba];
         // Cheapest non-edge crossing the cut, other than the bridge itself.

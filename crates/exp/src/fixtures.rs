@@ -8,10 +8,11 @@ use hot_core::isp::{IspTopology, RouterRole};
 use hot_geo::gravity::{GravityConfig, TrafficMatrix};
 use hot_geo::point::Point;
 use hot_geo::population::{Census, CensusConfig};
-use hot_graph::io::Snapshot;
+use hot_graph::io::{fnv1a, Snapshot, SNAPSHOT_VERSION};
 use hot_sim::demand::DemandMatrix;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::fmt::Debug;
 
 /// Fixed seed base: every experiment derives its RNGs from this, so all
 /// published tables regenerate byte-identically.
@@ -63,23 +64,92 @@ pub fn customer_gravity_demand(isp: &IspTopology, total_traffic: f64) -> DemandM
     DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, total_traffic)
 }
 
-/// Returns `<dir>/<key>.snap` from the context's snapshot cache, or
-/// builds it with `build` and (when a cache directory is configured)
-/// persists it for the next run.
+/// A metadata column a cached snapshot must carry: its section (per
+/// node or per edge, f64 or u32) and its name.
+#[derive(Clone, Copy, Debug)]
+pub enum Column {
+    NodeF64(&'static str),
+    EdgeU32(&'static str),
+    EdgeF64(&'static str),
+}
+
+impl Column {
+    /// Whether `snap` carries this column at its section's length (the
+    /// node or the edge count).
+    fn carried_by(self, snap: &Snapshot) -> bool {
+        fn has<T>(cols: &[(String, Vec<T>)], name: &str, len: usize) -> bool {
+            cols.iter()
+                .find(|(n, _)| n == name)
+                .is_some_and(|(_, col)| col.len() == len)
+        }
+        let (n, m) = (snap.csr.node_count(), snap.csr.edge_count());
+        match self {
+            Column::NodeF64(name) => has(&snap.node_f64, name, n),
+            Column::EdgeU32(name) => has(&snap.edge_u32, name, m),
+            Column::EdgeF64(name) => has(&snap.edge_f64, name, m),
+        }
+    }
+}
+
+/// The column `name` of one snapshot section. Read only columns named
+/// to [`cached_snapshot`], which guarantees they are there.
+pub(crate) fn column<'a, T>(cols: &'a [(String, Vec<T>)], name: &str) -> &'a [T] {
+    &cols
+        .iter()
+        .find(|(n, _)| n == name)
+        .unwrap_or_else(|| panic!("snapshot column {:?} was not requested", name))
+        .1
+}
+
+/// The snapshot-cache file stem of scenario `id`: the id plus the
+/// FNV-1a digest of everything the build depends on — the whole
+/// `params` (their `Debug` text), the seed, the snapshot format version
+/// and the crate version. Changing any of them misses the cache instead
+/// of replaying a topology built from other inputs.
+pub(crate) fn snapshot_key(id: &str, params: &impl Debug, seed: u64) -> String {
+    key_for(
+        id,
+        params,
+        seed,
+        SNAPSHOT_VERSION,
+        env!("CARGO_PKG_VERSION"),
+    )
+}
+
+fn key_for(id: &str, params: &impl Debug, seed: u64, format: u32, version: &str) -> String {
+    let inputs = format!(
+        "{:?}|seed {}|format {}|version {}",
+        params, seed, format, version
+    );
+    format!("{}-{:016x}", id, fnv1a(inputs.as_bytes()))
+}
+
+/// Returns scenario `id`'s snapshot from the context's cache
+/// (`<dir>/<snapshot_key>.snap`), or builds it with `build` and (when a
+/// cache directory is configured) persists it for the next run.
 ///
-/// The cache key must encode every input the build depends on (scale,
-/// seed, parameters); callers own that contract. Corrupt or
-/// unreadable cache files are rebuilt, never trusted — `Snapshot::load`
-/// verifies the checksum before anything is consumed. Warm and cold
-/// paths return the same columns bit-for-bit, so cached runs keep the
-/// byte-determinism guarantee of everything downstream.
-pub fn cached_snapshot(ctx: &RunCtx, key: &str, build: impl FnOnce() -> Snapshot) -> Snapshot {
+/// A cached file is used only when it loads — `Snapshot::load` checks
+/// the checksum and every structural invariant — and carries every
+/// column in `columns`, the ones the caller will read. Anything else
+/// (corrupt, unreadable, or missing a column) is rebuilt and
+/// overwritten, never trusted. Warm and cold paths return the same
+/// columns bit-for-bit, so cached runs keep the byte-determinism
+/// guarantee of everything downstream.
+pub fn cached_snapshot(
+    ctx: &RunCtx,
+    id: &str,
+    params: &impl Debug,
+    columns: &[Column],
+    build: impl FnOnce() -> Snapshot,
+) -> Snapshot {
     let Some(dir) = &ctx.snapshot_dir else {
         return build();
     };
-    let path = dir.join(format!("{}.snap", key));
+    let path = dir.join(format!("{}.snap", snapshot_key(id, params, ctx.seed)));
     if let Ok(snap) = Snapshot::load(&path) {
-        return snap;
+        if columns.iter().all(|c| c.carried_by(&snap)) {
+            return snap;
+        }
     }
     let snap = build();
     if std::fs::create_dir_all(dir)
@@ -97,6 +167,64 @@ pub fn cached_snapshot(ctx: &RunCtx, key: &str, build: impl FnOnce() -> Snapshot
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every field of a scenario's `Params`, the seed, the format
+    /// version and the crate version all reach the cache key.
+    #[test]
+    fn snapshot_key_covers_every_input() {
+        use crate::scenarios::{e15, e18};
+        let base = snapshot_key("e15", &e15::Params::golden(), SEED);
+        type Edit<P> = fn(&mut P);
+        let e15_edits: [Edit<e15::Params>; 7] = [
+            |p| p.glp_n += 1,
+            |p| p.ba_n += 1,
+            |p| p.cities += 1,
+            |p| p.n_pops += 1,
+            |p| p.total_customers += 1,
+            |p| p.total_traffic *= 2.0,
+            |p| p.ccdf_steps += 1,
+        ];
+        for (i, edit) in e15_edits.iter().enumerate() {
+            let mut p = e15::Params::golden();
+            edit(&mut p);
+            assert_ne!(snapshot_key("e15", &p, SEED), base, "e15 field {}", i);
+        }
+        let e18_base = snapshot_key("e18", &e18::Params::golden(), SEED);
+        let e18_edits: [Edit<e18::Params>; 12] = [
+            |p| p.glp_n += 1,
+            |p| p.ba_n += 1,
+            |p| p.cities += 1,
+            |p| p.n_pops += 1,
+            |p| p.total_customers += 1,
+            |p| p.total_traffic *= 2.0,
+            |p| p.surge_traffic *= 2.0,
+            |p| p.surge_exponent += 0.5,
+            |p| p.headroom += 0.25,
+            |p| p.cascade_threshold += 0.5,
+            |p| p.max_te_rounds += 1,
+            |p| p.max_cascade_rounds += 1,
+        ];
+        for (i, edit) in e18_edits.iter().enumerate() {
+            let mut p = e18::Params::golden();
+            edit(&mut p);
+            assert_ne!(snapshot_key("e18", &p, SEED), e18_base, "e18 field {}", i);
+        }
+        let p = e15::Params::golden();
+        let version = env!("CARGO_PKG_VERSION");
+        assert_eq!(key_for("e15", &p, SEED, SNAPSHOT_VERSION, version), base);
+        assert_ne!(snapshot_key("e15", &p, SEED + 1), base, "seed");
+        assert_ne!(snapshot_key("e16", &p, SEED), base, "scenario id");
+        assert_ne!(
+            key_for("e15", &p, SEED, SNAPSHOT_VERSION + 1, version),
+            base,
+            "format version"
+        );
+        assert_ne!(
+            key_for("e15", &p, SEED, SNAPSHOT_VERSION, "0.0.0-other"),
+            base,
+            "crate version"
+        );
+    }
 
     #[test]
     fn geography_is_deterministic() {

@@ -13,7 +13,7 @@
 //! turns the E12 routing-load claim quantitative: load share of the
 //! core vs load share of the hub neighborhood, per demand model.
 
-use crate::fixtures::{cached_snapshot, customer_masses, standard_geography};
+use crate::fixtures::{cached_snapshot, column, customer_masses, standard_geography, Column};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
@@ -219,39 +219,35 @@ pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
     // Designed ISP: demand lives on customers (mass 1 on customer
     // routers, 0 on infrastructure), gravity over router geography.
     {
-        let key = format!(
-            "e15-isp-s{}-c{}-np{}-tc{}",
-            seed, p.cities, p.n_pops, p.total_customers
+        let snap = cached_snapshot(
+            ctx,
+            "e15",
+            p,
+            &[
+                Column::NodeF64("mass"),
+                Column::NodeF64("pos_x"),
+                Column::NodeF64("pos_y"),
+                Column::EdgeU32("ep_a"),
+                Column::EdgeU32("ep_b"),
+                Column::EdgeU32("core"),
+            ],
+            || build_isp_snapshot(p, seed),
         );
-        let snap = cached_snapshot(ctx, &key, || build_isp_snapshot(p, seed));
-        let col_f64 = |name: &str| -> &Vec<f64> {
-            &snap
-                .node_f64
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("snapshot missing node column {:?}", name))
-                .1
-        };
-        let col_u32 = |name: &str| -> &Vec<u32> {
-            &snap
-                .edge_u32
-                .iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("snapshot missing edge column {:?}", name))
-                .1
-        };
-        let mass = col_f64("mass").clone();
-        let positions: Vec<Point> = col_f64("pos_x")
+        let mass = column(&snap.node_f64, "mass").to_vec();
+        let positions: Vec<Point> = column(&snap.node_f64, "pos_x")
             .iter()
-            .zip(col_f64("pos_y"))
+            .zip(column(&snap.node_f64, "pos_y"))
             .map(|(&x, &y)| Point { x, y })
             .collect();
-        let endpoints: Vec<(u32, u32)> = col_u32("ep_a")
+        let endpoints: Vec<(u32, u32)> = column(&snap.edge_u32, "ep_a")
             .iter()
-            .zip(col_u32("ep_b"))
+            .zip(column(&snap.edge_u32, "ep_b"))
             .map(|(&a, &b)| (a, b))
             .collect();
-        let core: Vec<bool> = col_u32("core").iter().map(|&c| c != 0).collect();
+        let core: Vec<bool> = column(&snap.edge_u32, "core")
+            .iter()
+            .map(|&c| c != 0)
+            .collect();
         let gravity =
             DemandMatrix::from_masses(mass.clone(), Some(positions), 1.0, 1.0, p.total_traffic);
         let uniform = DemandMatrix::from_masses(mass, None, 0.0, 1.0, p.total_traffic);

@@ -16,7 +16,7 @@
 //! while the hub topologies trip their hub links and cascade.
 
 use crate::fixtures::{
-    cached_snapshot, customer_gravity_demand, customer_masses, standard_geography,
+    cached_snapshot, column, customer_gravity_demand, customer_masses, standard_geography, Column,
 };
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
@@ -279,38 +279,31 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
     // Designed ISP: demand between customers, capacities from the
     // cable catalog sized for that demand.
     {
-        let key = format!(
-            "e18-isp-s{}-c{}-np{}-tc{}-tt{}-st{}-se{}-h{}",
-            seed,
-            p.cities,
-            p.n_pops,
-            p.total_customers,
-            p.total_traffic,
-            p.surge_traffic,
-            p.surge_exponent,
-            p.headroom
+        let snap = cached_snapshot(
+            ctx,
+            "e18",
+            p,
+            &[
+                Column::NodeF64("mass"),
+                Column::NodeF64("pos_x"),
+                Column::NodeF64("pos_y"),
+                Column::EdgeF64("capacity"),
+            ],
+            || build_isp_snapshot(p, seed, threads),
         );
-        let snap = cached_snapshot(ctx, &key, || build_isp_snapshot(p, seed, threads));
-        let col_f64 = |cols: &[(String, Vec<f64>)], name: &str| -> Vec<f64> {
-            cols.iter()
-                .find(|(n, _)| n == name)
-                .unwrap_or_else(|| panic!("snapshot missing column {:?}", name))
-                .1
-                .clone()
-        };
-        let mass = col_f64(&snap.node_f64, "mass");
-        let positions: Vec<Point> = col_f64(&snap.node_f64, "pos_x")
+        let mass = column(&snap.node_f64, "mass").to_vec();
+        let positions: Vec<Point> = column(&snap.node_f64, "pos_x")
             .iter()
-            .zip(&col_f64(&snap.node_f64, "pos_y"))
+            .zip(column(&snap.node_f64, "pos_y"))
             .map(|(&x, &y)| Point { x, y })
             .collect();
-        let capacities = col_f64(&snap.edge_f64, "capacity");
+        let capacities = column(&snap.edge_f64, "capacity");
         let base = DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, p.total_traffic);
         rows.push(case_row(
             "isp(designed)",
             &snap.csr,
             &base,
-            &capacities,
+            capacities,
             p,
             threads,
         ));

@@ -15,6 +15,11 @@
 //! mutates. Rebuild it after changing the underlying graph (construction
 //! is a single O(n + m) pass, which is noise next to any kernel).
 //!
+//! Every hop BFS in the library runs here: the FIFO tree
+//! ([`CsrGraph::bfs_tree_into`]), the direction-optimizing distance
+//! sweep ([`CsrGraph::bfs_distances_into`]), the component pass
+//! ([`CsrGraph::components`]) and Brandes' forward sweep.
+//!
 //! The Brandes betweenness kernel here replaces the old per-source
 //! `Vec<Vec<NodeId>>` predecessor lists with a flat array laid out by the
 //! CSR offsets: on shortest paths a node's predecessors are a subset of
@@ -281,28 +286,6 @@ impl CsrGraph {
             .collect()
     }
 
-    /// Hop distance from `start` to every node ([`UNREACHABLE`] when
-    /// unreachable).
-    pub fn bfs_distances(&self, start: NodeId) -> Vec<u32> {
-        let mut dist = vec![UNREACHABLE; self.node_count()];
-        let mut queue = Vec::with_capacity(self.node_count());
-        dist[start.index()] = 0;
-        queue.push(start);
-        let mut head = 0;
-        while head < queue.len() {
-            let v = queue[head];
-            head += 1;
-            let d = dist[v.index()] + 1;
-            for &u in self.neighbors(v) {
-                if dist[u.index()] == UNREACHABLE {
-                    dist[u.index()] = d;
-                    queue.push(u);
-                }
-            }
-        }
-        dist
-    }
-
     /// Hop distances from `start` via direction-optimizing BFS, reusing
     /// `scratch` across sources with zero per-source allocation.
     ///
@@ -316,8 +299,8 @@ impl CsrGraph {
     /// edge count passes `unexplored / ALPHA`; back when the frontier
     /// shrinks below `n / BETA`) depends only on the graph and the
     /// source, so the distances — which are unique regardless of
-    /// traversal order — stay bit-identical to [`Self::bfs_distances`]
-    /// at any thread count.
+    /// traversal order — stay bit-identical to a classic queue BFS
+    /// ([`Self::bfs_tree`]'s `dist`) at any thread count.
     ///
     /// Distances land in `scratch.dist()`; reached nodes (unordered
     /// beyond level grouping) in `scratch.reached()`. Note bottom-up
@@ -509,43 +492,62 @@ impl CsrGraph {
         }
     }
 
-    /// Size of the largest connected component among the nodes for which
-    /// `alive` is `true` (edges between two alive nodes survive). This is
-    /// the allocation-free equivalent of
-    /// `induced_subgraph` + `largest_component_size`, which the
-    /// robustness sweeps call thousands of times.
-    pub fn largest_component_size_masked(&self, alive: &[bool]) -> usize {
-        assert_eq!(alive.len(), self.node_count(), "alive mask length mismatch");
+    /// Connected components among the nodes `alive` keeps (every node
+    /// when `None`; an edge survives when both ends do). One FIFO BFS
+    /// runs from each unlabelled kept node in id order, so labels count
+    /// up from 0 in order of discovery. This is the one component pass
+    /// behind every connectivity query in the workspace.
+    pub fn components(&self, alive: Option<&[bool]>) -> Components {
         let n = self.node_count();
-        let mut seen = vec![false; n];
-        let mut queue: Vec<NodeId> = Vec::new();
-        let mut best = 0usize;
+        if let Some(alive) = alive {
+            assert_eq!(alive.len(), n, "alive mask length mismatch");
+        }
+        let kept = |v: usize| alive.is_none_or(|alive| alive[v]);
+        let mut labels = vec![UNREACHABLE; n];
+        let mut sizes = Vec::new();
+        let mut queue: Vec<u32> = Vec::new();
         for s in 0..n {
-            if !alive[s] || seen[s] {
+            if labels[s] != UNREACHABLE || !kept(s) {
                 continue;
             }
-            seen[s] = true;
+            let id = sizes.len() as u32;
+            labels[s] = id;
             queue.clear();
-            queue.push(NodeId(s as u32));
+            queue.push(s as u32);
             let mut head = 0;
             while head < queue.len() {
                 let v = queue[head];
                 head += 1;
-                for &u in self.neighbors(v) {
-                    if alive[u.index()] && !seen[u.index()] {
-                        seen[u.index()] = true;
-                        queue.push(u);
+                for &u in self.neighbors(NodeId(v)) {
+                    let u = u.index();
+                    if labels[u] == UNREACHABLE && kept(u) {
+                        labels[u] = id;
+                        queue.push(u as u32);
                     }
                 }
             }
-            best = best.max(queue.len());
+            sizes.push(queue.len());
         }
-        best
+        Components { labels, sizes }
     }
 
-    /// Size of the largest connected component.
+    /// Number of connected components (0 for the empty graph).
+    pub fn component_count(&self) -> usize {
+        self.components(None).sizes.len()
+    }
+
+    /// Size of the largest connected component (0 for the empty graph).
     pub fn largest_component_size(&self) -> usize {
-        self.largest_component_size_masked(&vec![true; self.node_count()])
+        self.components(None).largest_size()
+    }
+
+    /// Size of the largest connected component among the nodes for which
+    /// `alive` is `true` (edges between two alive nodes survive): the
+    /// copy-free equivalent of `induced_subgraph` +
+    /// `largest_component_size`, which the robustness sweeps call
+    /// thousands of times.
+    pub fn largest_component_size_masked(&self, alive: &[bool]) -> usize {
+        self.components(Some(alive)).largest_size()
     }
 
     /// Edge-masked copy of this view: every node survives (ids are
@@ -603,40 +605,40 @@ impl CsrGraph {
     }
 
     /// Membership mask of the largest connected component (ties broken
-    /// toward the component discovered first, matching
-    /// [`crate::traversal::largest_component_mask`]). Empty for the empty
+    /// toward the component discovered first). Empty for the empty
     /// graph.
     pub fn largest_component_mask(&self) -> Vec<bool> {
-        let n = self.node_count();
-        let mut label = vec![usize::MAX; n];
-        let mut queue: Vec<NodeId> = Vec::new();
-        let mut sizes: Vec<usize> = Vec::new();
-        for s in 0..n {
-            if label[s] != usize::MAX {
-                continue;
-            }
-            let id = sizes.len();
-            label[s] = id;
-            queue.clear();
-            queue.push(NodeId(s as u32));
-            let mut head = 0;
-            while head < queue.len() {
-                let v = queue[head];
-                head += 1;
-                for &u in self.neighbors(v) {
-                    if label[u.index()] == usize::MAX {
-                        label[u.index()] = id;
-                        queue.push(u);
-                    }
-                }
-            }
-            sizes.push(queue.len());
-        }
-        let best = (0..sizes.len()).max_by_key(|&i| (sizes[i], std::cmp::Reverse(i)));
-        match best {
-            Some(b) => label.into_iter().map(|l| l == b).collect(),
+        let components = self.components(None);
+        match components.largest() {
+            Some(best) => components.labels.iter().map(|&l| l == best).collect(),
             None => Vec::new(),
         }
+    }
+}
+
+/// Connected components from [`CsrGraph::components`].
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Components {
+    /// Component label of every node, counting up from 0 in order of
+    /// discovery (so component `c`'s smallest node precedes component
+    /// `c + 1`'s); [`UNREACHABLE`] for nodes outside the mask.
+    pub labels: Vec<u32>,
+    /// Node count of each component, indexed by label.
+    pub sizes: Vec<usize>,
+}
+
+impl Components {
+    /// Label of the largest component, ties broken toward the one
+    /// discovered first; `None` when there is no component.
+    pub(crate) fn largest(&self) -> Option<u32> {
+        (0..self.sizes.len())
+            .max_by_key(|&i| (self.sizes[i], std::cmp::Reverse(i)))
+            .map(|i| i as u32)
+    }
+
+    /// Size of the largest component (0 when there is none).
+    pub(crate) fn largest_size(&self) -> usize {
+        self.sizes.iter().copied().max().unwrap_or(0)
     }
 }
 
@@ -915,19 +917,16 @@ mod tests {
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.node_count(), 0);
         assert_eq!(csr.edge_count(), 0);
+        assert_eq!(csr.component_count(), 0);
         assert_eq!(csr.largest_component_size(), 0);
         assert!(csr.largest_component_mask().is_empty());
     }
 
     #[test]
     fn csr_bfs_matches_traversal() {
-        let g = diamond();
-        let csr = CsrGraph::from_graph(&g);
-        let csr_dist = csr.bfs_distances(NodeId(0));
-        let adj_dist = crate::traversal::bfs_distances(&g, NodeId(0));
-        for v in 0..g.node_count() {
-            assert_eq!(adj_dist[v].unwrap(), csr_dist[v]);
-        }
+        let csr = CsrGraph::from_graph(&diamond());
+        assert_eq!(csr.bfs_tree(NodeId(0)).dist, vec![0, 1, 1, 2]);
+        assert_eq!(csr.bfs_tree(NodeId(3)).dist, vec![2, 1, 1, 0]);
     }
 
     /// The star graph drives the direction-optimizing kernel straight
@@ -940,9 +939,17 @@ mod tests {
         let g: Graph<(), ()> = Graph::from_edges(n, (1..n).map(|i| (0, i, ())).collect::<Vec<_>>());
         let csr = CsrGraph::from_graph(&g);
         let mut scratch = BfsScratch::sized(n);
-        for s in [0u32, 1, 5000] {
-            csr.bfs_distances_into(NodeId(s), &mut scratch);
-            assert_eq!(scratch.dist(), &csr.bfs_distances(NodeId(s))[..], "{}", s);
+        for s in [0usize, 1, 5000] {
+            csr.bfs_distances_into(NodeId(s as u32), &mut scratch);
+            // Hub at 1 hop from a leaf, every other leaf at 2.
+            let expected: Vec<u32> = (0..n)
+                .map(|v| match (v == s, v == 0 || s == 0) {
+                    (true, _) => 0,
+                    (false, true) => 1,
+                    (false, false) => 2,
+                })
+                .collect();
+            assert_eq!(scratch.dist(), &expected[..], "{}", s);
             assert_eq!(scratch.reached().len(), n, "{}", s);
         }
     }
@@ -952,11 +959,17 @@ mod tests {
         let g: Graph<(), ()> = Graph::from_edges(6, vec![(0, 1, ()), (1, 2, ()), (3, 4, ())]);
         let csr = CsrGraph::from_graph(&g);
         let mut scratch = BfsScratch::sized(6);
+        const U: u32 = UNREACHABLE;
         // Big component, then small, then isolated: stale distances and
         // visited bits from the earlier (larger) run must not leak.
-        for s in [0u32, 3, 5, 0] {
+        for (s, expected) in [
+            (0u32, [0, 1, 2, U, U, U]),
+            (3, [U, U, U, 0, 1, U]),
+            (5, [U, U, U, U, U, 0]),
+            (0, [0, 1, 2, U, U, U]),
+        ] {
             csr.bfs_distances_into(NodeId(s), &mut scratch);
-            assert_eq!(scratch.dist(), &csr.bfs_distances(NodeId(s))[..], "{}", s);
+            assert_eq!(scratch.dist(), &expected[..], "{}", s);
             let finite = scratch.dist().iter().filter(|&&d| d != UNREACHABLE).count();
             assert_eq!(scratch.reached().len(), finite, "{}", s);
         }
@@ -1082,22 +1095,37 @@ mod tests {
 
     #[test]
     fn masked_component_matches_induced_subgraph() {
-        let g = diamond();
-        let csr = CsrGraph::from_graph(&g);
-        for mask in [
-            vec![true, true, true, true],
-            vec![false, true, true, true],
-            vec![true, false, false, true],
-            vec![false, false, false, false],
+        let csr = CsrGraph::from_graph(&diamond());
+        // a and d are not adjacent, so {a, d} splits into two singletons.
+        for (mask, largest) in [
+            ([true, true, true, true], 4),
+            ([false, true, true, true], 3),
+            ([true, false, false, true], 1),
+            ([false, false, false, false], 0),
         ] {
-            let (sub, _) = g.induced_subgraph(&mask);
             assert_eq!(
                 csr.largest_component_size_masked(&mask),
-                crate::traversal::largest_component_size(&sub),
+                largest,
                 "mask {:?}",
                 mask
             );
         }
+    }
+
+    #[test]
+    fn components_label_in_discovery_order() {
+        // {0, 3} and {1, 4} are edges; 2 and 5 are isolated.
+        let g: Graph<(), ()> = Graph::from_edges(6, vec![(3, 0, ()), (4, 1, ())]);
+        let csr = CsrGraph::from_graph(&g);
+        let all = csr.components(None);
+        assert_eq!(all.labels, vec![0, 1, 2, 0, 1, 3]);
+        assert_eq!(all.sizes, vec![2, 2, 1, 1]);
+        assert_eq!(all.largest(), Some(0), "ties go to the first found");
+        // Masking out node 0 leaves 3 alone and shifts the labels.
+        let masked = csr.components(Some(&[false, true, true, true, true, true]));
+        assert_eq!(masked.labels, vec![UNREACHABLE, 0, 1, 2, 0, 3]);
+        assert_eq!(masked.sizes, vec![2, 1, 1, 1]);
+        assert_eq!(csr.component_count(), 4);
     }
 
     #[test]
@@ -1114,7 +1142,7 @@ mod tests {
         assert_eq!(masked.neighbors(NodeId(0)), &[NodeId(1)]);
         assert_eq!(masked.neighbors(NodeId(1)), &[NodeId(0), NodeId(2)]);
         assert_eq!(masked.incident_edges(NodeId(1)), &[EdgeId(0), EdgeId(1)]);
-        assert_eq!(masked.bfs_distances(NodeId(0)), vec![0, 1, 2, 3]);
+        assert_eq!(masked.bfs_tree(NodeId(0)).dist, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -1154,16 +1182,11 @@ mod tests {
 
     #[test]
     fn component_mask_matches_traversal() {
-        let mut g: Graph<(), ()> = Graph::from_edges(5, vec![(0, 1, ())]);
-        let a = NodeId(2);
-        let b = NodeId(3);
-        let c = NodeId(4);
-        g.add_edge(a, b, ());
-        g.add_edge(b, c, ());
+        let g: Graph<(), ()> = Graph::from_edges(5, vec![(0, 1, ()), (2, 3, ()), (3, 4, ())]);
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(
             csr.largest_component_mask(),
-            crate::traversal::largest_component_mask(&g)
+            vec![false, false, true, true, true]
         );
         assert_eq!(csr.largest_component_size(), 3);
     }
@@ -1260,32 +1283,6 @@ mod property_tests {
                 }
             }
             prop_assert_eq!(csr_mult, multiplicity(&g));
-        }
-
-        /// Direction-optimizing BFS distances match classic BFS
-        /// bit-for-bit across scratch reuse. Small graphs make the
-        /// alpha threshold (`unexplored / 14`, integer division) hit 0
-        /// fast, so bottom-up levels are exercised constantly here.
-        #[test]
-        fn dirop_bfs_matches_classic(
-            n in 1usize..24,
-            pairs in proptest::collection::vec((0usize..24, 0usize..24), 0..60),
-            sources in proptest::collection::vec(0usize..24, 1..6),
-        ) {
-            let g = multigraph(n, &pairs);
-            let csr = CsrGraph::from_graph(&g);
-            let mut scratch = BfsScratch::sized(n);
-            for &s in &sources {
-                let s = NodeId((s % n) as u32);
-                csr.bfs_distances_into(s, &mut scratch);
-                prop_assert_eq!(scratch.dist(), &csr.bfs_distances(s)[..]);
-                let finite = scratch
-                    .dist()
-                    .iter()
-                    .filter(|&&d| d != UNREACHABLE)
-                    .count();
-                prop_assert_eq!(scratch.reached().len(), finite);
-            }
         }
 
         /// `edge_masked` is exactly `edge_subgraph` + `from_graph`:

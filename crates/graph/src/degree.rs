@@ -50,20 +50,6 @@ pub fn ccdf_of(sample: &[u32]) -> Vec<(u32, f64)> {
     out
 }
 
-/// Maximum degree (0 for the empty graph).
-pub fn max_degree<N, E>(g: &Graph<N, E>) -> u32 {
-    g.degree_sequence().into_iter().max().unwrap_or(0)
-}
-
-/// Mean degree (0 for the empty graph). Equals `2|E| / |V|`.
-pub fn mean_degree<N, E>(g: &Graph<N, E>) -> f64 {
-    if g.node_count() == 0 {
-        0.0
-    } else {
-        2.0 * g.edge_count() as f64 / g.node_count() as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -94,9 +80,12 @@ mod tests {
 
     #[test]
     fn max_and_mean() {
-        let g = star5();
-        assert_eq!(max_degree(&g), 5);
-        assert!((mean_degree(&g) - 10.0 / 6.0).abs() < 1e-12);
+        let hist = degree_histogram(&star5());
+        assert_eq!(hist.last(), Some(&(5, 1)), "max degree 5, once");
+        let (degree_sum, nodes) = hist
+            .iter()
+            .fold((0, 0), |(s, n), &(k, c)| (s + k as usize * c, n + c));
+        assert!((degree_sum as f64 / nodes as f64 - 10.0 / 6.0).abs() < 1e-12);
     }
 
     #[test]
@@ -104,8 +93,7 @@ mod tests {
         let g: Graph<(), ()> = Graph::new();
         assert!(degree_histogram(&g).is_empty());
         assert!(degree_ccdf(&g).is_empty());
-        assert_eq!(max_degree(&g), 0);
-        assert_eq!(mean_degree(&g), 0.0);
+        assert!(ccdf_of(&[]).is_empty());
     }
 
     proptest! {

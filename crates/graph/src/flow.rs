@@ -219,9 +219,8 @@ mod property_tests {
         let mut best = f64::INFINITY;
         for mask in 0u32..(1 << m) {
             let keep: Vec<bool> = (0..m).map(|i| mask & (1 << i) == 0).collect();
-            let sub = g.edge_subgraph(&keep);
-            let reachable = crate::traversal::bfs_distances(&sub, s);
-            if reachable[t.index()].is_none() {
+            let sub = crate::csr::CsrGraph::from_graph(&g.edge_subgraph(&keep));
+            if sub.bfs_tree(s).dist[t.index()] == crate::csr::UNREACHABLE {
                 let cut_cost: f64 = (0..m)
                     .filter(|&i| !keep[i])
                     .map(|i| *g.edge_weight(crate::graph::EdgeId(i as u32)))

@@ -17,14 +17,13 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
-//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; BFS and Dijkstra trees |
-//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_path_summary`, `par_avg_path_length` |
-//! | [`unionfind`] | disjoint-set forest used by Kruskal and component bookkeeping |
-//! | [`traversal`] | BFS orders, hop distances, connected components |
+//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, connected components), Dijkstra trees, and the Brandes sweep |
+//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_betweenness_sampled`, `par_path_summary` |
+//! | [`unionfind`] | disjoint-set forest used by Kruskal and Esau–Williams |
+//! | [`traversal`] | three connectivity queries on a [`Graph`]: component count, largest component, connectedness |
 //! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
 //! | [`tree`] | rooted-tree views: parents, depths, leaves |
 //! | [`degree`] | degree sequences, histograms, CCDFs |
-//! | [`betweenness`] | Brandes betweenness centrality (unweighted) |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |
 //! | [`flow`] | Edmonds–Karp max-flow / min-cut |
 //! | [`io`] | DOT export and binary snapshots |
@@ -47,7 +46,6 @@
 //! assert!((tree.total_weight - 3.0).abs() < 1e-12);
 //! ```
 
-pub mod betweenness;
 pub mod csr;
 pub mod degree;
 pub mod flow;

@@ -15,12 +15,13 @@
 //! 3. The main thread reduces the partials in chunk-index order.
 //!
 //! Consequently `par_betweenness(csr, t)` returns bit-identical output
-//! for every `t`, and the serial entry points are literally the 1-thread
-//! runs — "serial vs parallel" can never drift apart.
+//! for every `t`. There are no separate serial entry points: a serial
+//! run is the kernel at `threads = 1`, so "serial vs parallel" can never
+//! drift apart.
 //!
 //! Everything uses `std::thread::scope`; there are no dependencies.
 
-use crate::csr::{BfsScratch, BrandesScratch, CsrBfsTree, CsrGraph};
+use crate::csr::{BfsScratch, BrandesScratch, CsrGraph};
 use crate::graph::NodeId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -99,97 +100,14 @@ where
     collected
 }
 
-/// Deterministic parallel map: applies `f` to every element of `items`
-/// on `threads` workers through the fixed-chunk scheduler and returns
-/// the results in input order.
-///
-/// `f` receives `(index, &item)` and must be a pure function of them for
-/// the determinism guarantee to mean anything; under that contract the
-/// output is identical at every thread count. This is the entry point
-/// the scenario engine (`hot-exp`) fans its scenario registry out over.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(usize, &T) -> U + Sync,
-{
-    let parts = run_chunks(
-        items.len(),
-        threads,
-        || (),
-        |_, range| range.map(|i| f(i, &items[i])).collect::<Vec<U>>(),
-    );
-    let mut out = Vec::with_capacity(items.len());
-    for (_, part) in parts {
-        out.extend(part);
-    }
-    out
-}
-
-/// A multi-source BFS tree cache: one [`CsrBfsTree`] per requested
-/// source, computed once (in parallel, deterministically) and then
-/// shared by every consumer that routes from those sources — repeated
-/// path queries, per-flow load walks, failure what-ifs.
-///
-/// Memory is O(sources × nodes); build forests over the *distinct
-/// sources you will actually query*, not over every node of a large
-/// graph.
-#[derive(Clone, Debug)]
-pub struct BfsForest {
-    /// `index[v]` = position of `v`'s tree in `trees`, `u32::MAX` when
-    /// `v` is not a source.
-    index: Vec<u32>,
-    trees: Vec<CsrBfsTree>,
-}
-
-/// Builds the BFS tree of every source in `sources` on `threads` workers
-/// through the fixed-chunk scheduler. Trees are pure functions of
-/// `(csr, source)`, so the forest is identical at every thread count.
-/// Duplicate sources keep the first tree.
-pub fn bfs_forest(csr: &CsrGraph, sources: &[NodeId], threads: usize) -> BfsForest {
-    let trees = par_map(sources, threads, |_, &s| csr.bfs_tree(s));
-    let mut index = vec![u32::MAX; csr.node_count()];
-    for (i, &s) in sources.iter().enumerate() {
-        if index[s.index()] == u32::MAX {
-            index[s.index()] = i as u32;
-        }
-    }
-    BfsForest { index, trees }
-}
-
-impl BfsForest {
-    /// Number of cached trees (one per requested source, duplicates
-    /// included).
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Whether the forest holds no trees.
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// The `i`-th tree, in the source order the forest was built with.
-    pub fn tree(&self, i: usize) -> &CsrBfsTree {
-        &self.trees[i]
-    }
-
-    /// The tree rooted at `s`, or `None` when `s` was not a source.
-    pub fn tree_from(&self, s: NodeId) -> Option<&CsrBfsTree> {
-        match self.index.get(s.index()) {
-            Some(&i) if i != u32::MAX => Some(&self.trees[i as usize]),
-            _ => None,
-        }
-    }
-}
-
 /// Betweenness centrality of every node (unweighted shortest paths, each
 /// unordered pair counted once, endpoints excluded) computed on `threads`
 /// worker threads.
 ///
-/// Output is bit-identical for every thread count — see the module docs —
-/// and matches [`crate::betweenness::betweenness`], which is the 1-thread
-/// run of this kernel.
+/// Betweenness feeds the hierarchy metrics: in optimization-designed
+/// topologies load concentrates on a thin backbone, which shows up as an
+/// extremely skewed betweenness distribution. Output is bit-identical
+/// for every thread count — see the module docs.
 pub fn par_betweenness(csr: &CsrGraph, threads: usize) -> Vec<f64> {
     let n = csr.node_count();
     if n == 0 {
@@ -347,18 +265,6 @@ pub fn par_path_summary(csr: &CsrGraph, sources: &[NodeId], threads: usize) -> P
     total
 }
 
-/// Serial reference for [`par_path_summary`]: the 1-thread run.
-pub fn path_summary(csr: &CsrGraph, sources: &[NodeId]) -> PathSummary {
-    par_path_summary(csr, sources, 1)
-}
-
-/// Exact mean hop distance over all reachable ordered pairs, computed by
-/// an all-sources BFS sweep on `threads` worker threads.
-pub fn par_avg_path_length(csr: &CsrGraph, threads: usize) -> f64 {
-    let sources: Vec<NodeId> = (0..csr.node_count() as u32).map(NodeId).collect();
-    par_path_summary(csr, &sources, threads).mean_distance()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,45 +298,6 @@ mod tests {
             }
             assert_eq!(covered, (0..len).collect::<Vec<_>>(), "len {}", len);
         }
-    }
-
-    #[test]
-    fn par_map_preserves_order_at_every_thread_count() {
-        let items: Vec<usize> = (0..137).collect();
-        let expected: Vec<usize> = items.iter().map(|&v| v * v + 1).collect();
-        for threads in [1, 2, 5, 8] {
-            let got = par_map(&items, threads, |i, &v| {
-                assert_eq!(i, v);
-                v * v + 1
-            });
-            assert_eq!(got, expected, "threads = {}", threads);
-        }
-        let empty: Vec<usize> = Vec::new();
-        assert!(par_map(&empty, 4, |_, &v| v).is_empty());
-    }
-
-    #[test]
-    fn bfs_forest_matches_individual_trees() {
-        let g = grid(6, 4);
-        let csr = crate::csr::CsrGraph::from_graph(&g);
-        let sources: Vec<NodeId> = [0u32, 7, 23, 7].iter().map(|&v| NodeId(v)).collect();
-        let reference = bfs_forest(&csr, &sources, 1);
-        for threads in [1, 2, 4, 8] {
-            let forest = bfs_forest(&csr, &sources, threads);
-            assert_eq!(forest.len(), sources.len());
-            for (i, &s) in sources.iter().enumerate() {
-                let tree = forest.tree(i);
-                assert_eq!(tree.source, s);
-                assert_eq!(tree.dist, csr.bfs_tree(s).dist, "threads {}", threads);
-                assert_eq!(tree.dist, reference.tree(i).dist);
-            }
-            // Duplicate source 7 resolves to the first tree.
-            assert_eq!(forest.tree_from(NodeId(7)).unwrap().source, NodeId(7));
-            assert!(forest.tree_from(NodeId(1)).is_none());
-        }
-        let empty = bfs_forest(&csr, &[], 4);
-        assert!(empty.is_empty());
-        assert!(empty.tree_from(NodeId(0)).is_none());
     }
 
     #[test]
@@ -506,7 +373,7 @@ mod tests {
         let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
         let csr = CsrGraph::from_graph(&g);
         let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
-        let s = path_summary(&csr, &sources);
+        let s = par_path_summary(&csr, &sources, 1);
         assert_eq!(s.pairs, 12);
         assert_eq!(s.total_hops, 6 + 8 + 6);
         assert_eq!(s.diameter, 3);
@@ -521,9 +388,121 @@ mod tests {
     fn avg_path_length_on_disconnected_graph() {
         let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (2, 3, ())]);
         let csr = CsrGraph::from_graph(&g);
+        let sources: Vec<NodeId> = (0..4).map(NodeId).collect();
         // Only the 4 adjacent ordered pairs are reachable.
-        assert!((par_avg_path_length(&csr, 3) - 1.0).abs() < 1e-12);
+        let s = par_path_summary(&csr, &sources, 3);
+        assert_eq!((s.pairs, s.total_hops), (4, 4));
+        assert!((s.mean_distance() - 1.0).abs() < 1e-12);
         let empty: Graph<(), ()> = Graph::new();
-        assert_eq!(par_avg_path_length(&CsrGraph::from_graph(&empty), 2), 0.0);
+        let none = par_path_summary(&CsrGraph::from_graph(&empty), &[], 2);
+        assert_eq!(none.mean_distance(), 0.0);
+    }
+
+    /// Betweenness of `g` on one thread.
+    fn betweenness(g: &Graph<(), ()>) -> Vec<f64> {
+        par_betweenness(&CsrGraph::from_graph(g), 1)
+    }
+
+    #[test]
+    fn path_center_dominates() {
+        // 0-1-2-3-4: pairs through 2 are (0,3),(0,4),(1,3),(1,4) = 4.
+        let g: Graph<(), ()> =
+            Graph::from_edges(5, vec![(0, 1, ()), (1, 2, ()), (2, 3, ()), (3, 4, ())]);
+        let b = betweenness(&g);
+        assert!((b[2] - 4.0).abs() < 1e-9);
+        // node 1 lies on (0,2),(0,3),(0,4) = 3 pairs
+        assert!((b[1] - 3.0).abs() < 1e-9);
+        assert_eq!(b[0], 0.0);
+        assert_eq!(b[4], 0.0);
+    }
+
+    #[test]
+    fn star_center_covers_all_pairs() {
+        let g: Graph<(), ()> = Graph::from_edges(5, (1..5).map(|i| (0, i, ())).collect::<Vec<_>>());
+        let b = betweenness(&g);
+        // 4 leaves -> C(4,2) = 6 pairs all through the hub.
+        assert!((b[0] - 6.0).abs() < 1e-9);
+        assert_eq!(&b[1..], &[0.0; 4]);
+    }
+
+    #[test]
+    fn cycle_symmetric() {
+        let g: Graph<(), ()> =
+            Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ()), (3, 0, ())]);
+        let b = betweenness(&g);
+        for v in 0..4 {
+            assert!(
+                (b[v] - b[0]).abs() < 1e-9,
+                "cycle betweenness should be uniform"
+            );
+        }
+        // Each opposite pair has 2 shortest paths, contributing 1/2 to each
+        // intermediate: node 0 is interior to exactly the pair (1,3) with
+        // multiplicity 1/2.
+        assert!((b[0] - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn split_paths_share_credit() {
+        // Two parallel 2-hop routes 0-1-3 and 0-2-3.
+        let g: Graph<(), ()> =
+            Graph::from_edges(4, vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (2, 3, ())]);
+        let b = betweenness(&g);
+        assert!((b[1] - 0.5).abs() < 1e-9);
+        assert!((b[2] - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn disconnected_ok() {
+        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (2, 3, ())]);
+        let b = betweenness(&g);
+        assert!(b.iter().all(|&x| x == 0.0));
+    }
+}
+
+#[cfg(test)]
+mod property_tests {
+    use super::*;
+    use crate::csr::UNREACHABLE;
+    use crate::graph::{Graph, NodeId};
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        /// Identity: on any connected graph, the total betweenness equals
+        /// the total interior length of shortest paths,
+        /// Σ_v B(v) = Σ_{u<w} (d(u, w) − 1).
+        #[test]
+        fn betweenness_sums_to_path_interiors(
+            n in 2usize..10,
+            extra in proptest::collection::vec((0usize..10, 0usize..10), 0..16),
+        ) {
+            let mut g: Graph<(), f64> = Graph::new();
+            for _ in 0..n {
+                g.add_node(());
+            }
+            // Spanning path for connectivity, then extra simple edges.
+            for i in 0..n - 1 {
+                g.add_edge(NodeId(i as u32), NodeId(i as u32 + 1), 1.0);
+            }
+            for (a, b) in extra {
+                let (a, b) = (a % n, b % n);
+                if a != b && g.find_edge(NodeId(a as u32), NodeId(b as u32)).is_none() {
+                    g.add_edge(NodeId(a as u32), NodeId(b as u32), 1.0);
+                }
+            }
+            let csr = CsrGraph::from_graph(&g);
+            let total_b: f64 = par_betweenness(&csr, 1).iter().sum();
+            let mut interior = 0.0;
+            for u in 0..n {
+                let dist = csr.bfs_tree(NodeId(u as u32)).dist;
+                for &d in &dist[u + 1..] {
+                    prop_assert!(d != UNREACHABLE, "connected");
+                    interior += d as f64 - 1.0;
+                }
+            }
+            prop_assert!((total_b - interior).abs() < 1e-6,
+                "sum B = {} vs interior length {}", total_b, interior);
+        }
     }
 }

@@ -46,37 +46,6 @@ pub fn mean_clustering<N, E>(g: &Graph<N, E>) -> f64 {
     }
 }
 
-/// Global transitivity: `3 × triangles / connected triples`.
-pub fn transitivity<N, E>(g: &Graph<N, E>) -> f64 {
-    let n = g.node_count();
-    let neighbor_sets: Vec<HashSet<u32>> = (0..n)
-        .map(|v| {
-            g.neighbors(hot_graph::graph::NodeId(v as u32))
-                .map(|(u, _)| u.0)
-                .collect()
-        })
-        .collect();
-    let mut triangles3 = 0usize; // each triangle counted 3 times
-    let mut triples = 0usize;
-    for v in 0..n {
-        let nbrs: Vec<u32> = neighbor_sets[v].iter().copied().collect();
-        let k = nbrs.len();
-        triples += k * k.saturating_sub(1) / 2;
-        for i in 0..k {
-            for j in i + 1..k {
-                if neighbor_sets[nbrs[i] as usize].contains(&nbrs[j]) {
-                    triangles3 += 1;
-                }
-            }
-        }
-    }
-    if triples == 0 {
-        0.0
-    } else {
-        triangles3 as f64 / triples as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,7 +58,6 @@ mod tests {
             .iter()
             .all(|&c| (c - 1.0).abs() < 1e-12));
         assert!((mean_clustering(&g) - 1.0).abs() < 1e-12);
-        assert!((transitivity(&g) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -97,7 +65,6 @@ mod tests {
         let g: Graph<(), ()> =
             Graph::from_edges(5, vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (1, 4, ())]);
         assert_eq!(mean_clustering(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
     }
 
     #[test]
@@ -110,9 +77,6 @@ mod tests {
         assert!((local[0] - 1.0 / 3.0).abs() < 1e-12);
         assert!((local[1] - 1.0).abs() < 1e-12);
         assert_eq!(local[3], 0.0);
-        // Transitivity: triangles3 = 3; triples: node0 C(3,2)=3, nodes 1,2
-        // C(2,2)=1 each, node3: 0 -> 5. 3/5.
-        assert!((transitivity(&g) - 0.6).abs() < 1e-12);
     }
 
     #[test]
@@ -126,6 +90,5 @@ mod tests {
     fn empty_graph() {
         let g: Graph<(), ()> = Graph::new();
         assert_eq!(mean_clustering(&g), 0.0);
-        assert_eq!(transitivity(&g), 0.0);
     }
 }

@@ -12,7 +12,7 @@
 //! | [`powerlaw`] | rank/CCDF/Hill power-law fits | Faloutsos et al. '99 |
 //! | [`expfit`] | exponential fit + power-vs-exp classifier | FKP '02 / paper §4.2 |
 //! | [`assortativity`] | degree correlation, rich-club | Newman '02; Zhou–Mondragón '04 |
-//! | [`clustering`] | local/global clustering coefficients | Bu–Towsley '02 \[8\] |
+//! | [`clustering`] | local and mean clustering coefficients | Bu–Towsley '02 \[8\] |
 //! | [`paths`] | path lengths, diameter, hop histogram | standard |
 //! | [`expansion`] | ball-growth expansion | Tangmunarunkit et al. \[30\] |
 //! | [`resilience`] | sampled pairwise min-cuts | Tangmunarunkit et al. \[30\] |

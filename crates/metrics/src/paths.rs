@@ -1,5 +1,5 @@
-//! Hop-count path metrics: average path length, diameter, eccentricity,
-//! and the hop histogram (the "hop plot" of Faloutsos et al.).
+//! Hop-count path metrics: average path length, diameter, and the hop
+//! histogram (the "hop plot" of Faloutsos et al.).
 //!
 //! For graphs beyond `EXACT_LIMIT` nodes the metrics are estimated from a
 //! deterministic stride sample of BFS sources, keeping reports
@@ -10,7 +10,6 @@
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::parallel::{default_threads, par_path_summary};
-use hot_graph::traversal::bfs_distances;
 
 /// Below this node count, all-sources BFS is exact.
 const EXACT_LIMIT: usize = 2000;
@@ -61,11 +60,6 @@ pub fn path_metrics<N, E>(g: &Graph<N, E>) -> PathMetrics {
     }
 }
 
-/// Eccentricity (max hop distance to any reachable node) of one node.
-pub fn eccentricity<N, E>(g: &Graph<N, E>, v: NodeId) -> u32 {
-    bfs_distances(g, v).into_iter().flatten().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,13 +91,6 @@ mod tests {
         let m = path_metrics(&g);
         assert_eq!(m.diameter, 1);
         assert!((m.mean_distance - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn eccentricity_values() {
-        let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
-        assert_eq!(eccentricity(&g, NodeId(0)), 3);
-        assert_eq!(eccentricity(&g, NodeId(1)), 2);
     }
 
     #[test]

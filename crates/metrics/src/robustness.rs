@@ -34,30 +34,16 @@ pub struct DegradationPoint {
     pub giant_fraction: f64,
 }
 
-/// Computes the degradation curve at the given removal fractions
-/// (serial: the 1-thread run of [`degradation_curve`]).
+/// Computes the degradation curve at the given removal fractions, with
+/// the fractions evaluated in parallel on `threads` worker threads.
 ///
 /// For `RandomFailure` the node order is drawn once from `rng`; for
 /// `DegreeAttack` it is the descending-degree order (ties by node id, so
-/// deterministic).
-pub fn degradation<N: Clone, E: Clone>(
-    g: &Graph<N, E>,
-    policy: RemovalPolicy,
-    fractions: &[f64],
-    rng: &mut impl Rng,
-) -> Vec<DegradationPoint> {
-    degradation_curve(g, policy, fractions, rng, 1)
-}
-
-/// Computes the degradation curve with the fractions evaluated in
-/// parallel on `threads` worker threads.
-///
-/// Each fraction's giant component is measured by a masked BFS over the
-/// CSR view of the intact graph — no per-fraction subgraph copies — and
-/// written back by fraction index, so the curve is identical at every
-/// thread count (giant fractions are ratios of integers). The removal
-/// order is drawn exactly as in [`degradation`], so the two agree
-/// point-for-point.
+/// deterministic). Each fraction's giant component is measured by a
+/// masked component pass over the CSR view of the intact graph — no
+/// per-fraction subgraph copies — and written back by fraction index, so
+/// the curve is identical at every thread count (giant fractions are
+/// ratios of integers).
 pub fn degradation_curve<N: Clone, E: Clone>(
     g: &Graph<N, E>,
     policy: RemovalPolicy,
@@ -145,7 +131,7 @@ mod tests {
     fn attack_shatters_star_instantly() {
         let g = star(100);
         let mut rng = StdRng::seed_from_u64(1);
-        let pts = degradation(&g, RemovalPolicy::DegreeAttack, &[0.01], &mut rng);
+        let pts = degradation_curve(&g, RemovalPolicy::DegreeAttack, &[0.01], &mut rng, 1);
         // Removing the hub leaves isolated leaves.
         assert!(
             pts[0].giant_fraction <= 0.02,
@@ -158,17 +144,19 @@ mod tests {
     fn star_survives_random_failure_better_than_attack() {
         let g = star(200);
         let fractions = [0.05, 0.1];
-        let random = degradation(
+        let random = degradation_curve(
             &g,
             RemovalPolicy::RandomFailure,
             &fractions,
             &mut StdRng::seed_from_u64(2),
+            1,
         );
-        let attack = degradation(
+        let attack = degradation_curve(
             &g,
             RemovalPolicy::DegreeAttack,
             &fractions,
             &mut StdRng::seed_from_u64(2),
+            1,
         );
         assert!(robustness_score(&random) > 5.0 * robustness_score(&attack));
     }
@@ -177,11 +165,12 @@ mod tests {
     fn cycle_is_attack_insensitive() {
         let g = cycle(100);
         let fractions = [0.05];
-        let attack = degradation(
+        let attack = degradation_curve(
             &g,
             RemovalPolicy::DegreeAttack,
             &fractions,
             &mut StdRng::seed_from_u64(3),
+            1,
         );
         // All degrees equal: attacking is no worse than failure order.
         assert!(attack[0].giant_fraction > 0.5);
@@ -190,11 +179,12 @@ mod tests {
     #[test]
     fn zero_fraction_is_identity() {
         let g = star(50);
-        let pts = degradation(
+        let pts = degradation_curve(
             &g,
             RemovalPolicy::RandomFailure,
             &[0.0],
             &mut StdRng::seed_from_u64(4),
+            1,
         );
         assert!((pts[0].giant_fraction - 1.0).abs() < 1e-12);
     }
@@ -202,11 +192,12 @@ mod tests {
     #[test]
     fn full_removal_empties_graph() {
         let g = cycle(10);
-        let pts = degradation(
+        let pts = degradation_curve(
             &g,
             RemovalPolicy::DegreeAttack,
             &[1.0],
             &mut StdRng::seed_from_u64(5),
+            1,
         );
         assert_eq!(pts[0].giant_fraction, 0.0);
     }
@@ -214,11 +205,12 @@ mod tests {
     #[test]
     fn empty_graph_degenerate() {
         let g: Graph<(), ()> = Graph::new();
-        let pts = degradation(
+        let pts = degradation_curve(
             &g,
             RemovalPolicy::RandomFailure,
             &[0.5],
             &mut StdRng::seed_from_u64(6),
+            1,
         );
         assert_eq!(pts[0].giant_fraction, 0.0);
         assert_eq!(robustness_score(&[]), 0.0);
@@ -229,7 +221,8 @@ mod tests {
         let g = star(120);
         let fractions = [0.0, 0.02, 0.05, 0.1, 0.5, 1.0];
         for policy in [RemovalPolicy::RandomFailure, RemovalPolicy::DegreeAttack] {
-            let serial = degradation(&g, policy, &fractions, &mut StdRng::seed_from_u64(8));
+            let serial =
+                degradation_curve(&g, policy, &fractions, &mut StdRng::seed_from_u64(8), 1);
             for threads in 2..=6 {
                 let par = degradation_curve(
                     &g,
@@ -250,11 +243,12 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn bad_fraction_rejected() {
         let g = star(10);
-        degradation(
+        degradation_curve(
             &g,
             RemovalPolicy::DegreeAttack,
             &[1.5],
             &mut StdRng::seed_from_u64(7),
+            1,
         );
     }
 }

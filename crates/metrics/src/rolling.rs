@@ -7,6 +7,8 @@
 //! design's flat core hold? [`Trajectory::record`] recomputes one
 //! epoch's row from the grown graph through a single CSR view:
 //!
+//! - the component count comes from the CSR component pass
+//!   ([`CsrGraph::components`]), the workspace's one connectivity engine;
 //! - [`RollingDegrees`] summarizes the degree sequence as a histogram
 //!   (integer arithmetic, so every statistic is order-exact);
 //! - [`DeltaBetweenness`] is a Brandes–Pich pivot *stream* whose
@@ -19,7 +21,6 @@ use crate::bias::{concentration, Concentration};
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::parallel::par_betweenness_sampled;
-use hot_graph::unionfind::UnionFind;
 
 /// Degree histogram of one degree sequence, with the summary
 /// statistics a trajectory row reports.
@@ -200,9 +201,9 @@ impl Trajectory {
     }
 
     /// Appends the row for `g` at `epoch`, recomputed from one CSR view:
-    /// components by union-find over the links, the degree histogram,
-    /// and the load concentration of the sampled betweenness over the
-    /// pivot stream `(pivot_seed, pivot_stride)` on `threads` workers.
+    /// its component count, the degree histogram, and the load
+    /// concentration of the sampled betweenness over the pivot stream
+    /// `(pivot_seed, pivot_stride)` on `threads` workers.
     pub fn record<N, E>(
         &mut self,
         epoch: u64,
@@ -212,10 +213,6 @@ impl Trajectory {
         threads: usize,
     ) {
         let csr = CsrGraph::from_graph(g);
-        let mut uf = UnionFind::new(g.node_count());
-        for (_, a, b, _) in g.edges() {
-            uf.union(a.index(), b.index());
-        }
         let degrees = RollingDegrees::from_degrees(&csr.degree_sequence());
         let pivots = DeltaBetweenness::pivots_for(pivot_seed, pivot_stride, g.node_count());
         let betweenness = par_betweenness_sampled(&csr, &pivots, threads);
@@ -223,7 +220,7 @@ impl Trajectory {
             epoch,
             nodes: degrees.node_count(),
             edges: degrees.edge_count(),
-            components: uf.set_count(),
+            components: csr.component_count(),
             mean_degree: degrees.mean_degree(),
             max_degree: degrees.max_degree(),
             leaf_fraction: degrees.leaf_fraction(),

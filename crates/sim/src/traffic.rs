@@ -19,7 +19,9 @@
 //!    ([`hot_graph::parallel::run_chunks`]): chunk boundaries ignore the
 //!    thread count and partial load vectors merge in chunk order, so
 //!    **link loads are bit-identical at every thread count**, and — for
-//!    integer-valued demands — bit-identical to the naive per-flow walk.
+//!    integer-valued demands — bit-identical to walking every flow's
+//!    path (the per-flow reference lives with the differential tests, in
+//!    `tests/common/per_flow.rs`).
 //!
 //! [`RoutePolicy::Ecmp`] additionally splits each flow equally over *all*
 //! shortest paths (per-path, so parallel equal-length paths through a
@@ -36,9 +38,9 @@
 //! 1.0), and dyadic weights (the TE loop halves) keep the splits exact
 //! in floating point.
 
-use crate::demand::{Demand, OdDemand};
+use crate::demand::OdDemand;
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
-use hot_graph::parallel::{run_chunks, BfsForest};
+use hot_graph::parallel::run_chunks;
 
 /// How a flow is mapped onto shortest paths.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -140,18 +142,18 @@ pub fn link_loads_multi(
     link_loads_inner(csr, demands, policy, None, threads)
 }
 
-/// [`link_loads_multi`] under weighted ECMP: each flow splits over all
+/// [`link_loads`] under weighted ECMP: each flow splits over all
 /// shortest paths proportionally to *weighted* path counts, where a
 /// path's weight is the product of its links' entries in
 /// `link_weights` (indexed by `EdgeId`, all positive and finite).
 /// Unit weights reproduce [`RoutePolicy::Ecmp`] bit for bit; see the
 /// module docs. Output is bit-identical at every thread count.
-pub fn link_loads_weighted_multi(
+pub fn link_loads_weighted(
     csr: &CsrGraph,
-    demands: &[&dyn OdDemand],
+    demand: &dyn OdDemand,
     link_weights: &[f64],
     threads: usize,
-) -> Vec<TrafficLoads> {
+) -> TrafficLoads {
     assert_eq!(
         link_weights.len(),
         csr.edge_count(),
@@ -161,19 +163,15 @@ pub fn link_loads_weighted_multi(
         link_weights.iter().all(|&w| w.is_finite() && w > 0.0),
         "link weights must be positive and finite"
     );
-    link_loads_inner(csr, demands, RoutePolicy::Ecmp, Some(link_weights), threads)
-}
-
-/// [`link_loads_weighted_multi`] for a single demand model.
-pub fn link_loads_weighted(
-    csr: &CsrGraph,
-    demand: &dyn OdDemand,
-    link_weights: &[f64],
-    threads: usize,
-) -> TrafficLoads {
-    link_loads_weighted_multi(csr, &[demand], link_weights, threads)
-        .pop()
-        .expect("one model in, one result out")
+    link_loads_inner(
+        csr,
+        &[demand],
+        RoutePolicy::Ecmp,
+        Some(link_weights),
+        threads,
+    )
+    .pop()
+    .expect("one model in, one result out")
 }
 
 fn link_loads_inner(
@@ -356,49 +354,12 @@ fn accumulate_source(
     acc[tree.source.index()] = 0.0;
 }
 
-/// The per-flow reference engine: walks every flow's tree path edge by
-/// edge over a prebuilt [`BfsForest`] (the multi-source tree cache).
-/// Semantically [`crate::failure::route_demands`] over a prebuilt tree
-/// cache; kept as the differential/speedup baseline for the batched
-/// engine.
-/// Flows whose source has no tree in the forest — or whose endpoints
-/// lie outside the graph — count as unrouted.
-pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> TrafficLoads {
-    let n = csr.node_count();
-    let mut out = TrafficLoads::zero(csr.edge_count());
-    for f in flows {
-        let path = if f.dst.index() < n {
-            forest
-                .tree_from(f.src)
-                .and_then(|tree| tree.edge_path_to(f.dst))
-        } else {
-            None
-        };
-        match path {
-            Some(path) => {
-                for e in &path {
-                    out.link_load[e.index()] += f.amount;
-                }
-                out.routed_flows += 1;
-                out.routed_traffic += f.amount;
-                out.traffic_hops += f.amount * path.len() as f64;
-            }
-            None => {
-                out.unrouted_flows += 1;
-                out.unrouted_traffic += f.amount;
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::{DemandConfig, DemandMatrix, DemandModel};
+    use crate::demand::{Demand, DemandConfig, DemandMatrix, DemandModel};
     use crate::failure::route_demands;
     use hot_graph::graph::{Graph, NodeId};
-    use hot_graph::parallel::bfs_forest;
 
     /// A demand given by an explicit dense matrix (tests only).
     struct Dense {
@@ -446,10 +407,6 @@ mod tests {
         assert_eq!(loads.routed_flows, 2);
         assert_eq!(loads.unrouted_flows, 0);
         assert!((loads.mean_hops() - reference.mean_hops()).abs() < 1e-12);
-        let forest = bfs_forest(&csr, &[NodeId(0), NodeId(1)], 1);
-        let naive = naive_link_load(&csr, &forest, &flows);
-        assert_eq!(naive.link_load, loads.link_load);
-        assert_eq!(naive.routed_traffic, loads.routed_traffic);
     }
 
     #[test]
@@ -641,28 +598,5 @@ mod tests {
         assert_eq!(loads.routed_flows, 0);
         assert_eq!(loads.max_load(), 0.0);
         assert_eq!(loads.mean_hops(), 0.0);
-    }
-
-    #[test]
-    fn naive_missing_source_tree_is_unrouted() {
-        let (_, csr) = path4();
-        let forest = bfs_forest(&csr, &[NodeId(0)], 1);
-        let flows = vec![
-            Demand {
-                src: NodeId(2),
-                dst: NodeId(3),
-                amount: 4.0,
-            },
-            // Regression: an out-of-range destination is unrouted like
-            // in route(), not an index panic.
-            Demand {
-                src: NodeId(0),
-                dst: NodeId(99),
-                amount: 1.5,
-            },
-        ];
-        let out = naive_link_load(&csr, &forest, &flows);
-        assert_eq!(out.unrouted_flows, 2);
-        assert_eq!(out.unrouted_traffic, 5.5);
     }
 }

@@ -1,11 +1,16 @@
 //! Helpers shared by the integration test binaries: the source-band
-//! demand wrapper of the traffic suites, and the `Graph` shortest-path
-//! and traceroute references the CSR kernels are checked against. Each
-//! binary uses only part of this module.
+//! demand wrapper of the traffic suites, and the slow references the
+//! library engines are checked against — the `Graph` BFS family and the
+//! classic CSR BFS (`traversal`), the `Graph` shortest paths
+//! (`shortest_path`), the per-vantage traceroute (`traceroute`), and
+//! the per-flow traffic and cascade engines (`per_flow`). Each binary
+//! uses only part of this module.
 #![allow(dead_code)]
 
+pub mod per_flow;
 pub mod shortest_path;
 pub mod traceroute;
+pub mod traversal;
 
 use hotgen::sim::demand::OdDemand;
 

@@ -15,6 +15,7 @@
 use hot_exp::registry::{self, RunCtx, Scale};
 use hot_exp::report::ExpStatus;
 use hot_exp::SEED;
+use hotgen::graph::io::Snapshot;
 use std::path::PathBuf;
 
 fn golden_path(id: &str) -> PathBuf {
@@ -191,6 +192,77 @@ fn snapshot_cache_replays_identical_bytes() {
     assert_eq!(uncached, cold, "cache write changed the output");
     assert_eq!(cold, warm, "cache replay changed the output");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs scenario `id` cold into a fresh cache directory, rewrites the
+/// snapshot it wrote through `forge` (re-signed by `save`), and runs it
+/// again: a snapshot that loads but lacks a column the scenario reads is
+/// rebuilt like a corrupt file, so the run still emits the golden bytes
+/// and the file is overwritten with the complete snapshot.
+fn forged_snapshot_is_rebuilt(id: &str, forge: impl FnOnce(&mut Snapshot)) {
+    let dir = std::env::temp_dir().join(format!("hotsnap-forged-{}-{}", id, std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let cached_ctx = || RunCtx {
+        scale: Scale::Golden,
+        seed: SEED,
+        threads: 2,
+        snapshot_dir: Some(dir.clone()),
+    };
+    let spec = registry::find(id).expect("registered");
+    (spec.run)(cached_ctx());
+    let path = std::fs::read_dir(&dir)
+        .expect("cold run created the cache dir")
+        .map(|e| e.expect("dir entry").path())
+        .find(|p| p.extension().is_some_and(|e| e == "snap"))
+        .expect("cold run wrote a snapshot");
+    let complete = Snapshot::load(&path).expect("cold snapshot loads");
+    let mut forged = complete.clone();
+    forge(&mut forged);
+    assert_ne!(forged, complete, "the forge changed nothing");
+    forged.save(&path).expect("write the forged snapshot");
+    assert!(
+        Snapshot::load(&path).is_ok(),
+        "the forged file is validly signed"
+    );
+    let replayed = (spec.run)(cached_ctx()).to_json().pretty();
+    let golden = std::fs::read_to_string(golden_path(id)).expect("golden file");
+    assert_eq!(
+        replayed, golden,
+        "{}: forged snapshot changed the output",
+        id
+    );
+    assert_eq!(
+        Snapshot::load(&path).expect("rebuilt snapshot loads"),
+        complete,
+        "{}: the rebuild must overwrite the forged file",
+        id
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn e18_snapshot_without_capacity_is_rebuilt() {
+    forged_snapshot_is_rebuilt("e18", |snap| {
+        snap.edge_f64.retain(|(name, _)| name != "capacity");
+    });
+}
+
+/// The format reads every node column at the node count, so the only
+/// way a loadable file carries a `mass` of the wrong length is in
+/// another section: here it sits among the edge columns, edge-count
+/// long, and the node section has none.
+#[test]
+fn e15_snapshot_with_short_mass_is_rebuilt() {
+    forged_snapshot_is_rebuilt("e15", |snap| {
+        let at = snap
+            .node_f64
+            .iter()
+            .position(|(name, _)| name == "mass")
+            .expect("E15 writes a mass column");
+        let (name, mut mass) = snap.node_f64.remove(at);
+        mass.resize(snap.csr.edge_count(), 0.0);
+        snap.edge_f64.push((name, mass));
+    });
 }
 
 /// Degenerate parameters skip instead of panicking, and the skip is

@@ -8,21 +8,23 @@
 //! traffic, stay symmetric with a zero diagonal, and regenerate
 //! byte-identically from a fixed seed. These lock those invariants down.
 //!
-//! The path-sampling kernels are checked against the slow references in
-//! `tests/common`: the CSR Dijkstra against the `Graph` Dijkstra and
-//! Bellman–Ford, and the probe engine against the per-vantage
-//! traceroute reference.
+//! The graph kernels are checked against the slow references in
+//! `tests/common`: the CSR BFS kernels and the component pass against
+//! the `Graph` BFS family (and a union-find), the CSR Dijkstra against
+//! the `Graph` Dijkstra and Bellman–Ford, and the probe engine against
+//! the per-vantage traceroute reference.
 
 mod common;
 
 use common::shortest_path::{bellman_ford, dijkstra};
 use common::traceroute::infer_map;
+use common::traversal as oracle;
 use hotgen::baselines::{ba, glp, waxman};
 use hotgen::core::fkp::{self, FkpConfig};
-use hotgen::graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
-use hotgen::graph::traversal::is_connected;
-use hotgen::graph::tree::is_tree;
-use hotgen::graph::{EdgeId, Graph, NodeId};
+use hotgen::graph::csr::{BfsScratch, CsrBfsTree, CsrGraph, UNREACHABLE};
+use hotgen::graph::traversal::{self, is_connected};
+use hotgen::graph::tree::{is_tree, RootedTree, TreeError};
+use hotgen::graph::{EdgeId, Graph, NodeId, UnionFind};
 use hotgen::sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
 use hotgen::sim::probe::{infer_map_batched, run_campaign, ProbeCampaign};
 use hotgen::sim::traceroute::strided_vantages;
@@ -543,6 +545,273 @@ proptest! {
             }
         }
     }
+}
+
+/// A random multigraph: `n` nodes, and every pair in `pairs` with
+/// distinct endpoints (mod n) becomes an edge. Duplicates are kept, so
+/// parallel edges, isolated nodes and several components all occur.
+fn multigraph(n: usize, pairs: &[(usize, usize)]) -> Graph<(), ()> {
+    let mut g: Graph<(), ()> = Graph::new();
+    for _ in 0..n {
+        g.add_node(());
+    }
+    for &(a, b) in pairs {
+        let (a, b) = (a % n, b % n);
+        if a != b {
+            g.add_edge(NodeId(a as u32), NodeId(b as u32), ());
+        }
+    }
+    g
+}
+
+/// Component labels and sizes of the nodes `alive` keeps, by union-find
+/// over the links with both ends kept. Labels follow each component's
+/// smallest node, which is the discovery order of a BFS sweep in id
+/// order; dropped nodes get [`UNREACHABLE`].
+fn union_find_components(g: &Graph<(), ()>, alive: &[bool]) -> (Vec<u32>, Vec<usize>) {
+    let mut uf = UnionFind::new(g.node_count());
+    for (_, a, b, _) in g.edges() {
+        if alive[a.index()] && alive[b.index()] {
+            uf.union(a.index(), b.index());
+        }
+    }
+    let mut label_of_root = vec![UNREACHABLE; g.node_count()];
+    let mut labels = vec![UNREACHABLE; g.node_count()];
+    let mut sizes: Vec<usize> = Vec::new();
+    for v in (0..g.node_count()).filter(|&v| alive[v]) {
+        let root = uf.find(v);
+        if label_of_root[root] == UNREACHABLE {
+            label_of_root[root] = sizes.len() as u32;
+            sizes.push(0);
+        }
+        labels[v] = label_of_root[root];
+        sizes[labels[v] as usize] += 1;
+    }
+    (labels, sizes)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The CSR BFS kernels are the `Graph` oracle, node for node: from
+    /// every source of a random multigraph, `bfs_tree`'s visit order,
+    /// distances and parents, and the direction-optimizing
+    /// `bfs_distances_into` through one reused scratch.
+    #[test]
+    fn csr_bfs_matches_graph_oracle(
+        n in 1usize..30,
+        pairs in proptest::collection::vec((0usize..30, 0usize..30), 0..60),
+    ) {
+        let g = multigraph(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let mut scratch = BfsScratch::sized(n);
+        for s in g.node_ids() {
+            let (dist, parent) = oracle::bfs_tree(&g, s);
+            let expect: Vec<u32> = dist.iter().map(|d| d.unwrap_or(UNREACHABLE)).collect();
+            let tree = csr.bfs_tree(s);
+            prop_assert_eq!(tree.visit_order(), &oracle::bfs_order(&g, s)[..], "order from {:?}", s);
+            prop_assert_eq!(&tree.dist, &expect, "distances from {:?}", s);
+            for v in g.node_ids() {
+                prop_assert_eq!(
+                    tree.parent(v).map(|(p, _)| p),
+                    parent[v.index()],
+                    "parent of {:?} from {:?}",
+                    v,
+                    s
+                );
+            }
+            csr.bfs_distances_into(s, &mut scratch);
+            prop_assert_eq!(scratch.dist(), &expect[..], "direction-optimizing from {:?}", s);
+        }
+    }
+
+    /// Direction-optimizing BFS distances match classic BFS
+    /// bit-for-bit across scratch reuse. Small graphs make the
+    /// alpha threshold (`unexplored / 14`, integer division) hit 0
+    /// fast, so bottom-up levels are exercised constantly here.
+    #[test]
+    fn dirop_bfs_matches_classic(
+        n in 1usize..24,
+        pairs in proptest::collection::vec((0usize..24, 0usize..24), 0..60),
+        sources in proptest::collection::vec(0usize..24, 1..6),
+    ) {
+        let g = multigraph(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let mut scratch = BfsScratch::sized(n);
+        for &s in &sources {
+            let s = NodeId((s % n) as u32);
+            csr.bfs_distances_into(s, &mut scratch);
+            prop_assert_eq!(scratch.dist(), &oracle::csr_bfs_distances(&csr, s)[..]);
+            let finite = scratch
+                .dist()
+                .iter()
+                .filter(|&&d| d != UNREACHABLE)
+                .count();
+            prop_assert_eq!(scratch.reached().len(), finite);
+        }
+    }
+
+    /// The one component pass answers every connectivity query the way
+    /// the `Graph` oracle and a union-find do, with and without a node
+    /// mask: labels in discovery order, sizes, count, largest size, and
+    /// the largest-component mask with ties going to the component
+    /// found first (isolated nodes make ties common).
+    #[test]
+    fn csr_components_match_oracle_and_union_find(
+        n in 1usize..30,
+        pairs in proptest::collection::vec((0usize..30, 0usize..30), 0..50),
+        mask_bits in proptest::collection::vec(0usize..4, 30..31),
+    ) {
+        let g = multigraph(n, &pairs);
+        let csr = CsrGraph::from_graph(&g);
+        let all = csr.components(None);
+        let (uf_labels, uf_sizes) = union_find_components(&g, &vec![true; n]);
+        prop_assert_eq!(&all.labels, &oracle::connected_components(&g));
+        prop_assert_eq!(&all.labels, &uf_labels);
+        prop_assert_eq!(&all.sizes, &uf_sizes);
+        prop_assert_eq!(csr.component_count(), uf_sizes.len());
+        prop_assert_eq!(traversal::component_count(&g), uf_sizes.len());
+        let largest = uf_sizes.iter().copied().max().unwrap_or(0);
+        prop_assert_eq!(csr.largest_component_size(), largest);
+        prop_assert_eq!(traversal::largest_component_size(&g), largest);
+        let first_largest = uf_sizes.iter().position(|&c| c == largest);
+        let uf_mask: Vec<bool> = if first_largest.is_some() {
+            uf_labels.iter().map(|&l| Some(l as usize) == first_largest).collect()
+        } else {
+            Vec::new()
+        };
+        prop_assert_eq!(csr.largest_component_mask(), oracle::largest_component_mask(&g));
+        prop_assert_eq!(csr.largest_component_mask(), uf_mask);
+
+        // About a quarter of the nodes dropped.
+        let alive: Vec<bool> = (0..n).map(|v| mask_bits[v] != 0).collect();
+        let masked = csr.components(Some(&alive));
+        let (sub, map) = g.induced_subgraph(&alive);
+        let sub_labels = oracle::connected_components(&sub);
+        let oracle_labels: Vec<u32> = map
+            .iter()
+            .map(|m| m.map_or(UNREACHABLE, |s| sub_labels[s.index()]))
+            .collect();
+        let (uf_labels, uf_sizes) = union_find_components(&g, &alive);
+        prop_assert_eq!(&masked.labels, &oracle_labels);
+        prop_assert_eq!(&masked.labels, &uf_labels);
+        prop_assert_eq!(&masked.sizes, &uf_sizes);
+        prop_assert_eq!(
+            csr.largest_component_size_masked(&alive),
+            uf_sizes.iter().copied().max().unwrap_or(0)
+        );
+        prop_assert_eq!(
+            csr.largest_component_size_masked(&alive),
+            traversal::largest_component_size(&sub)
+        );
+    }
+
+    /// `RootedTree::from_graph` reproduces a random tree — node v > 0
+    /// hangs under a drawn earlier node, links inserted in reverse id
+    /// order — with its parents, children and depths; one extra link
+    /// is `WrongEdgeCount`, and trading a node's uplink for a copy of
+    /// another link (still n − 1 links) is `Disconnected`.
+    #[test]
+    fn rooted_tree_reproduces_random_parent_arrays(
+        n in 1usize..40,
+        draws in proptest::collection::vec((0usize..1000, 0usize..1000), 40..41),
+    ) {
+        let parent: Vec<Option<usize>> =
+            (0..n).map(|v| (v > 0).then(|| draws[v].0 % v)).collect();
+        let link = |v: usize| (v, parent[v].expect("non-root"), ());
+        let g: Graph<(), ()> = Graph::from_edges(n, (1..n).rev().map(link).collect::<Vec<_>>());
+        let t = RootedTree::from_graph(&g, NodeId(0)).expect("a tree");
+        for v in 0..n {
+            let id = NodeId(v as u32);
+            prop_assert_eq!(t.parent(id), parent[v].map(|p| NodeId(p as u32)));
+            let depth = std::iter::successors(parent[v], |&p| parent[p]).count() as u32;
+            prop_assert_eq!(t.depth(id), depth, "depth of {}", v);
+            let children: Vec<NodeId> = (0..n)
+                .filter(|&c| parent[c] == Some(v))
+                .map(|c| NodeId(c as u32))
+                .collect();
+            prop_assert_eq!(t.children(id), &children[..]);
+        }
+        if n >= 2 {
+            let (a, b) = (draws[0].0 % n, draws[0].1 % n);
+            let b = if a == b { (b + 1) % n } else { b };
+            let mut extra = g.clone();
+            extra.add_edge(NodeId(a as u32), NodeId(b as u32), ());
+            prop_assert_eq!(
+                RootedTree::from_graph(&extra, NodeId(0)).unwrap_err(),
+                TreeError::WrongEdgeCount
+            );
+        }
+        if n >= 3 {
+            let k = 1 + draws[1].0 % (n - 1);
+            let j = 1 + (k + draws[1].1 % (n - 2)) % (n - 1);
+            let links = (1..n).filter(|&v| v != k).chain([j]).map(link);
+            let cut: Graph<(), ()> = Graph::from_edges(n, links.collect::<Vec<_>>());
+            prop_assert_eq!(cut.edge_count(), n - 1);
+            prop_assert_eq!(
+                RootedTree::from_graph(&cut, NodeId(0)).unwrap_err(),
+                TreeError::Disconnected
+            );
+        }
+    }
+}
+
+fn two_triangles() -> Graph<(), ()> {
+    // {0,1,2} triangle and {3,4,5} triangle, disconnected.
+    Graph::from_edges(
+        6,
+        vec![
+            (0, 1, ()),
+            (1, 2, ()),
+            (0, 2, ()),
+            (3, 4, ()),
+            (4, 5, ()),
+            (3, 5, ()),
+        ],
+    )
+}
+
+#[test]
+fn bfs_visits_component_only() {
+    let g = two_triangles();
+    let order = oracle::bfs_order(&g, NodeId(0));
+    assert_eq!(order.len(), 3);
+    assert!(order.contains(&NodeId(2)));
+    assert!(!order.contains(&NodeId(3)));
+}
+
+#[test]
+fn bfs_distances_on_path() {
+    let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
+    let d = oracle::bfs_distances(&g, NodeId(0));
+    assert_eq!(d, vec![Some(0), Some(1), Some(2), Some(3)]);
+}
+
+#[test]
+fn bfs_unreachable_is_none() {
+    let g = two_triangles();
+    let d = oracle::bfs_distances(&g, NodeId(0));
+    assert_eq!(d[4], None);
+    assert_eq!(d[1], Some(1));
+}
+
+#[test]
+fn bfs_tree_parents_form_shortest_paths() {
+    let g: Graph<(), ()> = Graph::from_edges(
+        5,
+        vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (2, 3, ()), (3, 4, ())],
+    );
+    let (dist, parent) = oracle::bfs_tree(&g, NodeId(0));
+    assert_eq!(dist[4], Some(3));
+    // Walk parents from 4 back to 0 and count hops.
+    let mut hops = 0;
+    let mut cur = NodeId(4);
+    while let Some(p) = parent[cur.index()] {
+        cur = p;
+        hops += 1;
+    }
+    assert_eq!(cur, NodeId(0));
+    assert_eq!(hops, 3);
 }
 
 /// Square with a cheap diagonal.

@@ -162,7 +162,7 @@ fn claim_as_vs_router_degree_laws() {
 /// far better than targeted attack.
 #[test]
 fn claim_robust_yet_fragile() {
-    use hotgen::metrics::robustness::{degradation, robustness_score, RemovalPolicy};
+    use hotgen::metrics::robustness::{degradation_curve, robustness_score, RemovalPolicy};
     let topo = fkp::grow(
         &FkpConfig {
             n: 800,
@@ -173,17 +173,19 @@ fn claim_robust_yet_fragile() {
     );
     let g = topo.to_graph();
     let fractions = [0.02, 0.05, 0.1];
-    let random = degradation(
+    let random = degradation_curve(
         &g,
         RemovalPolicy::RandomFailure,
         &fractions,
         &mut StdRng::seed_from_u64(7),
+        1,
     );
-    let attack = degradation(
+    let attack = degradation_curve(
         &g,
         RemovalPolicy::DegreeAttack,
         &fractions,
         &mut StdRng::seed_from_u64(7),
+        1,
     );
     assert!(robustness_score(&random) > 5.0 * robustness_score(&attack));
 }

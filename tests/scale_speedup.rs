@@ -23,6 +23,9 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
+mod common;
+use common::traversal::csr_bfs_distances;
+
 #[test]
 fn scale_kernels_speedup_glp() {
     let (n, n_sources, bw_n, pivots_k) = if cfg!(debug_assertions) {
@@ -45,7 +48,10 @@ fn scale_kernels_speedup_glp() {
 
     // Classic allocating top-down BFS.
     let t0 = Instant::now();
-    let classic: Vec<Vec<u32>> = sources.iter().map(|&s| csr.bfs_distances(s)).collect();
+    let classic: Vec<Vec<u32>> = sources
+        .iter()
+        .map(|&s| csr_bfs_distances(&csr, s))
+        .collect();
     let classic_time = t0.elapsed();
 
     // Direction-optimizing BFS into reusable scratch.

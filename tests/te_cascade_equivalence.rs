@@ -8,13 +8,14 @@
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::default_threads;
-use hotgen::sim::cascade::{cascade, cascade_naive, CascadeConfig};
+use hotgen::sim::cascade::{cascade, CascadeConfig};
 use hotgen::sim::demand::OdDemand;
 use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod common;
+use common::per_flow::cascade_naive;
 use common::Banded;
 
 /// Integer-valued OD demand: small integers varying per pair, so f64
@@ -82,6 +83,37 @@ fn assert_cascades_equal(
             fast.rounds.len(),
             fast.failed_links()
         );
+    }
+}
+
+/// The reference agrees with the batched cascade on the square with a
+/// 4-unit demand from 0 to 3, whether one weak link trips, every link
+/// trips, or nothing does.
+#[test]
+fn naive_reference_agrees_on_the_square() {
+    let g: hotgen::graph::Graph<(), ()> =
+        hotgen::graph::Graph::from_edges(4, vec![(0, 1, ()), (0, 2, ()), (1, 3, ()), (2, 3, ())]);
+    let csr = CsrGraph::from_graph(&g);
+    for caps in [vec![2.0, 10.0, 10.0, 10.0], vec![0.5; 4], vec![100.0; 4]] {
+        let fast = cascade(&csr, &SquareDemand, &caps, &CascadeConfig::default(), 3);
+        let slow = cascade_naive(&csr, &SquareDemand, &caps, &CascadeConfig::default());
+        assert_eq!(fast, slow, "caps {:?}", caps);
+    }
+}
+
+/// 4 units from node 0 to node 3 of a 4-node graph, nothing else.
+struct SquareDemand;
+
+impl OdDemand for SquareDemand {
+    fn node_count(&self) -> usize {
+        4
+    }
+    fn demand(&self, src: usize, dst: usize) -> f64 {
+        if (src, dst) == (0, 3) {
+            4.0
+        } else {
+            0.0
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::parallel::default_threads;
-use hotgen::sim::cascade::{cascade, cascade_naive, CascadeConfig};
+use hotgen::sim::cascade::{cascade, CascadeConfig};
 use hotgen::sim::demand::OdDemand;
 use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
@@ -21,6 +21,7 @@ use rand::SeedableRng;
 use std::time::Instant;
 
 mod common;
+use common::per_flow::cascade_naive;
 use common::Banded;
 
 /// Integer-valued OD demand (same family as `te_cascade_equivalence`):

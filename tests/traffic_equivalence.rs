@@ -13,21 +13,21 @@
 
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
-use hotgen::graph::parallel::bfs_forest;
-use hotgen::graph::NodeId;
+use hotgen::graph::{Graph, NodeId};
 use hotgen::sim::demand::{Demand, DemandConfig, DemandMatrix, DemandModel, OdDemand};
 use hotgen::sim::failure::route_demands;
-use hotgen::sim::traffic::{link_loads, naive_link_load, RoutePolicy};
+use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::OnceLock;
 
 mod common;
+use common::per_flow::{bfs_forest, naive_link_load};
 use common::Banded;
 
 /// The shared 5k-node GLP fixture (generated once per test binary).
-fn glp5k() -> &'static (hotgen::graph::Graph<(), ()>, CsrGraph) {
-    static FIXTURE: OnceLock<(hotgen::graph::Graph<(), ()>, CsrGraph)> = OnceLock::new();
+fn glp5k() -> &'static (Graph<(), ()>, CsrGraph) {
+    static FIXTURE: OnceLock<(Graph<(), ()>, CsrGraph)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let g = glp::generate(
             &glp::GlpConfig {
@@ -183,4 +183,68 @@ fn ecmp_and_tree_agree_on_accounting() {
     // Same shortest-path lengths → identical traffic-hops.
     assert_eq!(tree.traffic_hops.to_bits(), ecmp.traffic_hops.to_bits());
     assert!(tree.max_load() > 0.0 && ecmp.max_load() > 0.0);
+}
+
+/// The reference's forest holds one tree per requested source, in
+/// order, identical at every thread count; a repeated source resolves
+/// to its first tree.
+#[test]
+fn bfs_forest_matches_individual_trees() {
+    let (w, h) = (6u32, 4u32);
+    let mut edges = Vec::new();
+    for y in 0..h {
+        for x in 0..w {
+            let v = (y * w + x) as usize;
+            if x + 1 < w {
+                edges.push((v, v + 1, ()));
+            }
+            if y + 1 < h {
+                edges.push((v, v + w as usize, ()));
+            }
+        }
+    }
+    let g: Graph<(), ()> = Graph::from_edges((w * h) as usize, edges);
+    let csr = CsrGraph::from_graph(&g);
+    let sources: Vec<NodeId> = [0u32, 7, 23, 7].iter().map(|&v| NodeId(v)).collect();
+    let reference = bfs_forest(&csr, &sources, 1);
+    for threads in [1, 2, 4, 8] {
+        let forest = bfs_forest(&csr, &sources, threads);
+        assert_eq!(forest.len(), sources.len());
+        for (i, &s) in sources.iter().enumerate() {
+            let tree = forest.tree(i);
+            assert_eq!(tree.source, s);
+            assert_eq!(tree.dist, csr.bfs_tree(s).dist, "threads {}", threads);
+            assert_eq!(tree.dist, reference.tree(i).dist);
+        }
+        // Duplicate source 7 resolves to the first tree.
+        assert_eq!(forest.tree_from(NodeId(7)).unwrap().source, NodeId(7));
+        assert!(forest.tree_from(NodeId(1)).is_none());
+    }
+    let empty = bfs_forest(&csr, &[], 4);
+    assert!(empty.is_empty());
+    assert!(empty.tree_from(NodeId(0)).is_none());
+}
+
+/// A flow whose source has no tree, or whose destination lies outside
+/// the graph, is unrouted rather than an index panic.
+#[test]
+fn naive_missing_source_tree_is_unrouted() {
+    let g: Graph<(), ()> = Graph::from_edges(4, vec![(0, 1, ()), (1, 2, ()), (2, 3, ())]);
+    let csr = CsrGraph::from_graph(&g);
+    let forest = bfs_forest(&csr, &[NodeId(0)], 1);
+    let flows = vec![
+        Demand {
+            src: NodeId(2),
+            dst: NodeId(3),
+            amount: 4.0,
+        },
+        Demand {
+            src: NodeId(0),
+            dst: NodeId(99),
+            amount: 1.5,
+        },
+    ];
+    let out = naive_link_load(&csr, &forest, &flows);
+    assert_eq!(out.unrouted_flows, 2);
+    assert_eq!(out.unrouted_traffic, 5.5);
 }

@@ -12,15 +12,16 @@
 
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
-use hotgen::graph::parallel::{bfs_forest, default_threads};
+use hotgen::graph::parallel::default_threads;
 use hotgen::graph::NodeId;
 use hotgen::sim::demand::{DemandConfig, DemandMatrix, DemandModel};
-use hotgen::sim::traffic::{link_loads, naive_link_load, RoutePolicy};
+use hotgen::sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
 
 mod common;
+use common::per_flow::{bfs_forest, naive_link_load};
 use common::Banded;
 
 #[test]
