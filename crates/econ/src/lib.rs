@@ -25,5 +25,5 @@ pub mod trend;
 pub use cable::{CableCatalog, CableType, CatalogError};
 pub use cost::LinkCost;
 pub use demand::CustomerDemand;
-pub use provision::{proportional_capacities, provision_capacities};
+pub use provision::{headroom_is_valid, proportional_capacities, provision_capacities};
 pub use trend::TechTrend;

@@ -19,6 +19,13 @@
 
 use crate::cable::CableCatalog;
 
+/// Whether `headroom` is a planning factor both provisioning policies
+/// accept: finite and at least 1 (capacity never below the load it is
+/// sized for).
+pub fn headroom_is_valid(headroom: f64) -> bool {
+    headroom.is_finite() && headroom >= 1.0
+}
+
 /// Capacities bought from the catalog to carry `loads` with the given
 /// `headroom` factor (≥ 1): each link installs the cheapest
 /// whole-instance single-type configuration covering `load × headroom`,
@@ -28,7 +35,7 @@ use crate::cable::CableCatalog;
 /// is physically provisioned even if the forecast misses it.
 pub fn provision_capacities(catalog: &CableCatalog, loads: &[f64], headroom: f64) -> Vec<f64> {
     assert!(
-        headroom.is_finite() && headroom >= 1.0,
+        headroom_is_valid(headroom),
         "headroom must be a finite factor >= 1, got {}",
         headroom
     );
@@ -59,7 +66,7 @@ pub fn provision_capacities(catalog: &CableCatalog, loads: &[f64], headroom: f64
 pub fn proportional_capacities(weights: &[f64], loads: &[f64], headroom: f64) -> Vec<f64> {
     assert_eq!(weights.len(), loads.len(), "weights/loads length mismatch");
     assert!(
-        headroom.is_finite() && headroom >= 1.0,
+        headroom_is_valid(headroom),
         "headroom must be a finite factor >= 1, got {}",
         headroom
     );
@@ -125,6 +132,16 @@ mod tests {
     fn proportional_all_idle_returns_weights() {
         let weights = vec![3.0, 7.0];
         assert_eq!(proportional_capacities(&weights, &[0.0, 0.0], 1.5), weights);
+    }
+
+    #[test]
+    fn headroom_predicate_rejects_non_finite_and_sub_unity() {
+        for h in [1.0, 1.25, 1e9] {
+            assert!(headroom_is_valid(h), "{}", h);
+        }
+        for h in [0.5, 0.0, -1.0, f64::NAN, f64::INFINITY] {
+            assert!(!headroom_is_valid(h), "{}", h);
+        }
     }
 
     #[test]

@@ -24,12 +24,12 @@ use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_econ::cable::CableCatalog;
-use hot_econ::{proportional_capacities, provision_capacities};
+use hot_econ::{headroom_is_valid, proportional_capacities, provision_capacities};
 use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
 use hot_graph::io::Snapshot;
 use hot_metrics::utilization::{utilization_summary, UtilizationSummary};
-use hot_sim::cascade::{cascade, CascadeConfig, CascadeRound};
+use hot_sim::cascade::{cascade, threshold_is_valid, CascadeConfig, CascadeRound};
 use hot_sim::demand::{DemandConfig, DemandMatrix, DemandModel, SumDemand};
 use hot_sim::te::{tune_weights, TeConfig};
 use hot_sim::traffic::{link_loads, RoutePolicy};
@@ -139,16 +139,17 @@ pub struct CascadeRow {
 
 /// Runs the whole capacitated pipeline — baseline utilization, TE
 /// tuning, surge, cascade — for one topology with its capacities.
+/// `baseline_loads` are `base`'s tree-path link loads on `csr`.
 fn case_row(
     topology: &'static str,
     csr: &CsrGraph,
     base: &DemandMatrix,
+    baseline_loads: &[f64],
     capacities: &[f64],
     p: &Params,
     threads: usize,
 ) -> CascadeRow {
-    let baseline_loads = link_loads(csr, base, RoutePolicy::TreePath, threads);
-    let baseline = utilization_summary(&baseline_loads.link_load, capacities);
+    let baseline = utilization_summary(baseline_loads, capacities);
     let te = tune_weights(
         csr,
         base,
@@ -299,10 +300,14 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
             .collect();
         let capacities = column(&snap.edge_f64, "capacity");
         let base = DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, p.total_traffic);
+        // The ISP was provisioned for its envelope, not for `base`, so
+        // its baseline needs a route of its own.
+        let loads = link_loads(&snap.csr, &base, RoutePolicy::TreePath, threads);
         rows.push(case_row(
             "isp(designed)",
             &snap.csr,
             &base,
+            &loads.link_load,
             capacities,
             p,
             threads,
@@ -337,11 +342,57 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
             .edges()
             .map(|(_, a, b, _)| (degrees[a.index()] + degrees[b.index()]) as f64)
             .collect();
+        // One route serves both the capacity sizing and the row's
+        // baseline utilization.
         let loads = link_loads(&csr, &base, RoutePolicy::TreePath, threads);
         let capacities = proportional_capacities(&weights, &loads.link_load, p.headroom);
-        rows.push(case_row(name, &csr, &base, &capacities, p, threads));
+        rows.push(case_row(
+            name,
+            &csr,
+            &base,
+            &loads.link_load,
+            &capacities,
+            p,
+            threads,
+        ));
     }
     rows
+}
+
+/// Why `p`'s traffic, provisioning or cascade parameters cannot give a
+/// meaningful report, if they cannot: a baseline total that is not
+/// positive and finite routes nothing (or infinities), a surge total or
+/// exponent that is not finite drops the surge or poisons every load,
+/// and headroom and threshold must pass the library's own checks.
+fn invalid_capacity_params(p: &Params) -> Option<String> {
+    if !(p.total_traffic.is_finite() && p.total_traffic > 0.0) {
+        Some(format!(
+            "total_traffic = {} is not a positive finite demand",
+            p.total_traffic
+        ))
+    } else if !(p.surge_traffic.is_finite() && p.surge_traffic >= 0.0) {
+        Some(format!(
+            "surge_traffic = {} is not a finite non-negative demand",
+            p.surge_traffic
+        ))
+    } else if !p.surge_exponent.is_finite() {
+        Some(format!(
+            "surge_exponent = {} is not finite",
+            p.surge_exponent
+        ))
+    } else if !headroom_is_valid(p.headroom) {
+        Some(format!(
+            "headroom = {} is not a finite factor >= 1",
+            p.headroom
+        ))
+    } else if !threshold_is_valid(p.cascade_threshold) {
+        Some(format!(
+            "cascade_threshold = {} is not positive",
+            p.cascade_threshold
+        ))
+    } else {
+        None
+    }
 }
 
 pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
@@ -375,24 +426,16 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         || p.n_pops == 0
         || p.cities < p.n_pops
         || p.total_customers < 2
-        || !(p.headroom >= 1.0)
-        || p.cascade_threshold <= 0.0
-        || p.surge_traffic < 0.0
         || p.max_cascade_rounds == 0
     {
         return report.into_skipped(format!(
             "degenerate parameters: glp_n = {}, ba_n = {}, cities = {}, n_pops = {}, \
-             customers = {}, headroom = {}, threshold = {}, surge = {}, rounds = {}",
-            p.glp_n,
-            p.ba_n,
-            p.cities,
-            p.n_pops,
-            p.total_customers,
-            p.headroom,
-            p.cascade_threshold,
-            p.surge_traffic,
-            p.max_cascade_rounds
+             customers = {}, rounds = {}",
+            p.glp_n, p.ba_n, p.cities, p.n_pops, p.total_customers, p.max_cascade_rounds
         ));
+    }
+    if let Some(reason) = invalid_capacity_params(p) {
+        return report.into_skipped(reason);
     }
     let rows = cascade_rows(p, &ctx);
     let mut provisioning = Table::new(&[

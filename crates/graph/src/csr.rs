@@ -16,16 +16,19 @@
 //! is a single O(n + m) pass, which is noise next to any kernel).
 //!
 //! Every hop BFS in the library runs here: the FIFO tree
-//! ([`CsrGraph::bfs_tree_into`]), the direction-optimizing distance
-//! sweep ([`CsrGraph::bfs_distances_into`]), the component pass
+//! ([`CsrGraph::bfs_tree_into`]), the shortest-path DAG sweep behind
+//! ECMP routing ([`CsrGraph::path_dag_into`]), the direction-optimizing
+//! distance sweep ([`CsrGraph::bfs_distances_into`]), the component pass
 //! ([`CsrGraph::components`]) and Brandes' forward sweep.
 //!
-//! The Brandes betweenness kernel here replaces the old per-source
+//! The Brandes betweenness kernel and the path DAG replace per-source
 //! `Vec<Vec<NodeId>>` predecessor lists with a flat array laid out by the
 //! CSR offsets: on shortest paths a node's predecessors are a subset of
 //! its incident edges, so slot capacity `degree(v)` suffices and the
 //! scratch footprint is a fixed O(n + m) for the whole run — no
-//! per-source reallocation, no quadratic retained capacity.
+//! per-source reallocation, no quadratic retained capacity. Brandes
+//! stores parent nodes only; the path DAG stores `(parent, edge)` pairs,
+//! because link loads land on edges.
 //!
 //! All three arrays are u32-indexed structure-of-arrays: `offsets` holds
 //! u32 adjacency positions (4 bytes per node instead of the 8 a
@@ -432,6 +435,70 @@ impl CsrGraph {
         }
     }
 
+    /// Shortest-path DAG from `start` into `dag`, in one FIFO pass that
+    /// reuses `dag`'s buffers with the same O(reached) reset as
+    /// [`Self::bfs_tree_into`]. The pass records hop distances and the
+    /// visit order (both identical to [`Self::bfs_tree_into`]'s), every
+    /// node's path count σ, and every DAG edge as a `(parent, edge)`
+    /// slot of its child.
+    ///
+    /// With `weights` (indexed by edge id), σ counts each path with the
+    /// product of its edge weights: `σ[u] += σ[v]·w[e]` on each DAG edge.
+    /// Without, every weight is 1.0, which multiplies by exactly 1.0, so
+    /// the unweighted counts are the same bits as unit weights. Either
+    /// way each σ sums its parents in visit order and each parent's
+    /// entries in adjacency order, and a node's slots follow that same
+    /// order. This is the ECMP kernel of the traffic engine.
+    pub fn path_dag_into(&self, start: NodeId, weights: Option<&[f64]>, dag: &mut CsrPathDag) {
+        assert_eq!(
+            (dag.dist.len(), dag.preds.len()),
+            (self.node_count(), self.targets.len()),
+            "DAG sized for a different graph"
+        );
+        match weights {
+            None => self.path_dag_sweep(start, dag, |_| 1.0),
+            Some(w) => {
+                assert_eq!(w.len(), self.edge_count(), "one weight per edge");
+                self.path_dag_sweep(start, dag, |e| w[e.index()])
+            }
+        }
+    }
+
+    fn path_dag_sweep(&self, start: NodeId, dag: &mut CsrPathDag, weight: impl Fn(EdgeId) -> f64) {
+        for &v in &dag.order {
+            dag.dist[v.index()] = UNREACHABLE;
+            dag.sigma[v.index()] = 0.0;
+            dag.pred_len[v.index()] = 0;
+        }
+        dag.order.clear();
+        dag.source = start;
+        dag.dist[start.index()] = 0;
+        dag.sigma[start.index()] = 1.0;
+        dag.order.push(start);
+        let mut head = 0;
+        while head < dag.order.len() {
+            let v = dag.order[head];
+            head += 1;
+            let next = dag.dist[v.index()] + 1;
+            let sigma_v = dag.sigma[v.index()];
+            let lo = self.offsets[v.index()] as usize;
+            let hi = self.offsets[v.index() + 1] as usize;
+            for i in lo..hi {
+                let u = self.targets[i].index();
+                if dag.dist[u] == UNREACHABLE {
+                    dag.dist[u] = next;
+                    dag.order.push(NodeId(u as u32));
+                }
+                if dag.dist[u] == next {
+                    let e = self.edge_ids[i];
+                    dag.sigma[u] += sigma_v * weight(e);
+                    dag.preds[self.offsets[u] as usize + dag.pred_len[u] as usize] = (v, e);
+                    dag.pred_len[u] += 1;
+                }
+            }
+        }
+    }
+
     /// Dijkstra shortest-path tree from `start` under per-edge `latency`
     /// (indexed by edge id, finite and non-negative), into `tree`,
     /// reusing its buffers with the same O(reached) reset as
@@ -778,6 +845,78 @@ impl CsrBfsTree {
     }
 }
 
+/// Shortest-path DAG from one source over a [`CsrGraph`], filled by
+/// [`CsrGraph::path_dag_into`]: hop distances, the FIFO visit order,
+/// (optionally weighted) path counts σ, and each node's DAG in-edges.
+///
+/// The in-edges use the flat layout of Brandes' sweep: node `u`'s
+/// `(parent, edge)` slots sit at `offsets[u] .. offsets[u] + pred_len[u]`
+/// of one array as long as the adjacency arrays. A node's DAG in-edges
+/// are a subset of its incident edges, so the buffers are sized once per
+/// (thread, graph) and never reallocate.
+#[derive(Clone, Debug)]
+pub struct CsrPathDag {
+    source: NodeId,
+    dist: Vec<u32>,
+    sigma: Vec<f64>,
+    order: Vec<NodeId>,
+    preds: Vec<(NodeId, EdgeId)>,
+    pred_len: Vec<u32>,
+}
+
+impl CsrPathDag {
+    /// An empty DAG sized for `csr` (nothing reached, source unset),
+    /// ready for [`CsrGraph::path_dag_into`].
+    pub fn sized(csr: &CsrGraph) -> CsrPathDag {
+        let n = csr.node_count();
+        CsrPathDag {
+            source: NodeId(u32::MAX),
+            dist: vec![UNREACHABLE; n],
+            sigma: vec![0.0; n],
+            order: Vec::with_capacity(n),
+            preds: vec![(NodeId(u32::MAX), EdgeId(u32::MAX)); csr.targets.len()],
+            pred_len: vec![0; n],
+        }
+    }
+
+    /// The DAG's source.
+    #[inline]
+    pub fn source(&self) -> NodeId {
+        self.source
+    }
+
+    /// Hop distance from the source ([`UNREACHABLE`] when unreachable),
+    /// indexed by node id.
+    #[inline]
+    pub fn dist(&self) -> &[u32] {
+        &self.dist
+    }
+
+    /// Path count σ from the source, indexed by node id; meaningful only
+    /// for reached nodes.
+    #[inline]
+    pub fn sigma(&self) -> &[f64] {
+        &self.sigma
+    }
+
+    /// The reached nodes in FIFO visit order: the source first, then by
+    /// non-decreasing hop distance. Unreachable nodes do not appear.
+    #[inline]
+    pub fn visit_order(&self) -> &[NodeId] {
+        &self.order
+    }
+
+    /// `u`'s DAG in-edges as `(parent, edge)`, parents in visit order and
+    /// each parent's edges in its adjacency order. `csr` must be the
+    /// graph the DAG was computed on. Empty for the source and for
+    /// unreachable nodes.
+    #[inline]
+    pub fn preds(&self, csr: &CsrGraph, u: NodeId) -> &[(NodeId, EdgeId)] {
+        let lo = csr.offsets[u.index()] as usize;
+        &self.preds[lo..lo + self.pred_len[u.index()] as usize]
+    }
+}
+
 /// Reusable scratch state for the flat-array Brandes kernel: sized once
 /// per (thread, graph), O(n + m) total, never grown afterwards.
 pub(crate) struct BrandesScratch {
@@ -1091,6 +1230,43 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// The diamond plus a second a–b link (edge 5): from a, b collects
+    /// both parallel links (σ = 2) and d three paths over its two DAG
+    /// edges b–d and c–d; a reused DAG resets cleanly for a smaller
+    /// component.
+    #[test]
+    fn path_dag_counts_weighted_paths_and_keeps_slot_order() {
+        let mut g = diamond();
+        g.add_edge(NodeId(0), NodeId(1), 6);
+        g.add_node("e");
+        let csr = CsrGraph::from_graph(&g);
+        let mut dag = CsrPathDag::sized(&csr);
+        csr.path_dag_into(NodeId(0), None, &mut dag);
+        let tree = csr.bfs_tree(NodeId(0));
+        assert_eq!(dag.dist(), &tree.dist[..]);
+        assert_eq!(dag.visit_order(), tree.visit_order());
+        assert_eq!(&dag.sigma()[..4], &[1.0, 2.0, 1.0, 3.0]);
+        assert_eq!(
+            dag.preds(&csr, NodeId(1)),
+            &[(NodeId(0), EdgeId(0)), (NodeId(0), EdgeId(5))]
+        );
+        assert_eq!(
+            dag.preds(&csr, NodeId(3)),
+            &[(NodeId(1), EdgeId(3)), (NodeId(2), EdgeId(4))]
+        );
+        assert!(dag.preds(&csr, NodeId(0)).is_empty());
+        assert_eq!(dag.dist()[4], UNREACHABLE);
+        // σ[d] = w0·w3 + w5·w3 + w1·w4 = 2·1 + 0.5·1 + 1·3.
+        let w = [2.0, 1.0, 1.0, 1.0, 3.0, 0.5];
+        csr.path_dag_into(NodeId(0), Some(&w), &mut dag);
+        assert_eq!(&dag.sigma()[..4], &[1.0, 2.5, 1.0, 5.5]);
+        csr.path_dag_into(NodeId(4), None, &mut dag);
+        assert_eq!(dag.source(), NodeId(4));
+        assert_eq!(dag.visit_order(), &[NodeId(4)]);
+        assert_eq!(dag.dist()[..4], [UNREACHABLE; 4]);
+        assert!(dag.preds(&csr, NodeId(3)).is_empty());
     }
 
     #[test]

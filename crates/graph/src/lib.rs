@@ -17,7 +17,7 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
-//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, connected components), Dijkstra trees, and the Brandes sweep |
+//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, shortest-path DAGs with path counts for ECMP, connected components), Dijkstra trees, and the Brandes sweep |
 //! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_betweenness_sampled`, `par_path_summary` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and Esau–Williams |
 //! | [`traversal`] | three connectivity queries on a [`Graph`]: component count, largest component, connectedness |

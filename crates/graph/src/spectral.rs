@@ -263,6 +263,33 @@ mod tests {
         let ev = top_adjacency_eigenvalues(&g, 2);
         assert!((ev[0] - 3.0).abs() < 1e-6);
         assert!((ev[1] + 1.0).abs() < 1e-4);
+        // K_5: 4, then -1 four times.
+        let ev = top_adjacency_eigenvalues(&complete(5), 2);
+        assert!((ev[0] - 4.0).abs() < 1e-5);
+        assert!((ev[1] + 1.0).abs() < 1e-3);
+    }
+
+    /// The first power iteration does not depend on how many
+    /// eigenvalues are asked for, so the spectral radius is the same
+    /// bits from `k = 1` and `k = 2`.
+    #[test]
+    fn radius_is_independent_of_k() {
+        let g: Graph<(), ()> = Graph::from_edges(
+            7,
+            vec![
+                (0, 1, ()),
+                (1, 2, ()),
+                (2, 0, ()),
+                (2, 3, ()),
+                (3, 4, ()),
+                (4, 5, ()),
+                (5, 6, ()),
+            ],
+        );
+        assert_eq!(
+            spectral_radius(&g).to_bits(),
+            top_adjacency_eigenvalues(&g, 2)[0].to_bits()
+        );
     }
 
     #[test]
@@ -270,6 +297,7 @@ mod tests {
         let g: Graph<(), ()> = Graph::new();
         assert_eq!(spectral_radius(&g), 0.0);
         assert_eq!(algebraic_connectivity(&g), 0.0);
+        assert!(top_adjacency_eigenvalues(&g, 2).is_empty());
         assert!(top_adjacency_eigenvalues(&g, 3).is_empty());
     }
 }

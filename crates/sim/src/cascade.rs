@@ -99,6 +99,12 @@ impl CascadeOutcome {
     }
 }
 
+/// Whether `threshold` is a failure threshold [`cascade`] accepts:
+/// positive, and not NaN. `+∞` is valid and fails nothing.
+pub fn threshold_is_valid(threshold: f64) -> bool {
+    threshold > 0.0
+}
+
 /// Runs the cascade of `demand` over `csr` with per-link `capacities`
 /// (indexed by `EdgeId`), using the batched engine
 /// ([`RoutePolicy::TreePath`]) for every re-route round. Deterministic
@@ -120,7 +126,7 @@ pub fn cascade(
         "capacities must be positive"
     );
     assert!(
-        cfg.threshold > 0.0,
+        threshold_is_valid(cfg.threshold),
         "threshold must be positive, got {}",
         cfg.threshold
     );
@@ -276,5 +282,15 @@ mod tests {
         assert!(out.converged);
         assert_eq!(out.rounds.len(), 1);
         assert_eq!(out.final_round().max_util, 0.0);
+    }
+
+    #[test]
+    fn threshold_predicate_rejects_nan_and_non_positive() {
+        for t in [1e-9, 1.0, f64::INFINITY] {
+            assert!(threshold_is_valid(t), "{}", t);
+        }
+        for t in [0.0, -1.0, f64::NAN, f64::NEG_INFINITY] {
+            assert!(!threshold_is_valid(t), "{}", t);
+        }
     }
 }

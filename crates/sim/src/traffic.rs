@@ -25,8 +25,16 @@
 //!
 //! [`RoutePolicy::Ecmp`] additionally splits each flow equally over *all*
 //! shortest paths (per-path, so parallel equal-length paths through a
-//! high-σ neighbor carry proportionally more), via the same reverse
-//! sweep with Brandes-style path counts.
+//! high-σ neighbor carry proportionally more). It replaces the tree with
+//! one forward sweep per source
+//! ([`hot_graph::csr::CsrGraph::path_dag_into`]) that records distances,
+//! Brandes-style path counts σ and each node's shortest-path-DAG
+//! in-edges; the reverse pass then splits each node's accumulated demand
+//! over those in-edges only, never rescanning an adjacency list. Every
+//! σ and every split adds in the order the older two-pass engine used
+//! (a BFS tree, a path-count pass, and a reverse scan of each node's
+//! neighbors), so the loads are the same bits; that engine is kept as
+//! the oracle in `tests/common/ecmp.rs`.
 //!
 //! [`link_loads_weighted`] generalizes ECMP with per-link multiplicative
 //! weights (a path's weight is the product of its edge weights; flows
@@ -39,7 +47,8 @@
 //! in floating point.
 
 use crate::demand::OdDemand;
-use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
+use hot_graph::csr::{CsrBfsTree, CsrGraph, CsrPathDag, UNREACHABLE};
+use hot_graph::graph::{EdgeId, NodeId};
 use hot_graph::parallel::run_chunks;
 
 /// How a flow is mapped onto shortest paths.
@@ -114,22 +123,29 @@ impl TrafficLoads {
     }
 }
 
-/// Per-worker scratch: a reusable BFS tree, the subtree accumulator, the
-/// ECMP path counts, and one positive-demand list per model. O(n) each,
-/// allocated once per worker thread.
+/// The per-source routing structure of one worker: a BFS tree for
+/// [`RoutePolicy::TreePath`], a shortest-path DAG for
+/// [`RoutePolicy::Ecmp`]. Allocated once per worker thread.
+enum Routes {
+    Tree(CsrBfsTree),
+    Dag(CsrPathDag),
+}
+
+/// Per-worker scratch: the routing structure, the subtree accumulator,
+/// and one positive-demand list per model. O(n + m) in all.
 struct EngineScratch {
-    tree: CsrBfsTree,
+    routes: Routes,
     acc: Vec<f64>,
-    sigma: Vec<f64>,
     /// `entries[m]` = the current source's positive demands under model
     /// `m`, as `(dst, amount)`.
     entries: Vec<Vec<(u32, f64)>>,
 }
 
 /// Routes every demand model in `demands` over `csr` in one batched
-/// sweep — each source's BFS tree is computed once and fanned out over
-/// all models — and returns one [`TrafficLoads`] per model, in input
-/// order. Output is bit-identical at every thread count.
+/// sweep — each source's BFS tree (or ECMP DAG) is computed once and
+/// fanned out over all models — and returns one [`TrafficLoads`] per
+/// model, in input order. Output is bit-identical at every thread
+/// count.
 ///
 /// Self-demand (the matrix diagonal) and non-positive demands are
 /// ignored. All models must cover exactly `csr.node_count()` nodes.
@@ -194,20 +210,27 @@ fn link_loads_inner(
         n,
         threads,
         || EngineScratch {
-            tree: CsrBfsTree::sized(n),
+            routes: match policy {
+                RoutePolicy::TreePath => Routes::Tree(CsrBfsTree::sized(n)),
+                RoutePolicy::Ecmp => Routes::Dag(CsrPathDag::sized(csr)),
+            },
             acc: vec![0.0; n],
-            sigma: vec![0.0; n],
             entries: demands.iter().map(|_| Vec::new()).collect(),
         },
         |scratch, range| {
             let mut partial: Vec<TrafficLoads> =
                 demands.iter().map(|_| TrafficLoads::zero(links)).collect();
+            let EngineScratch {
+                routes,
+                acc,
+                entries,
+            } = scratch;
             for s in range {
                 // Gather each model's positive demands first: a source
                 // nobody sends from (masked masses, restricted bands)
                 // skips its BFS entirely.
                 let mut any = false;
-                for (dem, entries) in demands.iter().zip(&mut scratch.entries) {
+                for (dem, entries) in demands.iter().zip(entries.iter_mut()) {
                     entries.clear();
                     dem.gather_row(s, entries);
                     any |= !entries.is_empty();
@@ -215,12 +238,25 @@ fn link_loads_inner(
                 if !any {
                     continue;
                 }
-                csr.bfs_tree_into(hot_graph::graph::NodeId(s as u32), &mut scratch.tree);
-                if policy == RoutePolicy::Ecmp {
-                    count_paths(csr, &scratch.tree, &mut scratch.sigma, weights);
-                }
-                for (m, out) in partial.iter_mut().enumerate() {
-                    accumulate_source(csr, scratch, m, policy, weights, out);
+                let source = NodeId(s as u32);
+                match routes {
+                    Routes::Tree(tree) => {
+                        csr.bfs_tree_into(source, tree);
+                        for (entries, out) in entries.iter().zip(&mut partial) {
+                            seed_demands(entries, source, &tree.dist, acc, out);
+                            push_up_tree(tree, acc, out);
+                        }
+                    }
+                    Routes::Dag(dag) => {
+                        csr.path_dag_into(source, weights, dag);
+                        for (entries, out) in entries.iter().zip(&mut partial) {
+                            seed_demands(entries, source, dag.dist(), acc, out);
+                            match weights {
+                                None => push_up_dag(csr, dag, |_| 1.0, acc, out),
+                                Some(w) => push_up_dag(csr, dag, |e| w[e.index()], acc, out),
+                            }
+                        }
+                    }
                 }
             }
             partial
@@ -246,112 +282,82 @@ pub fn link_loads(
         .expect("one model in, one result out")
 }
 
-/// Brandes-style shortest-path counts from the tree's source, into
-/// `sigma` (entries outside the reached set are never read). With
-/// `weights`, σ counts each path with the product of its edge weights;
-/// unit weights multiply by exactly 1.0, so the unweighted numbers are
-/// reproduced bit for bit.
-fn count_paths(csr: &CsrGraph, tree: &CsrBfsTree, sigma: &mut [f64], weights: Option<&[f64]>) {
-    for &v in tree.visit_order() {
-        sigma[v.index()] = 0.0;
-    }
-    sigma[tree.source.index()] = 1.0;
-    for &v in tree.visit_order() {
-        let next = tree.dist[v.index()] + 1;
-        match weights {
-            None => {
-                for &u in csr.neighbors(v) {
-                    if tree.dist[u.index()] == next {
-                        sigma[u.index()] += sigma[v.index()];
-                    }
-                }
-            }
-            Some(w) => {
-                for (&u, &e) in csr.neighbors(v).iter().zip(csr.incident_edges(v)) {
-                    if tree.dist[u.index()] == next {
-                        sigma[u.index()] += sigma[v.index()] * w[e.index()];
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Routes the gathered positive demands of model `m` (for the current
-/// source, already in `scratch.entries[m]`) over the current scratch
-/// tree into `out`. The subtree accumulator is left all-zero again on
-/// return.
-fn accumulate_source(
-    csr: &CsrGraph,
-    scratch: &mut EngineScratch,
-    m: usize,
-    policy: RoutePolicy,
-    weights: Option<&[f64]>,
+/// Books one model's gathered demands from `source` into `out` and
+/// seeds each reachable destination's accumulator with its amount.
+fn seed_demands(
+    entries: &[(u32, f64)],
+    source: NodeId,
+    dist: &[u32],
+    acc: &mut [f64],
     out: &mut TrafficLoads,
 ) {
-    let EngineScratch {
-        tree,
-        acc,
-        sigma,
-        entries,
-    } = scratch;
-    for &(v, amount) in &entries[m] {
+    for &(v, amount) in entries {
         let v = v as usize;
         // Self-demand is never routed, whatever a gather_row emits.
-        if v == tree.source.index() {
+        if v == source.index() {
             continue;
         }
-        if tree.dist[v] == UNREACHABLE {
+        if dist[v] == UNREACHABLE {
             out.unrouted_flows += 1;
             out.unrouted_traffic += amount;
         } else {
             acc[v] = amount;
             out.routed_flows += 1;
             out.routed_traffic += amount;
-            out.traffic_hops += amount * tree.dist[v] as f64;
+            out.traffic_hops += amount * dist[v] as f64;
         }
     }
-    // Children precede parents in reverse visit order, so by the time a
-    // node is popped its accumulator holds the whole subtree's demand.
-    for &v in tree.visit_order().iter().rev() {
-        if v == tree.source {
-            continue;
-        }
+}
+
+/// Pushes the seeded demand up the BFS tree onto its edges. Children
+/// precede parents in reverse visit order, so by the time a node is
+/// popped its accumulator holds the whole subtree's demand. Leaves the
+/// accumulator all-zero.
+fn push_up_tree(tree: &CsrBfsTree, acc: &mut [f64], out: &mut TrafficLoads) {
+    for &v in tree.visit_order()[1..].iter().rev() {
         let a = acc[v.index()];
         if a == 0.0 {
             continue;
         }
-        match policy {
-            RoutePolicy::TreePath => {
-                let (p, e) = tree
-                    .parent(v)
-                    .expect("reached non-source node has a parent");
-                out.link_load[e.index()] += a;
-                acc[p.index()] += a;
-            }
-            RoutePolicy::Ecmp => {
-                let dv = tree.dist[v.index()];
-                let share = a / sigma[v.index()];
-                for (&u, &e) in csr.neighbors(v).iter().zip(csr.incident_edges(v)) {
-                    let du = tree.dist[u.index()];
-                    if du != UNREACHABLE && du + 1 == dv {
-                        // Weighted: the σ entering v through edge e is
-                        // σ[u]·w(e), so that is e's share of the split.
-                        // Unweighted multiplies by exactly 1.0 — the
-                        // two cases are bit-identical at unit weights.
-                        let c = match weights {
-                            None => share * sigma[u.index()],
-                            Some(w) => share * (sigma[u.index()] * w[e.index()]),
-                        };
-                        out.link_load[e.index()] += c;
-                        acc[u.index()] += c;
-                    }
-                }
-            }
-        }
+        let (p, e) = tree
+            .parent(v)
+            .expect("reached non-source node has a parent");
+        out.link_load[e.index()] += a;
+        acc[p.index()] += a;
         acc[v.index()] = 0.0;
     }
     acc[tree.source.index()] = 0.0;
+}
+
+/// Splits the seeded demand over the shortest-path DAG: in reverse visit
+/// order each node hands its accumulated demand to its DAG in-edges in
+/// proportion to the (weighted) path counts entering through them. Only
+/// DAG edges are read. Leaves the accumulator all-zero.
+fn push_up_dag(
+    csr: &CsrGraph,
+    dag: &CsrPathDag,
+    weight: impl Fn(EdgeId) -> f64,
+    acc: &mut [f64],
+    out: &mut TrafficLoads,
+) {
+    let sigma = dag.sigma();
+    for &v in dag.visit_order()[1..].iter().rev() {
+        let a = acc[v.index()];
+        if a == 0.0 {
+            continue;
+        }
+        let share = a / sigma[v.index()];
+        for &(u, e) in dag.preds(csr, v) {
+            // The σ entering v through edge e is σ[u]·w(e), so that is
+            // e's share of the split. Unweighted multiplies by exactly
+            // 1.0, so unit weights give the same bits.
+            let c = share * (sigma[u.index()] * weight(e));
+            out.link_load[e.index()] += c;
+            acc[u.index()] += c;
+        }
+        acc[v.index()] = 0.0;
+    }
+    acc[dag.source().index()] = 0.0;
 }
 
 #[cfg(test)]

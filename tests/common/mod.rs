@@ -2,11 +2,12 @@
 //! demand wrapper of the traffic suites, and the slow references the
 //! library engines are checked against — the `Graph` BFS family and the
 //! classic CSR BFS (`traversal`), the `Graph` shortest paths
-//! (`shortest_path`), the per-vantage traceroute (`traceroute`), and
-//! the per-flow traffic and cascade engines (`per_flow`). Each binary
-//! uses only part of this module.
+//! (`shortest_path`), the per-vantage traceroute (`traceroute`), the
+//! per-flow traffic and cascade engines (`per_flow`), and the two-pass
+//! ECMP engine (`ecmp`). Each binary uses only part of this module.
 #![allow(dead_code)]
 
+pub mod ecmp;
 pub mod per_flow;
 pub mod shortest_path;
 pub mod traceroute;

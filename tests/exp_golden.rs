@@ -362,24 +362,46 @@ fn degenerate_params_skip_cleanly() {
         ctx(1),
     );
     assert!(matches!(report.status, ExpStatus::Skipped { .. }));
-    // A sub-unity headroom or a zero threshold must skip the
-    // capacitated scenario, not trip the provisioning asserts.
-    let report = e18::run(
-        &e18::Params {
-            headroom: 0.5,
+    // Headroom and threshold values the provisioning and cascade
+    // asserts reject, and traffic totals or surge shapes that would
+    // route nothing, poison the loads or drop the surge, must skip the
+    // capacitated scenario with the field named.
+    let with = |corrupt: fn(&mut e18::Params)| {
+        let mut p = e18::Params {
+            glp_n: 60,
+            ba_n: 60,
             ..e18::Params::golden()
-        },
-        ctx(1),
-    );
-    assert!(matches!(report.status, ExpStatus::Skipped { .. }));
-    let report = e18::run(
-        &e18::Params {
-            cascade_threshold: 0.0,
-            ..e18::Params::golden()
-        },
-        ctx(1),
-    );
-    assert!(matches!(report.status, ExpStatus::Skipped { .. }));
+        };
+        corrupt(&mut p);
+        p
+    };
+    let cases = [
+        ("headroom", with(|p| p.headroom = 0.5)),
+        ("headroom", with(|p| p.headroom = f64::NAN)),
+        ("headroom", with(|p| p.headroom = f64::INFINITY)),
+        ("cascade_threshold", with(|p| p.cascade_threshold = 0.0)),
+        (
+            "cascade_threshold",
+            with(|p| p.cascade_threshold = f64::NAN),
+        ),
+        ("total_traffic", with(|p| p.total_traffic = 0.0)),
+        ("total_traffic", with(|p| p.total_traffic = -1.0)),
+        ("total_traffic", with(|p| p.total_traffic = f64::NAN)),
+        ("total_traffic", with(|p| p.total_traffic = f64::INFINITY)),
+        ("surge_traffic", with(|p| p.surge_traffic = -1.0)),
+        ("surge_traffic", with(|p| p.surge_traffic = f64::NAN)),
+        ("surge_traffic", with(|p| p.surge_traffic = f64::INFINITY)),
+        ("surge_exponent", with(|p| p.surge_exponent = f64::NAN)),
+        ("surge_exponent", with(|p| p.surge_exponent = f64::INFINITY)),
+    ];
+    for (field, p) in cases {
+        match &e18::run(&p, ctx(1)).status {
+            ExpStatus::Skipped { reason } => assert!(reason.contains(field), "{}", reason),
+            other => panic!("e18 with a bad {}: {:?}", field, other),
+        }
+    }
+    // The smaller controls themselves run.
+    assert_eq!(e18::run(&with(|_| {}), ctx(1)).status, ExpStatus::Ok);
     // FKP trade-off weights that `fkp::grow` rejects must skip E1, E2
     // and E9 before any tree is grown.
     for alpha in [f64::NAN, -1.0, f64::INFINITY] {

@@ -10,18 +10,25 @@
 //! of sources): the engine skips sources that originate nothing, which
 //! keeps the debug-build suite fast without shrinking the 5k-node
 //! topology the paths actually traverse.
+//!
+//! The ECMP engine (one shortest-path DAG sweep per source) is checked
+//! against the two-pass engine it replaced (`tests/common/ecmp.rs`) on
+//! random weighted multigraphs, bit for bit.
 
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
 use hotgen::graph::{Graph, NodeId};
 use hotgen::sim::demand::{Demand, DemandConfig, DemandMatrix, DemandModel, OdDemand};
 use hotgen::sim::failure::route_demands;
-use hotgen::sim::traffic::{link_loads, RoutePolicy};
+use hotgen::sim::traffic::{
+    link_loads, link_loads_multi, link_loads_weighted, RoutePolicy, TrafficLoads,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::sync::OnceLock;
 
 mod common;
+use common::ecmp::ecmp_two_pass;
 use common::per_flow::{bfs_forest, naive_link_load};
 use common::Banded;
 
@@ -247,4 +254,144 @@ fn naive_missing_source_tree_is_unrouted() {
     let out = naive_link_load(&csr, &forest, &flows);
     assert_eq!(out.unrouted_flows, 2);
     assert_eq!(out.unrouted_traffic, 5.5);
+}
+
+/// An explicit, sparse OD matrix with non-integer amounts.
+struct SparseDemand {
+    n: usize,
+    d: Vec<f64>,
+}
+
+impl OdDemand for SparseDemand {
+    fn node_count(&self) -> usize {
+        self.n
+    }
+    fn demand(&self, src: usize, dst: usize) -> f64 {
+        self.d[src * self.n + dst]
+    }
+}
+
+/// A random multigraph of up to 4 components plus isolated nodes, with
+/// parallel links in either orientation.
+fn random_multigraph(rng: &mut StdRng) -> Graph<(), ()> {
+    let n = rng.random_range(1usize..=28);
+    let groups = rng.random_range(1usize..=4);
+    let members: Vec<Vec<usize>> = {
+        let mut members = vec![Vec::new(); groups];
+        for v in 0..n {
+            // About one node in six stays isolated.
+            if rng.random_range(0..6) != 0 {
+                members[rng.random_range(0..groups)].push(v);
+            }
+        }
+        members
+    };
+    let mut edges = Vec::new();
+    for _ in 0..rng.random_range(0..=3 * n) {
+        let group = &members[rng.random_range(0..groups)];
+        if group.is_empty() {
+            continue;
+        }
+        let a = group[rng.random_range(0..group.len())];
+        let b = group[rng.random_range(0..group.len())];
+        if a == b {
+            continue;
+        }
+        edges.push((a, b, ()));
+        match rng.random_range(0..6) {
+            0 => edges.push((a, b, ())),
+            1 => edges.push((b, a, ())),
+            _ => {}
+        }
+    }
+    Graph::from_edges(n, edges)
+}
+
+/// One link weight: 1, a power of two below 1, or a non-dyadic value.
+fn random_weight(rng: &mut StdRng) -> f64 {
+    match rng.random_range(0..3) {
+        0 => 1.0,
+        1 => 0.5f64.powi(rng.random_range(1i32..=6)),
+        _ => rng.random_range(0.01..3.0),
+    }
+}
+
+/// Sparse non-integer demand: some sources send nothing, the rest to
+/// about a fifth of the nodes, unreachable ones included.
+fn random_demand(n: usize, rng: &mut StdRng) -> SparseDemand {
+    let mut d = vec![0.0; n * n];
+    for src in 0..n {
+        if rng.random_range(0..4) == 0 {
+            continue;
+        }
+        for dst in 0..n {
+            if dst != src && rng.random_range(0..5) == 0 {
+                d[src * n + dst] = rng.random_range(0.01..10.0);
+            }
+        }
+    }
+    SparseDemand { n, d }
+}
+
+fn assert_same_loads(got: &TrafficLoads, want: &TrafficLoads, label: &str) {
+    assert_eq!(bits(&got.link_load), bits(&want.link_load), "{}", label);
+    assert_eq!(got.routed_flows, want.routed_flows, "{}", label);
+    assert_eq!(got.unrouted_flows, want.unrouted_flows, "{}", label);
+    assert_eq!(
+        got.routed_traffic.to_bits(),
+        want.routed_traffic.to_bits(),
+        "{}",
+        label
+    );
+    assert_eq!(
+        got.unrouted_traffic.to_bits(),
+        want.unrouted_traffic.to_bits(),
+        "{}",
+        label
+    );
+    assert_eq!(
+        got.traffic_hops.to_bits(),
+        want.traffic_hops.to_bits(),
+        "{}",
+        label
+    );
+}
+
+/// The one-sweep ECMP engine against the two-pass reference, on random
+/// weighted multigraphs with sparse non-integer demand at 1–4 threads:
+/// weighted, unweighted and two-model runs all agree bit for bit.
+#[test]
+fn ecmp_sweep_matches_two_pass_oracle() {
+    let mut rng = StdRng::seed_from_u64(20031120);
+    for case in 0..3000 {
+        let g = random_multigraph(&mut rng);
+        let csr = CsrGraph::from_graph(&g);
+        let n = csr.node_count();
+        let weights: Vec<f64> = (0..csr.edge_count())
+            .map(|_| random_weight(&mut rng))
+            .collect();
+        let dem = random_demand(n, &mut rng);
+        let other = random_demand(n, &mut rng);
+        let threads = rng.random_range(1usize..=4);
+        let label = format!(
+            "case {} (n {}, m {}, threads {})",
+            case,
+            n,
+            csr.edge_count(),
+            threads
+        );
+
+        let weighted = link_loads_weighted(&csr, &dem, &weights, threads);
+        let oracle = ecmp_two_pass(&csr, &[&dem], Some(&weights), threads);
+        assert_same_loads(&weighted, &oracle[0], &format!("weighted {}", label));
+
+        let models: [&dyn OdDemand; 2] = [&dem, &other];
+        let plain = link_loads_multi(&csr, &models, RoutePolicy::Ecmp, threads);
+        let oracle = ecmp_two_pass(&csr, &models, None, threads);
+        for (m, (got, want)) in plain.iter().zip(&oracle).enumerate() {
+            assert_same_loads(got, want, &format!("model {} {}", m, label));
+        }
+        let single = link_loads(&csr, &dem, RoutePolicy::Ecmp, threads);
+        assert_same_loads(&single, &oracle[0], &format!("single {}", label));
+    }
 }
