@@ -5,7 +5,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use hot_graph::csr::{CsrBfsTree, CsrGraph};
 use hot_graph::flow::max_flow;
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::mst::{kruskal, prim};
+use hot_graph::mst::kruskal;
 use hot_graph::parallel::{default_threads, par_betweenness, par_path_summary};
 use hot_graph::spectral::spectral_radius;
 use std::hint::black_box;
@@ -44,9 +44,6 @@ fn bench_graph(c: &mut Criterion) {
         })
     });
     group.bench_function("kruskal", |b| b.iter(|| black_box(kruskal(&g, |w| *w))));
-    group.bench_function("prim", |b| {
-        b.iter(|| black_box(prim(&g, NodeId(0), |w| *w)))
-    });
     group.bench_function("maxflow_corners", |b| {
         let t = NodeId((g.node_count() - 1) as u32);
         b.iter(|| black_box(max_flow(&g, NodeId(0), t, |w| *w)))

@@ -64,6 +64,14 @@ pub fn customer_gravity_demand(isp: &IspTopology, total_traffic: f64) -> DemandM
     DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, total_traffic)
 }
 
+/// Whether `total_traffic` can scale a traffic scenario's demand:
+/// positive and finite. Zero, a negative total or NaN routes no flow
+/// at all, and an infinite one turns the loads into infinities and NaN.
+/// E15, E16 and E18 skip, with the field named, when it fails.
+pub fn total_traffic_is_valid(total_traffic: f64) -> bool {
+    total_traffic.is_finite() && total_traffic > 0.0
+}
+
 /// A metadata column a cached snapshot must carry: its section (per
 /// node or per edge, f64 or u32) and its name.
 #[derive(Clone, Copy, Debug)]

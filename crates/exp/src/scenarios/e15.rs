@@ -13,7 +13,9 @@
 //! turns the E12 routing-load claim quantitative: load share of the
 //! core vs load share of the hub neighborhood, per demand model.
 
-use crate::fixtures::{cached_snapshot, column, customer_masses, standard_geography, Column};
+use crate::fixtures::{
+    cached_snapshot, column, customer_masses, standard_geography, total_traffic_is_valid, Column,
+};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
@@ -336,6 +338,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             "degenerate parameters: glp_n = {}, ba_n = {}, cities = {}, n_pops = {}, \
              customers = {}, ccdf_steps = {}",
             p.glp_n, p.ba_n, p.cities, p.n_pops, p.total_customers, p.ccdf_steps
+        ));
+    }
+    if !total_traffic_is_valid(p.total_traffic) {
+        return report.into_skipped(format!(
+            "total_traffic = {} is not a positive finite demand",
+            p.total_traffic
         ));
     }
     let rows = traffic_rows(p, &ctx);

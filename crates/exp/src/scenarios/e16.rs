@@ -15,7 +15,7 @@
 //!    re-routed with the batched traffic engine, measuring how much
 //!    traffic strands and how far the peak load climbs.
 
-use crate::fixtures::{customer_gravity_demand, standard_geography};
+use crate::fixtures::{customer_gravity_demand, standard_geography, total_traffic_is_valid};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
@@ -94,6 +94,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report.into_skipped(format!(
             "degenerate parameters: cities = {}, fail_pops = {}, n_pops = {}, customers = {}",
             p.cities, p.fail_pops, p.n_pops, p.total_customers
+        ));
+    }
+    if !total_traffic_is_valid(p.total_traffic) {
+        return report.into_skipped(format!(
+            "total_traffic = {} is not a positive finite demand",
+            p.total_traffic
         ));
     }
     let (census, traffic) = standard_geography(p.cities, ctx.seed);
@@ -201,12 +207,12 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         if baseline.link_load[e] <= 0.0 {
             break;
         }
-        let mut keep = vec![true; isp.graph.edge_count()];
+        let mut keep = vec![true; csr.edge_count()];
         keep[e] = false;
-        let cut_graph = isp.graph.edge_subgraph(&keep);
-        // Node ids survive edge_subgraph, so the demand matrix applies
-        // unchanged; only the edge indexing of the load vector is new.
-        let cut_csr = CsrGraph::from_graph(&cut_graph);
+        // The masked view keeps every node id, so the demand matrix
+        // applies unchanged; only the edge indexing of the load vector is
+        // new.
+        let (cut_csr, _) = csr.edge_masked(&keep);
         let outcome = link_loads(&cut_csr, &demand, RoutePolicy::TreePath, ctx.threads);
         let kind = isp
             .graph

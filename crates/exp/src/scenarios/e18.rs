@@ -16,7 +16,8 @@
 //! while the hub topologies trip their hub links and cascade.
 
 use crate::fixtures::{
-    cached_snapshot, column, customer_gravity_demand, customer_masses, standard_geography, Column,
+    cached_snapshot, column, customer_gravity_demand, customer_masses, standard_geography,
+    total_traffic_is_valid, Column,
 };
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
@@ -365,7 +366,7 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
 /// exponent that is not finite drops the surge or poisons every load,
 /// and headroom and threshold must pass the library's own checks.
 fn invalid_capacity_params(p: &Params) -> Option<String> {
-    if !(p.total_traffic.is_finite() && p.total_traffic > 0.0) {
+    if !total_traffic_is_valid(p.total_traffic) {
         Some(format!(
             "total_traffic = {} is not a positive finite demand",
             p.total_traffic

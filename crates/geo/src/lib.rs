@@ -5,13 +5,10 @@
 //! depend on the number and location of its customers. This crate provides
 //! that geography:
 //!
-//! - [`point`]: planar points and distance metrics;
+//! - [`point`]: planar points and Euclidean distance;
 //! - [`bbox`]: axis-aligned bounding regions;
-//! - [`grid`]: a uniform spatial hash grid for nearest-neighbor queries
-//!   (the incremental growth models attach each arrival to a nearby node);
 //! - [`population`]: synthetic population centers — Zipf-ranked city sizes
-//!   placed uniformly or in metro clusters, the stand-in for census data
-//!   (see DESIGN.md §2 substitutions);
+//!   placed uniformly or in metro clusters, the stand-in for census data;
 //! - [`gravity`]: gravity-model traffic matrices between population
 //!   centers, the demand input to the design formulations.
 //!
@@ -19,11 +16,9 @@
 
 pub mod bbox;
 pub mod gravity;
-pub mod grid;
 pub mod point;
 pub mod population;
 
 pub use bbox::BoundingBox;
-pub use grid::SpatialGrid;
 pub use point::Point;
 pub use population::{Census, City};

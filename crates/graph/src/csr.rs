@@ -16,19 +16,21 @@
 //! is a single O(n + m) pass, which is noise next to any kernel).
 //!
 //! Every hop BFS in the library runs here: the FIFO tree
-//! ([`CsrGraph::bfs_tree_into`]), the shortest-path DAG sweep behind
-//! ECMP routing ([`CsrGraph::path_dag_into`]), the direction-optimizing
-//! distance sweep ([`CsrGraph::bfs_distances_into`]), the component pass
-//! ([`CsrGraph::components`]) and Brandes' forward sweep.
+//! ([`CsrGraph::bfs_tree_into`]), the shortest-path DAG sweep
+//! ([`CsrGraph::path_dag_into`]), the direction-optimizing distance
+//! sweep ([`CsrGraph::bfs_distances_into`]) and the component pass
+//! ([`CsrGraph::components`]). The DAG sweep is the one pass that
+//! records path counts σ and predecessors: ECMP routing and TE walk it
+//! back to spread link loads, and Brandes betweenness
+//! ([`crate::parallel`]) walks it back to accumulate dependencies.
 //!
-//! The Brandes betweenness kernel and the path DAG replace per-source
-//! `Vec<Vec<NodeId>>` predecessor lists with a flat array laid out by the
-//! CSR offsets: on shortest paths a node's predecessors are a subset of
-//! its incident edges, so slot capacity `degree(v)` suffices and the
-//! scratch footprint is a fixed O(n + m) for the whole run — no
-//! per-source reallocation, no quadratic retained capacity. Brandes
-//! stores parent nodes only; the path DAG stores `(parent, edge)` pairs,
-//! because link loads land on edges.
+//! The path DAG replaces per-source `Vec<Vec<NodeId>>` predecessor lists
+//! with a flat array laid out by the CSR offsets: on shortest paths a
+//! node's predecessors are a subset of its incident edges, so slot
+//! capacity `degree(v)` suffices and the scratch footprint is a fixed
+//! O(n + m) for the whole run — no per-source reallocation, no quadratic
+//! retained capacity. Each slot is a `(parent, edge)` pair, because link
+//! loads land on edges; betweenness reads only the parent.
 //!
 //! All three arrays are u32-indexed structure-of-arrays: `offsets` holds
 //! u32 adjacency positions (4 bytes per node instead of the 8 a
@@ -448,7 +450,8 @@ impl CsrGraph {
     /// the unweighted counts are the same bits as unit weights. Either
     /// way each σ sums its parents in visit order and each parent's
     /// entries in adjacency order, and a node's slots follow that same
-    /// order. This is the ECMP kernel of the traffic engine.
+    /// order. This is the ECMP kernel of the traffic engine and the
+    /// forward sweep of Brandes betweenness.
     pub fn path_dag_into(&self, start: NodeId, weights: Option<&[f64]>, dag: &mut CsrPathDag) {
         assert_eq!(
             (dag.dist.len(), dag.preds.len()),
@@ -849,11 +852,11 @@ impl CsrBfsTree {
 /// [`CsrGraph::path_dag_into`]: hop distances, the FIFO visit order,
 /// (optionally weighted) path counts σ, and each node's DAG in-edges.
 ///
-/// The in-edges use the flat layout of Brandes' sweep: node `u`'s
-/// `(parent, edge)` slots sit at `offsets[u] .. offsets[u] + pred_len[u]`
-/// of one array as long as the adjacency arrays. A node's DAG in-edges
-/// are a subset of its incident edges, so the buffers are sized once per
-/// (thread, graph) and never reallocate.
+/// The in-edges sit in one flat array as long as the adjacency arrays:
+/// node `u`'s `(parent, edge)` slots are `offsets[u] .. offsets[u] +
+/// pred_len[u]`, one slot per DAG edge, so a parallel edge fills two. A
+/// node's DAG in-edges are a subset of its incident edges, so the
+/// buffers are sized once per (thread, graph) and never reallocate.
 #[derive(Clone, Debug)]
 pub struct CsrPathDag {
     source: NodeId,
@@ -914,88 +917,6 @@ impl CsrPathDag {
     pub fn preds(&self, csr: &CsrGraph, u: NodeId) -> &[(NodeId, EdgeId)] {
         let lo = csr.offsets[u.index()] as usize;
         &self.preds[lo..lo + self.pred_len[u.index()] as usize]
-    }
-}
-
-/// Reusable scratch state for the flat-array Brandes kernel: sized once
-/// per (thread, graph), O(n + m) total, never grown afterwards.
-pub(crate) struct BrandesScratch {
-    /// Number of shortest paths from the current source.
-    sigma: Vec<f64>,
-    /// Hop distance from the current source ([`UNREACHABLE`] sentinel).
-    dist: Vec<u32>,
-    /// Brandes dependency accumulator.
-    delta: Vec<f64>,
-    /// Flat predecessor storage: node `v`'s predecessors live at
-    /// `csr.offsets[v] .. csr.offsets[v] + pred_len[v]`. Capacity is
-    /// exactly the adjacency size — predecessors are a subset of incident
-    /// edges — so this never reallocates.
-    preds: Vec<u32>,
-    pred_len: Vec<u32>,
-    /// BFS queue; after the BFS it *is* the visit order, replayed in
-    /// reverse for the dependency pass.
-    order: Vec<u32>,
-}
-
-impl BrandesScratch {
-    pub(crate) fn new(csr: &CsrGraph) -> Self {
-        let n = csr.node_count();
-        BrandesScratch {
-            sigma: vec![0.0; n],
-            dist: vec![UNREACHABLE; n],
-            delta: vec![0.0; n],
-            preds: vec![0; csr.targets.len()],
-            pred_len: vec![0; n],
-            order: Vec::with_capacity(n),
-        }
-    }
-
-    /// Runs one Brandes source and adds every node's dependency into
-    /// `acc` (endpoints excluded). Accumulation order per node is the
-    /// source order, so summing sources in a fixed order is
-    /// deterministic.
-    pub(crate) fn accumulate_source(&mut self, csr: &CsrGraph, s: NodeId, acc: &mut [f64]) {
-        // Reset only what the previous source touched.
-        for &v in &self.order {
-            let v = v as usize;
-            self.sigma[v] = 0.0;
-            self.dist[v] = UNREACHABLE;
-            self.delta[v] = 0.0;
-            self.pred_len[v] = 0;
-        }
-        self.order.clear();
-        self.sigma[s.index()] = 1.0;
-        self.dist[s.index()] = 0;
-        self.order.push(s.0);
-        let mut head = 0;
-        while head < self.order.len() {
-            let v = self.order[head] as usize;
-            head += 1;
-            let next = self.dist[v] + 1;
-            for &u in csr.neighbors(NodeId(v as u32)) {
-                let u = u.index();
-                if self.dist[u] == UNREACHABLE {
-                    self.dist[u] = next;
-                    self.order.push(u as u32);
-                }
-                if self.dist[u] == next {
-                    self.sigma[u] += self.sigma[v];
-                    self.preds[csr.offsets[u] as usize + self.pred_len[u] as usize] = v as u32;
-                    self.pred_len[u] += 1;
-                }
-            }
-        }
-        for i in (0..self.order.len()).rev() {
-            let w = self.order[i] as usize;
-            let coeff = (1.0 + self.delta[w]) / self.sigma[w];
-            for j in 0..self.pred_len[w] as usize {
-                let v = self.preds[csr.offsets[w] as usize + j] as usize;
-                self.delta[v] += self.sigma[v] * coeff;
-            }
-            if w != s.index() {
-                acc[w] += self.delta[w];
-            }
-        }
     }
 }
 
@@ -1368,19 +1289,23 @@ mod tests {
     }
 
     /// Regression for the old `Vec<Vec<NodeId>>` predecessor scratch: on
-    /// a hub-dominated graph the flat predecessor array stays at its
-    /// construction size (exactly one slot per adjacency entry), so a
-    /// 10k-node star completes quickly and exactly. The hub sits on all
-    /// C(9999, 2) leaf pairs, and every quantity is integer-valued, so
-    /// the f64 result is exact.
+    /// a hub-dominated graph the path DAG's flat slot array stays at its
+    /// construction size (exactly one slot per adjacency entry) through
+    /// sweeps from the hub and from a leaf, so Brandes on a 10k-node
+    /// star completes quickly and exactly. The hub sits on all C(9999, 2)
+    /// leaf pairs, and every quantity is integer-valued, so the f64
+    /// result is exact.
     #[test]
     fn star_10k_betweenness_linear_memory() {
         let n = 10_000usize;
         let g: Graph<(), ()> = Graph::from_edges(n, (1..n).map(|i| (0, i, ())).collect::<Vec<_>>());
         let csr = CsrGraph::from_graph(&g);
         assert_eq!(csr.targets.len(), 2 * (n - 1));
-        let scratch = BrandesScratch::new(&csr);
-        assert_eq!(scratch.preds.len(), 2 * (n - 1));
+        let mut dag = CsrPathDag::sized(&csr);
+        for s in [NodeId(0), NodeId(1)] {
+            csr.path_dag_into(s, None, &mut dag);
+            assert_eq!(dag.preds.len(), 2 * (n - 1));
+        }
         let b = crate::parallel::par_betweenness(&csr, crate::parallel::default_threads());
         let leaves = (n - 1) as f64;
         assert_eq!(b[0], leaves * (leaves - 1.0) / 2.0);

@@ -17,11 +17,11 @@
 //! | module | contents |
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
-//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, shortest-path DAGs with path counts for ECMP, connected components), Dijkstra trees, and the Brandes sweep |
-//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness`, `par_betweenness_sampled`, `par_path_summary` |
+//! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, connected components, and the shortest-path DAG with path counts that ECMP routing and Brandes betweenness both walk back) and Dijkstra trees |
+//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness_sampled` (exact `par_betweenness` is its all-pivots run), `par_path_summary` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and Esau–Williams |
 //! | [`traversal`] | three connectivity queries on a [`Graph`]: component count, largest component, connectedness |
-//! | [`mst`] | Kruskal and Prim minimum spanning trees/forests |
+//! | [`mst`] | Kruskal minimum spanning trees/forests |
 //! | [`tree`] | rooted-tree views: parents, depths, leaves |
 //! | [`degree`] | degree sequences, histograms, CCDFs |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |

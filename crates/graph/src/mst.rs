@@ -1,4 +1,4 @@
-//! Minimum spanning trees and forests (Kruskal, Prim).
+//! Minimum spanning trees and forests (Kruskal).
 //!
 //! The classic access-design formulations the paper cites (Gavish 1991;
 //! Balakrishnan et al. 1991) reduce to constrained MST variants; the
@@ -57,82 +57,6 @@ pub fn kruskal<N, E>(g: &Graph<N, E>, mut weight: impl FnMut(&E) -> f64) -> Span
     }
 }
 
-/// Prim's algorithm from an explicit root. Only the root's component is
-/// spanned; `components` reports the component count of the resulting
-/// forest over the whole node set (isolated remainder nodes each count).
-pub fn prim<N, E>(
-    g: &Graph<N, E>,
-    root: NodeId,
-    mut weight: impl FnMut(&E) -> f64,
-) -> SpanningForest {
-    use std::cmp::Ordering;
-    use std::collections::BinaryHeap;
-
-    struct Entry {
-        w: f64,
-        edge: EdgeId,
-        to: NodeId,
-    }
-    impl PartialEq for Entry {
-        fn eq(&self, other: &Self) -> bool {
-            self.w == other.w && self.edge == other.edge
-        }
-    }
-    impl Eq for Entry {}
-    impl Ord for Entry {
-        fn cmp(&self, other: &Self) -> Ordering {
-            other
-                .w
-                .partial_cmp(&self.w)
-                .expect("NaN weight in prim")
-                .then(other.edge.cmp(&self.edge))
-        }
-    }
-    impl PartialOrd for Entry {
-        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
-    let n = g.node_count();
-    let mut in_tree = vec![false; n];
-    let mut heap = BinaryHeap::new();
-    let mut edges = Vec::new();
-    let mut total = 0.0;
-    in_tree[root.index()] = true;
-    let mut spanned = 1;
-    for (u, e) in g.neighbors(root) {
-        heap.push(Entry {
-            w: weight(g.edge_weight(e)),
-            edge: e,
-            to: u,
-        });
-    }
-    while let Some(Entry { w, edge, to }) = heap.pop() {
-        if in_tree[to.index()] {
-            continue;
-        }
-        in_tree[to.index()] = true;
-        spanned += 1;
-        edges.push(edge);
-        total += w;
-        for (u, e) in g.neighbors(to) {
-            if !in_tree[u.index()] {
-                heap.push(Entry {
-                    w: weight(g.edge_weight(e)),
-                    edge: e,
-                    to: u,
-                });
-            }
-        }
-    }
-    SpanningForest {
-        edges,
-        total_weight: total,
-        components: 1 + (n - spanned), // unreached nodes are singleton components
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,29 +87,12 @@ mod tests {
     }
 
     #[test]
-    fn prim_agrees_with_kruskal_on_weight() {
-        let g = sample();
-        let k = kruskal(&g, |w| *w);
-        let p = prim(&g, NodeId(0), |w| *w);
-        assert!((k.total_weight - p.total_weight).abs() < 1e-12);
-        assert!(p.is_spanning_tree(5));
-    }
-
-    #[test]
     fn kruskal_forest_on_disconnected() {
         let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 2.0)]);
         let f = kruskal(&g, |w| *w);
         assert_eq!(f.components, 2);
         assert_eq!(f.edges.len(), 2);
         assert!(!f.is_spanning_tree(4));
-    }
-
-    #[test]
-    fn prim_only_spans_root_component() {
-        let g: Graph<(), f64> = Graph::from_edges(4, vec![(0, 1, 1.0), (2, 3, 2.0)]);
-        let p = prim(&g, NodeId(0), |w| *w);
-        assert_eq!(p.edges.len(), 1);
-        assert_eq!(p.components, 3); // {0,1} plus singletons 2 and 3
     }
 
     #[test]
@@ -260,9 +167,6 @@ mod tests {
             let oracle = brute_force_mst_weight(&g).unwrap();
             prop_assert!((f.total_weight - oracle).abs() < 1e-9,
                 "kruskal {} vs brute force {}", f.total_weight, oracle);
-            // Prim must agree too.
-            let p = prim(&g, NodeId(0), |w| *w);
-            prop_assert!((p.total_weight - oracle).abs() < 1e-9);
         }
     }
 }

@@ -19,9 +19,16 @@
 //! run is the kernel at `threads = 1`, so "serial vs parallel" can never
 //! drift apart.
 //!
+//! All betweenness runs through [`par_betweenness_sampled`]; exact
+//! betweenness is that function with every node as a pivot. Each source's
+//! forward sweep is the shortest-path DAG of
+//! [`CsrGraph::path_dag_into`], the same pass ECMP routing uses, and
+//! Brandes' dependency pass walks its parent slots back in reverse visit
+//! order.
+//!
 //! Everything uses `std::thread::scope`; there are no dependencies.
 
-use crate::csr::{BfsScratch, BrandesScratch, CsrGraph};
+use crate::csr::{BfsScratch, CsrGraph, CsrPathDag};
 use crate::graph::NodeId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -102,42 +109,16 @@ where
 
 /// Betweenness centrality of every node (unweighted shortest paths, each
 /// unordered pair counted once, endpoints excluded) computed on `threads`
-/// worker threads.
+/// worker threads: [`par_betweenness_sampled`] with every node as a
+/// pivot, in id order, where its `n / (2n)` scale is exactly one half.
 ///
 /// Betweenness feeds the hierarchy metrics: in optimization-designed
 /// topologies load concentrates on a thin backbone, which shows up as an
 /// extremely skewed betweenness distribution. Output is bit-identical
 /// for every thread count — see the module docs.
 pub fn par_betweenness(csr: &CsrGraph, threads: usize) -> Vec<f64> {
-    let n = csr.node_count();
-    if n == 0 {
-        return Vec::new();
-    }
-    let partials = run_chunks(
-        n,
-        threads,
-        || BrandesScratch::new(csr),
-        |scratch, range| {
-            // The per-chunk partial must be fresh (it is the reduction
-            // unit); only the O(n + m) scratch is reused across chunks.
-            let mut partial = vec![0.0f64; n];
-            for s in range {
-                scratch.accumulate_source(csr, NodeId(s as u32), &mut partial);
-            }
-            partial
-        },
-    );
-    let mut centrality = vec![0.0f64; n];
-    for (_, partial) in partials {
-        for (c, p) in centrality.iter_mut().zip(partial) {
-            *c += p;
-        }
-    }
-    // Undirected graphs: each pair was counted twice. Exact (power of 2).
-    for c in &mut centrality {
-        *c /= 2.0;
-    }
-    centrality
+    let all: Vec<NodeId> = (0..csr.node_count() as u32).map(NodeId).collect();
+    par_betweenness_sampled(csr, &all, threads)
 }
 
 /// Betweenness centrality *estimated* from a pivot subset (Brandes–Pich
@@ -145,9 +126,7 @@ pub fn par_betweenness(csr: &CsrGraph, threads: usize) -> Vec<f64> {
 /// `pivots`, and each node's summed dependency is scaled by
 /// `n / (2k)` so the estimate is unbiased when pivots are drawn
 /// uniformly. With `pivots` = all nodes in ascending order this is
-/// *bit-identical* to [`par_betweenness`] — the chunk decomposition,
-/// accumulation order, and final scaling (×0.5 vs ÷2) agree exactly —
-/// so exact and sampled results live on one code path.
+/// exact betweenness, which is how [`par_betweenness`] runs.
 ///
 /// Pivot *selection* (seeded, deterministic) lives with the callers;
 /// `hot-metrics` picks seeded uniform pivots above its node threshold.
@@ -160,11 +139,14 @@ pub fn par_betweenness_sampled(csr: &CsrGraph, pivots: &[NodeId], threads: usize
     let partials = run_chunks(
         pivots.len(),
         threads,
-        || BrandesScratch::new(csr),
-        |scratch, range| {
+        || (CsrPathDag::sized(csr), vec![0.0f64; n]),
+        |(dag, delta), range| {
+            // The per-chunk partial must be fresh (it is the reduction
+            // unit); only the O(n + m) scratch is reused across chunks.
             let mut partial = vec![0.0f64; n];
-            for &p in &pivots[range] {
-                scratch.accumulate_source(csr, p, &mut partial);
+            for &s in &pivots[range] {
+                csr.path_dag_into(s, None, dag);
+                accumulate_dependencies(csr, dag, delta, &mut partial);
             }
             partial
         },
@@ -182,6 +164,26 @@ pub fn par_betweenness_sampled(csr: &CsrGraph, pivots: &[NodeId], threads: usize
         *c *= scale;
     }
     centrality
+}
+
+/// Brandes' dependency pass over one source's path DAG: in reverse visit
+/// order, every node `w` hands `σ[v]·(1 + δ[w]) / σ[w]` to each parent
+/// slot `v` (a parallel edge is two slots), then adds `δ[w]` into `acc`
+/// unless it is the source. `delta` must be all zero on entry and is
+/// left all zero: each `δ[w]` is cleared once it is used, since every
+/// node that adds into it comes earlier in the reverse order.
+fn accumulate_dependencies(csr: &CsrGraph, dag: &CsrPathDag, delta: &mut [f64], acc: &mut [f64]) {
+    let sigma = dag.sigma();
+    for &w in dag.visit_order().iter().rev() {
+        let coeff = (1.0 + delta[w.index()]) / sigma[w.index()];
+        for &(v, _) in dag.preds(csr, w) {
+            delta[v.index()] += sigma[v.index()] * coeff;
+        }
+        if w != dag.source() {
+            acc[w.index()] += delta[w.index()];
+        }
+        delta[w.index()] = 0.0;
+    }
 }
 
 /// Aggregate of a multi-source BFS sweep: the ingredients of mean path
@@ -324,9 +326,8 @@ mod tests {
         assert_eq!(par_betweenness(&CsrGraph::from_graph(&one), 4), vec![0.0]);
     }
 
-    /// With pivots = all nodes the sampled estimator must reproduce the
-    /// exact kernel bit-for-bit (same chunking, same accumulation order,
-    /// ×0.5 scaling == ÷2).
+    /// With pivots = all nodes in id order the sampled estimator is the
+    /// exact kernel, bit for bit.
     #[test]
     fn sampled_betweenness_all_pivots_is_exact() {
         let g = grid(7, 5);

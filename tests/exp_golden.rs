@@ -304,6 +304,35 @@ fn degenerate_params_skip_cleanly() {
         ctx(1),
     );
     assert!(matches!(report.status, ExpStatus::Skipped { .. }));
+    // A traffic total that is not positive and finite routes nothing or
+    // poisons every load, so both traffic scenarios skip with the field
+    // named.
+    for total in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+        let reports = [
+            e15::run(
+                &e15::Params {
+                    total_traffic: total,
+                    ..e15::Params::golden()
+                },
+                ctx(1),
+            ),
+            e16::run(
+                &e16::Params {
+                    total_traffic: total,
+                    ..e16::Params::golden()
+                },
+                ctx(1),
+            ),
+        ];
+        for report in reports {
+            match &report.status {
+                ExpStatus::Skipped { reason } => {
+                    assert!(reason.contains("total_traffic"), "{}", reason)
+                }
+                other => panic!("{} with total {}: {:?}", report.scenario, total, other),
+            }
+        }
+    }
     // POP counts the geography cannot host (none, or more than the
     // golden presets' cities) must skip E12, E13 and E17 before the ISP
     // generator asserts.
