@@ -25,8 +25,6 @@ pub struct WaxmanConfig {
     pub alpha: f64,
     /// Overall edge density `β ∈ (0, 1]`.
     pub beta: f64,
-    /// Placement region.
-    pub region: BoundingBox,
 }
 
 impl Default for WaxmanConfig {
@@ -35,19 +33,19 @@ impl Default for WaxmanConfig {
             n: 100,
             alpha: 0.15,
             beta: 0.4,
-            region: BoundingBox::unit(),
         }
     }
 }
+
+/// Placement region.
+const REGION: BoundingBox = BoundingBox::unit();
 
 /// Generates a Waxman graph; node annotations are the placements.
 pub fn generate(config: &WaxmanConfig, rng: &mut impl Rng) -> Graph<Point, f64> {
     assert!(config.alpha > 0.0 && config.alpha <= 1.0, "alpha in (0,1]");
     assert!(config.beta > 0.0 && config.beta <= 1.0, "beta in (0,1]");
-    let l = config.region.diagonal();
-    let points: Vec<Point> = (0..config.n)
-        .map(|_| config.region.sample_uniform(rng))
-        .collect();
+    let l = REGION.diagonal();
+    let points: Vec<Point> = (0..config.n).map(|_| REGION.sample_uniform(rng)).collect();
     let mut g = Graph::with_capacity(config.n, config.n * 4);
     for p in &points {
         g.add_node(*p);

@@ -21,7 +21,6 @@ fn bench_evolve(c: &mut Criterion) {
                     ..HotGrowthConfig::default()
                 }),
                 EvolveConfig {
-                    epochs: 20,
                     arrivals_per_epoch: 100,
                     trend: TechTrend::dotcom(),
                     reopt_interval: 4,

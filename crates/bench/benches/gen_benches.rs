@@ -68,10 +68,7 @@ fn bench_baselines(c: &mut Criterion) {
         b.iter(|| black_box(ba::generate(1000, 2, &mut StdRng::seed_from_u64(4))))
     });
     group.bench_function("glp", |b| {
-        let cfg = glp::GlpConfig {
-            n: 1000,
-            ..glp::GlpConfig::default()
-        };
+        let cfg = glp::GlpConfig { n: 1000 };
         b.iter(|| black_box(glp::generate(&cfg, &mut StdRng::seed_from_u64(5))))
     });
     group.bench_function("plrg", |b| {
@@ -118,13 +115,7 @@ fn bench_isp_and_plr(c: &mut Criterion) {
 fn bench_csr_analytics(c: &mut Criterion) {
     let mut group = c.benchmark_group("csr_analytics_glp2000");
     group.sample_size(10);
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n: 2000,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(10),
-    );
+    let g = glp::generate(&glp::GlpConfig { n: 2000 }, &mut StdRng::seed_from_u64(10));
     let csr = CsrGraph::from_graph(&g);
     let threads = default_threads();
     group.bench_function(format!("par_betweenness/{}", threads).as_str(), |b| {

@@ -19,13 +19,7 @@ use std::hint::black_box;
 
 fn bench_probe(c: &mut Criterion) {
     let n = 5_000;
-    let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let glp_graph = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     // Latency-keyed copy of the topology: tie-heavy small integer link
     // costs.
     let g: Graph<(), f64> = Graph::from_edges(

@@ -16,13 +16,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 
 fn glp_csr(n: usize) -> CsrGraph {
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let g = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     CsrGraph::from_graph(&g)
 }
 

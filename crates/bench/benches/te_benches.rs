@@ -39,13 +39,7 @@ impl OdDemand for BandedIntegerDemand {
 
 fn bench_te(c: &mut Criterion) {
     let n = 2000;
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let g = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     let csr = CsrGraph::from_graph(&g);
     let threads = default_threads();
     let dem = BandedIntegerDemand { n, max_src: 200 };
@@ -70,10 +64,7 @@ fn bench_te(c: &mut Criterion) {
         b.iter(|| black_box(provision_capacities(&catalog, &loads.link_load, 1.25)))
     });
     group.bench_function("te_tune_4rounds", |b| {
-        let cfg = TeConfig {
-            max_rounds: 4,
-            ..TeConfig::default()
-        };
+        let cfg = TeConfig { max_rounds: 4 };
         b.iter(|| black_box(tune_weights(&csr, &dem, &comfortable, &cfg, threads)))
     });
     group.bench_function("cascade_batched_serial", |b| {

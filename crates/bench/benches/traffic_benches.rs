@@ -17,10 +17,7 @@ use std::hint::black_box;
 
 fn bench_traffic(c: &mut Criterion) {
     let g = glp::generate(
-        &glp::GlpConfig {
-            n: 2000,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: 2000 },
         &mut StdRng::seed_from_u64(20030617),
     );
     let csr = CsrGraph::from_graph(&g);

@@ -13,7 +13,7 @@
 //! reproduces exactly that claim; experiment E4 measures the empirical
 //! approximation ratio against the exact solver on tiny instances.
 //!
-//! Faithfulness note (also in DESIGN.md): full MMP maintains per-cable
+//! Faithfulness note: full MMP maintains per-cable
 //! "cost class" hubs; the attachment rule here is the pure nearest-point
 //! version, which preserves the incremental random-order structure that
 //! drives the degree-distribution result while keeping the implementation

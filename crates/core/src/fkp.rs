@@ -53,8 +53,6 @@ pub struct FkpConfig {
     pub alpha: f64,
     /// Centrality measure for the second term.
     pub centrality: Centrality,
-    /// Region in which node positions are drawn uniformly.
-    pub region: BoundingBox,
 }
 
 impl Default for FkpConfig {
@@ -63,10 +61,12 @@ impl Default for FkpConfig {
             n: 1000,
             alpha: 10.0,
             centrality: Centrality::HopsToRoot,
-            region: BoundingBox::unit(),
         }
     }
 }
+
+/// Region in which node positions are drawn uniformly.
+const REGION: BoundingBox = BoundingBox::unit();
 
 /// The result of an FKP growth run: a tree over points.
 #[derive(Clone, Debug)]
@@ -128,12 +128,12 @@ pub fn grow(config: &FkpConfig, rng: &mut impl Rng) -> FkpTopology {
     );
     let n = config.n;
     let mut points = Vec::with_capacity(n);
-    points.push(config.region.center()); // root at the center
+    points.push(REGION.center()); // root at the center
     let mut tree = RootedTree::new_incremental(NodeId(0), n);
     // centrality[j] under the configured measure, maintained incrementally.
     let mut centrality = vec![0.0f64; 1];
     for i in 1..n {
-        let p = config.region.sample_uniform(rng);
+        let p = REGION.sample_uniform(rng);
         // argmin over existing nodes of alpha*dist + h(j).
         let mut best_j = 0usize;
         let mut best_val = f64::INFINITY;
@@ -277,7 +277,6 @@ mod tests {
                 n: 150,
                 alpha: 3.0,
                 centrality,
-                ..FkpConfig::default()
             };
             let t = grow(&config, &mut StdRng::seed_from_u64(5));
             assert!(
@@ -296,13 +295,11 @@ mod tests {
             n: 80,
             alpha: 1.0,
             centrality: Centrality::None,
-            ..Default::default()
         };
         let c2 = FkpConfig {
             n: 80,
             alpha: 77.0,
             centrality: Centrality::None,
-            ..Default::default()
         };
         let t1 = grow(&c1, &mut StdRng::seed_from_u64(6));
         let t2 = grow(&c2, &mut StdRng::seed_from_u64(6));

@@ -27,9 +27,6 @@ pub struct BackboneConfig {
     pub redundancy: bool,
     /// Number of heaviest traffic pairs considered for shortcuts.
     pub shortcut_pairs: usize,
-    /// Add a shortcut when (network path length) / (direct distance)
-    /// exceeds this ratio.
-    pub detour_threshold: f64,
 }
 
 impl Default for BackboneConfig {
@@ -37,10 +34,13 @@ impl Default for BackboneConfig {
         BackboneConfig {
             redundancy: true,
             shortcut_pairs: 5,
-            detour_threshold: 1.6,
         }
     }
 }
+
+/// Add a shortcut when (network path length) / (direct distance)
+/// exceeds this ratio.
+const DETOUR_THRESHOLD: f64 = 1.6;
 
 /// A designed backbone over POP indices.
 #[derive(Clone, Debug)]
@@ -108,7 +108,7 @@ pub fn design(
             csr.dijkstra_tree_into(NodeId(i as u32), &link_lengths(pops, &edges), &mut tree);
             let network = tree.latency().expect("Dijkstra tree")[j];
             let direct = pops[i].dist(&pops[j]);
-            if direct > 0.0 && network / direct > config.detour_threshold {
+            if direct > 0.0 && network / direct > DETOUR_THRESHOLD {
                 edges.push((i, j));
             }
         }
@@ -261,7 +261,6 @@ mod tests {
         let cfg = BackboneConfig {
             redundancy: false,
             shortcut_pairs: 0,
-            ..Default::default()
         };
         let d = design(&square_pops(), no_demand, &cfg);
         assert_eq!(d.edges.len(), 3); // spanning tree on 4 POPs
@@ -272,7 +271,6 @@ mod tests {
         let cfg = BackboneConfig {
             redundancy: true,
             shortcut_pairs: 0,
-            ..Default::default()
         };
         let d = design(&square_pops(), no_demand, &cfg);
         let g = graph_from(&square_pops(), &d.edges);
@@ -283,12 +281,13 @@ mod tests {
     #[test]
     fn shortcut_added_for_heavy_detour_pair() {
         // A line of POPs: 0-1-2-3; heavy demand between the endpoints has
-        // detour 1.0 (collinear!) so use an L-shape instead.
+        // detour 1.0 (collinear!) so use a U-shape instead: the tree path
+        // 0-1-2-3 is 2.9 long against a direct 0-3 distance of about 1.
         let pops = vec![
             Point::new(0.0, 0.0),
-            Point::new(1.0, 0.0),
-            Point::new(2.0, 0.0),
-            Point::new(2.0, 1.0),
+            Point::new(0.0, 1.0),
+            Point::new(1.0, 1.0),
+            Point::new(1.0, 0.1),
         ];
         let demand = |i: usize, j: usize| {
             if (i, j) == (0, 3) || (i, j) == (3, 0) {
@@ -300,7 +299,6 @@ mod tests {
         let cfg = BackboneConfig {
             redundancy: false,
             shortcut_pairs: 3,
-            detour_threshold: 1.2,
         };
         let d = design(&pops, demand, &cfg);
         assert!(
@@ -325,7 +323,6 @@ mod tests {
         let cfg = BackboneConfig {
             redundancy: false,
             shortcut_pairs: 0,
-            ..Default::default()
         };
         let d = design(&pops, demand, &cfg);
         assert_eq!(d.edges.len(), 2);
@@ -356,7 +353,6 @@ mod tests {
         let cfg = BackboneConfig {
             redundancy: false,
             shortcut_pairs: 0,
-            ..Default::default()
         };
         let d = design(&square_pops(), no_demand, &cfg);
         for (k, &(a, b)) in d.edges.iter().enumerate() {

@@ -23,7 +23,7 @@ use crate::isp::backbone::{self, BackboneConfig};
 use crate::isp::{IspTopology, Link, LinkKind, Router, RouterRole};
 use hot_econ::cable::CableCatalog;
 use hot_econ::cost::LinkCost;
-use hot_econ::demand::DemandModel;
+use hot_econ::demand::BoundedPareto;
 use hot_econ::pricing::PricedCustomer;
 use hot_geo::gravity::TrafficMatrix;
 use hot_geo::point::Point;
@@ -38,26 +38,12 @@ pub struct IspConfig {
     pub n_pops: usize,
     /// Total customers across all metros (split ∝ city population).
     pub total_customers: usize,
-    /// Std-dev of customer scatter around a city center (region units).
-    pub metro_radius: f64,
-    /// Esau–Williams per-subtree demand capacity for access trees.
-    pub access_capacity: f64,
-    /// Facility-location opening cost per concentrator.
-    pub concentrator_opening_cost: f64,
     /// Router degree cap (0 = unlimited).
     pub max_router_degree: usize,
     /// Backbone design knobs.
     pub backbone: BackboneConfig,
-    /// Cable catalog for backbone links.
-    pub backbone_catalog: CableCatalog,
-    /// Cable catalog for metro/access links.
-    pub metro_catalog: CableCatalog,
-    /// Customer demand distribution.
-    pub demand: DemandModel,
     /// Cost-based or profit-based design.
     pub formulation: Formulation,
-    /// Local-search move budget for the metro buy-at-bulk stage.
-    pub local_search_moves: usize,
 }
 
 impl Default for IspConfig {
@@ -65,23 +51,27 @@ impl Default for IspConfig {
         IspConfig {
             n_pops: 8,
             total_customers: 400,
-            metro_radius: 25.0,
-            access_capacity: 60.0,
-            concentrator_opening_cost: 40.0,
             max_router_degree: 16,
             backbone: BackboneConfig::default(),
-            backbone_catalog: CableCatalog::realistic_2003(),
-            metro_catalog: CableCatalog::realistic_2003(),
-            demand: DemandModel::BoundedPareto {
-                min: 1.0,
-                max: 40.0,
-                alpha: 1.2,
-            },
             formulation: Formulation::CostBased,
-            local_search_moves: 200,
         }
     }
 }
+
+/// Std-dev of customer scatter around a city center (region units).
+const METRO_RADIUS: f64 = 25.0;
+/// Esau–Williams per-subtree demand capacity for access trees.
+const ACCESS_CAPACITY: f64 = 60.0;
+/// Facility-location opening cost per concentrator.
+const CONCENTRATOR_OPENING_COST: f64 = 40.0;
+/// Customer demand distribution.
+const CUSTOMER_DEMAND: BoundedPareto = BoundedPareto {
+    min: 1.0,
+    max: 40.0,
+    alpha: 1.2,
+};
+/// Local-search move budget for the metro buy-at-bulk stage.
+const LOCAL_SEARCH_MOVES: usize = 200;
 
 /// Generates one ISP topology from a census and its traffic matrix.
 ///
@@ -116,7 +106,10 @@ pub fn generate(
         &config.backbone,
     );
     // ---- Levels 2+3 per metro ----
-    let metro_cost = LinkCost::cables_only(config.metro_catalog.clone());
+    // Backbone, metro and access links are all provisioned from the
+    // 2003 cable catalog.
+    let catalog = CableCatalog::realistic_2003();
+    let metro_cost = LinkCost::cables_only(catalog.clone());
     let pop_population: f64 = pops.iter().map(|&c| census.cities[c].population).sum();
     let mut rejected_customers = 0usize;
     // Assemble everything as (nodes, edges) lists first, then build the
@@ -132,8 +125,8 @@ pub fn generate(
         .collect();
     let mut links: Vec<(usize, usize, Link)> = Vec::new();
     for (k, &(a, b)) in bb.edges.iter().enumerate() {
-        let (cable_idx, instances, _) = config.backbone_catalog.best_single_type(bb.flows[k]);
-        let cable = config.backbone_catalog.types()[cable_idx];
+        let (cable_idx, instances, _) = catalog.best_single_type(bb.flows[k]);
+        let cable = catalog.types()[cable_idx];
         links.push((
             a,
             b,
@@ -155,13 +148,13 @@ pub fn generate(
             .map(|_| {
                 let (g1, g2) = gaussian_pair(rng);
                 census.region.clamp(Point::new(
-                    city_info.location.x + g1 * config.metro_radius,
-                    city_info.location.y + g2 * config.metro_radius,
+                    city_info.location.x + g1 * METRO_RADIUS,
+                    city_info.location.y + g2 * METRO_RADIUS,
                 ))
             })
             .collect();
         let demands: Vec<f64> = (0..n_cust)
-            .map(|_| config.demand.sample(rng).value())
+            .map(|_| CUSTOMER_DEMAND.sample(rng).value())
             .collect();
         // Formulation: which customers does this ISP serve?
         let priced: Vec<PricedCustomer> = (0..n_cust)
@@ -190,7 +183,7 @@ pub fn generate(
                 sites,
                 customers: cust_points.clone(),
                 demands: cust_demands.clone(),
-                opening_cost: config.concentrator_opening_cost,
+                opening_cost: CONCENTRATOR_OPENING_COST,
             },
             2,
         );
@@ -227,7 +220,7 @@ pub fn generate(
                 center: routers[conc_nodes[ci]].location,
                 terminals: members.iter().map(|&i| cust_points[i]).collect(),
                 demands: members.iter().map(|&i| cust_demands[i]).collect(),
-                capacity: config.access_capacity.max(max_d),
+                capacity: ACCESS_CAPACITY.max(max_d),
             };
             let sol = esau_williams::solve(&inst);
             // Register customer nodes.
@@ -250,8 +243,8 @@ pub fn generate(
                     Some(u) => (cust_nodes[*u], inst.terminals[t].dist(&inst.terminals[*u])),
                 };
                 let flow = up_flows[t];
-                let (cable_idx, instances, _) = config.metro_catalog.best_single_type(flow);
-                let cable = config.metro_catalog.types()[cable_idx];
+                let (cable_idx, instances, _) = catalog.best_single_type(flow);
+                let cable = catalog.types()[cable_idx];
                 links.push((
                     cust_nodes[t],
                     to,
@@ -284,7 +277,7 @@ pub fn generate(
             .collect();
         if !bab_customers.is_empty() {
             let inst = Instance::new(city_info.location, bab_customers, metro_cost.clone());
-            let out = greedy::mmp_plus_improve(&inst, rng, config.local_search_moves);
+            let out = greedy::mmp_plus_improve(&inst, rng, LOCAL_SEARCH_MOVES);
             let flows = out.solution.uplink_flows(&inst);
             for v in 1..out.solution.len() {
                 let parent = out
@@ -305,8 +298,8 @@ pub fn generate(
                 if from == to {
                     continue;
                 }
-                let (cable_idx, instances, _) = config.metro_catalog.best_single_type(flows[v]);
-                let cable = config.metro_catalog.types()[cable_idx];
+                let (cable_idx, instances, _) = catalog.best_single_type(flows[v]);
+                let cable = catalog.types()[cable_idx];
                 links.push((
                     from,
                     to,
@@ -473,21 +466,13 @@ fn gaussian_pair(rng: &mut impl Rng) -> (f64, f64) {
 mod tests {
     use super::*;
     use hot_econ::pricing::RevenueModel;
-    use hot_geo::gravity::GravityConfig;
-    use hot_geo::population::CensusConfig;
     use hot_graph::traversal::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn small_setup(seed: u64) -> (Census, TrafficMatrix) {
-        let census = Census::synthesize(
-            &CensusConfig {
-                n_cities: 12,
-                ..CensusConfig::default()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+        let census = Census::synthesize(12, &mut StdRng::seed_from_u64(seed));
+        let traffic = TrafficMatrix::gravity(&census);
         (census, traffic)
     }
 

@@ -41,8 +41,6 @@ pub struct InternetConfig {
     pub tier1_count: usize,
     /// Transit providers per non-tier-1 ISP.
     pub transit_per_isp: usize,
-    /// Maximum shared cities at which one ISP pair interconnects.
-    pub peer_cities: usize,
     /// Template ISP configuration (`n_pops` and `total_customers` are
     /// overridden per ISP by footprint size).
     pub isp_template: IspConfig,
@@ -58,7 +56,6 @@ impl Default for InternetConfig {
             size_exponent: 0.8,
             tier1_count: 3,
             transit_per_isp: 2,
-            peer_cities: 2,
             isp_template: IspConfig {
                 total_customers: 0,
                 ..IspConfig::default()
@@ -227,7 +224,6 @@ pub fn generate_internet(
                 &isps,
                 a,
                 b,
-                config.peer_cities,
                 Relationship::PeerPeer,
                 &mut usage,
                 &mut peering,
@@ -274,7 +270,6 @@ pub fn generate_internet(
                 &isps,
                 provider,
                 k,
-                config.peer_cities,
                 Relationship::ProviderCustomer,
                 &mut usage,
                 &mut peering,
@@ -288,18 +283,19 @@ pub fn generate_internet(
     }
 }
 
-/// Adds peering links between two ISPs at up to `max_cities` shared POP
+/// Maximum shared cities at which one ISP pair interconnects.
+const PEER_CITIES: usize = 2;
+
+/// Adds peering links between two ISPs at up to [`PEER_CITIES`] shared POP
 /// cities. Among the shared cities, the least-used interconnection points
 /// are preferred (ties broken toward the bigger city), modeling how ISPs
 /// spread peering across their exchange presences as ports fill up.
 /// Footprints always overlap because every footprint includes the rank-1
 /// city.
-#[allow(clippy::too_many_arguments)]
 fn connect_pair(
     isps: &[IspTopology],
     a: usize,
     b: usize,
-    max_cities: usize,
     relationship: Relationship,
     usage: &mut std::collections::HashMap<(usize, usize), usize>,
     out: &mut Vec<PeeringLink>,
@@ -315,7 +311,7 @@ fn connect_pair(
             + usage.get(&(b, city)).copied().unwrap_or(0);
         (load, city)
     });
-    for &(city, ra, rb) in shared.iter().take(max_cities) {
+    for &(city, ra, rb) in shared.iter().take(PEER_CITIES) {
         *usage.entry((a, city)).or_insert(0) += 1;
         *usage.entry((b, city)).or_insert(0) += 1;
         out.push(PeeringLink {
@@ -332,21 +328,13 @@ fn connect_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hot_geo::gravity::GravityConfig;
-    use hot_geo::population::CensusConfig;
     use hot_graph::traversal::is_connected;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn setup(seed: u64) -> (Census, TrafficMatrix) {
-        let census = Census::synthesize(
-            &CensusConfig {
-                n_cities: 15,
-                ..CensusConfig::default()
-            },
-            &mut StdRng::seed_from_u64(seed),
-        );
-        let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+        let census = Census::synthesize(15, &mut StdRng::seed_from_u64(seed));
+        let traffic = TrafficMatrix::gravity(&census);
         (census, traffic)
     }
 
@@ -476,7 +464,7 @@ mod tests {
     #[test]
     fn transit_count_respected() {
         let net = small_internet(7);
-        // Each non-tier-1 ISP appears as isp_b in >= 1 and <= 2*peer_cities
+        // Each non-tier-1 ISP appears as isp_b in >= 1 and <= 2*PEER_CITIES
         // peering links toward earlier providers.
         for k in 2..8 {
             let links = net

@@ -19,34 +19,29 @@ impl CustomerDemand {
     }
 }
 
-/// Demand distribution for synthesizing customer populations.
+/// Bounded Pareto demand on `[min, max]` with tail exponent `alpha`
+/// (α ≈ 1.2 gives realistic high variability).
 #[derive(Clone, Copy, Debug)]
-pub enum DemandModel {
-    /// Every customer demands the same amount.
-    Uniform { demand: f64 },
-    /// Bounded Pareto on `[min, max]` with tail exponent `alpha`
-    /// (α ≈ 1.2 gives realistic high variability).
-    BoundedPareto { min: f64, max: f64, alpha: f64 },
+pub struct BoundedPareto {
+    pub min: f64,
+    pub max: f64,
+    pub alpha: f64,
 }
 
-impl DemandModel {
+impl BoundedPareto {
     /// Draws one demand.
     pub fn sample(&self, rng: &mut impl Rng) -> CustomerDemand {
-        match *self {
-            DemandModel::Uniform { demand } => CustomerDemand(demand),
-            DemandModel::BoundedPareto { min, max, alpha } => {
-                assert!(
-                    min > 0.0 && max > min && alpha > 0.0,
-                    "invalid bounded Pareto"
-                );
-                // Inverse-CDF sampling of the bounded Pareto.
-                let u: f64 = rng.random_range(0.0..1.0);
-                let la = min.powf(alpha);
-                let ha = max.powf(alpha);
-                let x = (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / alpha);
-                CustomerDemand(x.clamp(min, max))
-            }
-        }
+        let BoundedPareto { min, max, alpha } = *self;
+        assert!(
+            min > 0.0 && max > min && alpha > 0.0,
+            "invalid bounded Pareto"
+        );
+        // Inverse-CDF sampling of the bounded Pareto.
+        let u: f64 = rng.random_range(0.0..1.0);
+        let la = min.powf(alpha);
+        let ha = max.powf(alpha);
+        let x = (-(u * (ha - la) - ha) / (ha * la)).powf(-1.0 / alpha);
+        CustomerDemand(x.clamp(min, max))
     }
 }
 
@@ -57,18 +52,9 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
-    fn uniform_is_constant() {
-        let mut rng = StdRng::seed_from_u64(0);
-        let m = DemandModel::Uniform { demand: 3.5 };
-        for _ in 0..10 {
-            assert_eq!(m.sample(&mut rng).value(), 3.5);
-        }
-    }
-
-    #[test]
     fn pareto_within_bounds() {
         let mut rng = StdRng::seed_from_u64(1);
-        let m = DemandModel::BoundedPareto {
+        let m = BoundedPareto {
             min: 1.0,
             max: 100.0,
             alpha: 1.2,
@@ -82,7 +68,7 @@ mod tests {
     #[test]
     fn pareto_is_skewed() {
         let mut rng = StdRng::seed_from_u64(2);
-        let m = DemandModel::BoundedPareto {
+        let m = BoundedPareto {
             min: 1.0,
             max: 1000.0,
             alpha: 1.2,
@@ -99,7 +85,7 @@ mod tests {
     #[should_panic(expected = "invalid bounded Pareto")]
     fn bad_pareto_rejected() {
         let mut rng = StdRng::seed_from_u64(0);
-        DemandModel::BoundedPareto {
+        BoundedPareto {
             min: 5.0,
             max: 1.0,
             alpha: 1.0,
@@ -109,7 +95,7 @@ mod tests {
 
     #[test]
     fn deterministic_given_seed() {
-        let m = DemandModel::BoundedPareto {
+        let m = BoundedPareto {
             min: 1.0,
             max: 10.0,
             alpha: 1.5,

@@ -4,15 +4,12 @@
 //! not a draw from a distribution but the running output of providers
 //! re-optimizing under *moving* constraints — transport cost per bit
 //! falls on a Moore's-law-like curve while aggregate demand compounds.
-//! [`TechTrend`] is that pair of exponentials, and
-//! [`TechTrend::scaled_catalog`] projects a [`CableCatalog`] to a given
-//! epoch's prices. Scaling every fixed and marginal cost by one positive
-//! factor preserves all three economies-of-scale axioms (the orderings
-//! compare costs of the same kind), so the projected catalog is still a
-//! valid catalog — asserted in the constructor's round trip through
-//! [`CableCatalog::new`].
-
-use crate::cable::{CableCatalog, CableType};
+//! [`TechTrend`] is that pair of exponentials. Scaling every fixed and
+//! marginal cost of a [`CableCatalog`](crate::cable::CableCatalog) by
+//! one positive factor preserves all three economies-of-scale axioms
+//! (the orderings compare costs of the same kind), so a cost evaluated
+//! on the base catalog and multiplied by [`TechTrend::cost_factor`] is
+//! the epoch's price.
 
 /// Per-epoch multiplicative technology/demand drift.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -75,23 +72,6 @@ impl TechTrend {
     pub fn demand_factor(&self, epoch: u64) -> f64 {
         self.demand_growth.powi(epoch.min(i32::MAX as u64) as i32)
     }
-
-    /// The catalog as priced at `epoch`: every fixed and marginal cost
-    /// scaled by [`Self::cost_factor`], capacities untouched.
-    pub fn scaled_catalog(&self, base: &CableCatalog, epoch: u64) -> CableCatalog {
-        let f = self.cost_factor(epoch);
-        CableCatalog::new(
-            base.types()
-                .iter()
-                .map(|t| CableType {
-                    fixed_cost: t.fixed_cost * f,
-                    marginal_cost: t.marginal_cost * f,
-                    ..*t
-                })
-                .collect(),
-        )
-        .expect("uniform positive scaling preserves the catalog axioms")
-    }
 }
 
 #[cfg(test)]
@@ -107,25 +87,6 @@ mod tests {
         let flat = TechTrend::flat();
         assert_eq!(flat.cost_factor(100), 1.0);
         assert_eq!(flat.demand_factor(100), 1.0);
-    }
-
-    #[test]
-    fn scaled_catalog_keeps_axioms_and_ratios() {
-        let base = CableCatalog::realistic_2003();
-        let t = TechTrend::dotcom();
-        let later = t.scaled_catalog(&base, 10);
-        assert_eq!(later.len(), base.len());
-        let f = t.cost_factor(10);
-        for (a, b) in base.types().iter().zip(later.types()) {
-            assert_eq!(b.capacity, a.capacity);
-            assert_eq!(b.name, a.name);
-            assert!((b.fixed_cost - a.fixed_cost * f).abs() < 1e-12);
-            assert!((b.marginal_cost - a.marginal_cost * f).abs() < 1e-12);
-        }
-        // Cheaper in absolute terms, identical relative structure.
-        assert!(later.types()[0].fixed_cost < base.types()[0].fixed_cost);
-        let flow = 500.0;
-        assert!((later.flow_cost(flow) - base.flow_cost(flow) * f).abs() < 1e-9);
     }
 
     #[test]

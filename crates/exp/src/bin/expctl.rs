@@ -38,7 +38,7 @@ USAGE:
 
 OPTIONS:
   --seed <u64>       base seed (default 20030617)
-  --scale <s>        golden | full (default full; golden = small/CI sizes)
+  --scale <s>        golden | full (default full; golden = CI sizes)
   --threads <n>      worker threads (default: all cores; never changes output)
   --json <dir>       write <dir>/<id>.json per scenario
   --snapshot-dir <d> cache built topologies as <d>/<key>.snap binary
@@ -175,10 +175,13 @@ fn main() -> ExitCode {
         }
         out
     };
-    let reports: Vec<ExpReport> = specs.iter().map(|spec| (spec.run)(ctx.clone())).collect();
+    // Each report is printed and written as soon as its scenario
+    // finishes, so a long sweep shows progress and a later failure
+    // keeps every report already written.
     let mut skipped = 0usize;
-    for report in &reports {
-        if let Err(msg) = emit(report, &args) {
+    for spec in &specs {
+        let report = (spec.run)(ctx.clone());
+        if let Err(msg) = emit(&report, &args) {
             eprintln!("expctl: {}", msg);
             return ExitCode::FAILURE;
         }
@@ -188,7 +191,7 @@ fn main() -> ExitCode {
     }
     eprintln!(
         "expctl: {} scenario(s) run ({} skipped), scale {}, seed {}, {} thread(s)",
-        reports.len(),
+        specs.len(),
         skipped,
         ctx.scale.label(),
         ctx.seed,

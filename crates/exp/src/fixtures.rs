@@ -5,9 +5,9 @@
 
 use crate::registry::RunCtx;
 use hot_core::isp::{IspTopology, RouterRole};
-use hot_geo::gravity::{GravityConfig, TrafficMatrix};
+use hot_geo::gravity::TrafficMatrix;
 use hot_geo::point::Point;
-use hot_geo::population::{Census, CensusConfig};
+use hot_geo::population::Census;
 use hot_graph::io::{fnv1a, Snapshot, SNAPSHOT_VERSION};
 use hot_sim::demand::DemandMatrix;
 use rand::rngs::StdRng;
@@ -22,14 +22,8 @@ pub const SEED: u64 = 20030617; // HotNets-II camera-ready era
 /// `n_cities` Zipf cities clustered into metros, plus the gravity traffic
 /// matrix.
 pub fn standard_geography(n_cities: usize, seed: u64) -> (Census, TrafficMatrix) {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(n_cities, &mut StdRng::seed_from_u64(seed));
+    let traffic = TrafficMatrix::gravity(&census);
     (census, traffic)
 }
 

@@ -15,7 +15,7 @@ pub enum Scale {
     /// Small fixed sizes: seconds per scenario, used by the
     /// golden-snapshot suite and CI smoke runs.
     Golden,
-    /// Paper-sized tables, what the `exp_e*` binaries print.
+    /// Paper-sized tables, what `expctl` runs by default.
     Full,
 }
 
@@ -31,7 +31,7 @@ impl Scale {
     /// Parses an `expctl --scale` argument.
     pub fn parse(s: &str) -> Option<Scale> {
         match s {
-            "golden" | "small" => Some(Scale::Golden),
+            "golden" => Some(Scale::Golden),
             "full" => Some(Scale::Full),
             _ => None,
         }
@@ -225,6 +225,16 @@ mod tests {
         let ids: Vec<&str> = registry().iter().map(|s| s.id).collect();
         let expected: Vec<String> = (1..=20).map(|i| format!("e{}", i)).collect();
         assert_eq!(ids, expected.iter().map(|s| s.as_str()).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn scale_parses_exactly_its_labels() {
+        for scale in [Scale::Golden, Scale::Full] {
+            assert_eq!(Scale::parse(scale.label()), Some(scale));
+        }
+        for bad in ["small", "Golden", "", "full "] {
+            assert_eq!(Scale::parse(bad), None, "{:?}", bad);
+        }
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //!
 //! - [`ExpReport::to_json`] — the machine-readable form the golden
 //!   snapshots and `expctl --json` emit (deterministic bytes);
-//! - [`ExpReport::render_text`] — the human table the `exp_e*` binaries
-//!   print, a pure formatter over the same data.
+//! - [`ExpReport::render_text`] — the human table `expctl` prints, a
+//!   pure formatter over the same data.
 
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
@@ -226,7 +226,7 @@ impl ExpReport {
     }
 
     /// The human rendering: banner, parameter echo, sections with
-    /// aligned tables — the format the `exp_e*` binaries print.
+    /// aligned tables — the format `expctl` prints.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
         let rule = "==============================================================";

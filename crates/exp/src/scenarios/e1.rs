@@ -78,7 +78,6 @@ pub fn regime_rows(p: &Params, seed: u64) -> Vec<RegimeRow> {
                 n: p.n,
                 alpha,
                 centrality: Centrality::HopsToRoot,
-                ..FkpConfig::default()
             };
             let topo = grow(&config, &mut StdRng::seed_from_u64(seed + s));
             classes.push(classify(&topo));

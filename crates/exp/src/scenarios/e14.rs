@@ -15,9 +15,11 @@ use crate::report::{ExpReport, Section, Table};
 use hot_baselines::ba;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::peering::{generate_internet, InternetConfig};
+use hot_graph::csr::CsrGraph;
 use hot_graph::graph::Graph;
+use hot_metrics::bias::observed_degrees;
 use hot_metrics::degree_dist::summarize_sample;
-use hot_sim::probe::infer_map_batched;
+use hot_sim::probe::{run_campaign, ProbeCampaign};
 use hot_sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -66,25 +68,41 @@ impl Params {
     }
 }
 
-fn campaign<N: Clone, E: Clone>(
+fn campaign<N, E>(
     name: &str,
     truth: &Graph<N, E>,
     vantage_counts: &[usize],
     threads: usize,
-    weight: impl Fn(&E) -> f64 + Copy,
+    weight: impl Fn(&E) -> f64,
 ) -> Section {
     let true_summary = summarize_sample(&truth.degree_sequence());
+    // One CSR view and one latency slice serve every vantage count.
+    let csr = CsrGraph::from_graph(truth);
+    let latency: Vec<f64> = truth
+        .edge_ids()
+        .map(|e| weight(truth.edge_weight(e)))
+        .collect();
     let mut t = Table::new(&["vantages", "node-cov", "edge-cov", "meandeg", "maxdeg"]);
     for &k in vantage_counts {
         if k == 0 {
             continue;
         }
         let vantages = strided_vantages(truth, k);
-        // The batched CSR engine (E19's); bit-identical masks to the
-        // old per-vantage `infer_map`, so this section's numbers are
-        // unchanged — which is exactly the point of keeping E14 on it.
-        let map = infer_map_batched(truth, &vantages, None, weight, threads).map;
-        let s = summarize_sample(&map.degree_sequence(truth));
+        // E19's batched campaign engine under latency forwarding, and
+        // E19's observed degrees: one entry per observed node, in id
+        // order, counting only observed links.
+        let campaign = ProbeCampaign {
+            vantages: &vantages,
+            destinations: None,
+            link_latency: Some(&latency),
+        };
+        let map = run_campaign(&csr, &campaign, threads).map;
+        let observed: Vec<u32> = observed_degrees(&csr, &map.edge_seen)
+            .into_iter()
+            .zip(&map.node_seen)
+            .filter_map(|(d, &seen)| seen.then_some(d))
+            .collect();
+        let s = summarize_sample(&observed);
         t.push(vec![
             k.into(),
             Json::Float(map.node_coverage),

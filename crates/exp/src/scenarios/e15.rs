@@ -265,10 +265,7 @@ pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
     }
     // Degree-based controls: demand keyed off node degree.
     let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n: p.glp_n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: p.glp_n },
         &mut StdRng::seed_from_u64(seed + 1),
     );
     let ba_graph = ba::generate(p.ba_n, 2, &mut StdRng::seed_from_u64(seed + 2));
@@ -282,7 +279,6 @@ pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
                 &DemandConfig {
                     model,
                     total_traffic: p.total_traffic,
-                    ..DemandConfig::default()
                 },
             )
         };

@@ -118,7 +118,6 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             backbone: BackboneConfig {
                 redundancy,
                 shortcut_pairs: 0,
-                ..Default::default()
             },
             n_pops: p.fail_pops,
             total_customers: 10,

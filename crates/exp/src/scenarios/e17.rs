@@ -127,10 +127,7 @@ pub fn policy_rows(p: &Params, seed: u64, threads: usize) -> Vec<PolicyRow> {
         rows.push(PolicyRow::measure("hot(internet)", &topo, threads));
     }
     let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n: p.glp_n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: p.glp_n },
         &mut StdRng::seed_from_u64(seed + 1),
     );
     let ba_graph = ba::generate(p.ba_n, 2, &mut StdRng::seed_from_u64(seed + 2));

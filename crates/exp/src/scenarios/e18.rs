@@ -157,7 +157,6 @@ fn case_row(
         capacities,
         &TeConfig {
             max_rounds: p.max_te_rounds,
-            ..TeConfig::default()
         },
         threads,
     );
@@ -169,7 +168,6 @@ fn case_row(
                 exponent: p.surge_exponent,
             },
             total_traffic: p.surge_traffic,
-            ..DemandConfig::default()
         },
     );
     let surged = SumDemand::new(base, &surge_overlay);
@@ -249,7 +247,6 @@ fn build_isp_snapshot(p: &Params, seed: u64, threads: usize) -> Snapshot {
                 exponent: p.surge_exponent,
             },
             total_traffic: p.surge_traffic,
-            ..DemandConfig::default()
         },
     );
     let envelope = SumDemand::new(&demand, &allowance);
@@ -318,10 +315,7 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
     // capacities proportional to endpoint degrees, rescaled to the
     // same baseline headroom as the ISP.
     let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n: p.glp_n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: p.glp_n },
         &mut StdRng::seed_from_u64(seed + 1),
     );
     let ba_graph = ba::generate(p.ba_n, 2, &mut StdRng::seed_from_u64(seed + 2));
@@ -335,7 +329,6 @@ pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
                     distance_exponent: 1.0,
                 },
                 total_traffic: p.total_traffic,
-                ..DemandConfig::default()
             },
         );
         let degrees = csr.degree_sequence();

@@ -162,10 +162,7 @@ pub fn probe_rows(p: &Params, ctx: &RunCtx) -> Vec<ProbeRow> {
     ));
     // (b) GLP control under hop forwarding.
     let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n: p.glp_n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: p.glp_n },
         &mut StdRng::seed_from_u64(ctx.seed + 20),
     );
     rows.extend(sweep("glp", &glp_graph, None, &p.vantages, threads));

@@ -78,7 +78,6 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             n: p.n,
             alpha: *alpha,
             centrality: Centrality::HopsToRoot,
-            ..FkpConfig::default()
         };
         let topo = grow(&config, &mut StdRng::seed_from_u64(ctx.seed));
         let degs = topo.degree_sequence();

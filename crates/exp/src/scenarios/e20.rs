@@ -109,7 +109,6 @@ pub struct TemporalRow {
 /// (the seed network is epoch 0).
 fn evolve_trajectory<M: GrowthModel>(model: M, p: &Params, ctx: &RunCtx) -> TemporalRow {
     let cfg = EvolveConfig {
-        epochs: p.epochs,
         arrivals_per_epoch: p.arrivals_per_epoch,
         trend: p.trend(),
         reopt_interval: p.reopt_interval,
@@ -151,7 +150,6 @@ pub fn temporal_rows(p: &Params, ctx: &RunCtx) -> Vec<TemporalRow> {
                 cities: p.hot_cities,
                 alpha: p.hot_alpha,
                 degree_cap: p.hot_degree_cap,
-                ..HotGrowthConfig::default()
             }),
             p,
             ctx,

@@ -139,13 +139,7 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
             "ba(m=2)",
             &ba::generate(n, 2, &mut rng),
         ));
-        let g = glp::generate(
-            &glp::GlpConfig {
-                n,
-                ..glp::GlpConfig::default()
-            },
-            &mut rng,
-        );
+        let g = glp::generate(&glp::GlpConfig { n }, &mut rng);
         reports.push(MetricReport::compute("glp", &g));
         reports.push(MetricReport::compute(
             "plrg(g=2.2)",
@@ -160,7 +154,6 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
                 n,
                 alpha: 0.1,
                 beta: 0.25,
-                ..waxman::WaxmanConfig::default()
             },
             &mut rng,
         );
@@ -172,18 +165,11 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
                 transit_size: ts,
                 stubs_per_transit_node: spt,
                 stub_size: ss,
-                ..transit_stub::TransitStubConfig::default()
             },
             &mut rng,
         );
         reports.push(MetricReport::compute("transit-stub", &tsg));
-        let b = brite::generate(
-            &brite::BriteConfig {
-                n,
-                ..brite::BriteConfig::default()
-            },
-            &mut rng,
-        );
+        let b = brite::generate(&brite::BriteConfig { n }, &mut rng);
         reports.push(MetricReport::compute("brite", &b));
     }
     // --- null model, edge-matched to BA(m=2) ---

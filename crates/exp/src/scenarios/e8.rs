@@ -96,7 +96,6 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         size_exponent: 0.9,
         tier1_count: p.tier1_count,
         transit_per_isp: p.transit_per_isp,
-        peer_cities: 2,
         customers_per_pop: p.customers_per_pop,
         isp_template: IspConfig {
             max_router_degree: p.max_router_degree,

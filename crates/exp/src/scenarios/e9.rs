@@ -150,12 +150,10 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     let tree_cfg = BackboneConfig {
         redundancy: false,
         shortcut_pairs: 0,
-        ..Default::default()
     };
     let ring_cfg = BackboneConfig {
         redundancy: true,
         shortcut_pairs: 0,
-        ..Default::default()
     };
     let tree = design(&pops, demand, &tree_cfg);
     let ring = design(&pops, demand, &ring_cfg);
@@ -209,7 +207,6 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
                 n: p.fkp_n,
                 alpha,
                 centrality,
-                ..FkpConfig::default()
             };
             let topo = grow(&config, &mut StdRng::seed_from_u64(ctx.seed + 90));
             let degs = topo.degree_sequence();

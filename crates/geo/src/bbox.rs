@@ -15,7 +15,7 @@ pub struct BoundingBox {
 
 impl BoundingBox {
     /// Creates a box; panics if the bounds are inverted.
-    pub fn new(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Self {
+    pub const fn new(min_x: f64, min_y: f64, max_x: f64, max_y: f64) -> Self {
         assert!(min_x <= max_x && min_y <= max_y, "inverted bounding box");
         BoundingBox {
             min_x,
@@ -26,12 +26,12 @@ impl BoundingBox {
     }
 
     /// The unit square `[0,1]²`.
-    pub fn unit() -> Self {
+    pub const fn unit() -> Self {
         BoundingBox::new(0.0, 0.0, 1.0, 1.0)
     }
 
     /// A square of the given side anchored at the origin.
-    pub fn square(side: f64) -> Self {
+    pub const fn square(side: f64) -> Self {
         BoundingBox::new(0.0, 0.0, side, side)
     }
 

@@ -16,31 +16,19 @@ pub struct TrafficMatrix {
     demand: Vec<f64>,
 }
 
-/// Parameters of the gravity model.
-#[derive(Clone, Copy, Debug)]
-pub struct GravityConfig {
-    /// Distance-decay exponent γ (0 = distance-blind, 2 = classic gravity).
-    pub distance_exponent: f64,
-    /// Total traffic to scale the matrix to (sum over unordered pairs).
-    pub total_traffic: f64,
-    /// Floor on pairwise distance to avoid division blow-ups for co-located
-    /// cities, in region units.
-    pub min_distance: f64,
-}
-
-impl Default for GravityConfig {
-    fn default() -> Self {
-        GravityConfig {
-            distance_exponent: 1.0,
-            total_traffic: 1_000_000.0,
-            min_distance: 1.0,
-        }
-    }
-}
+/// Distance-decay exponent γ of the gravity model (0 = distance-blind,
+/// 2 = classic gravity).
+const DISTANCE_EXPONENT: f64 = 1.0;
+/// Total traffic the matrix is scaled to (sum over unordered pairs).
+const TOTAL_TRAFFIC: f64 = 1_000_000.0;
+/// Floor on pairwise distance, in region units, so co-located cities do
+/// not divide by zero.
+const MIN_DISTANCE: f64 = 1.0;
 
 impl TrafficMatrix {
-    /// Builds a gravity traffic matrix for `census`.
-    pub fn gravity(census: &Census, config: &GravityConfig) -> Self {
+    /// Builds the gravity traffic matrix for `census`, scaled so the
+    /// unordered-pair total is 10⁶.
+    pub fn gravity(census: &Census) -> Self {
         let n = census.cities.len();
         let mut demand = vec![0.0; n * n];
         let mut total_raw = 0.0;
@@ -48,34 +36,18 @@ impl TrafficMatrix {
             for j in i + 1..n {
                 let ci = &census.cities[i];
                 let cj = &census.cities[j];
-                let d = ci.location.dist(&cj.location).max(config.min_distance);
-                let raw = ci.population * cj.population / d.powf(config.distance_exponent);
+                let d = ci.location.dist(&cj.location).max(MIN_DISTANCE);
+                let raw = ci.population * cj.population / d.powf(DISTANCE_EXPONENT);
                 demand[i * n + j] = raw;
                 demand[j * n + i] = raw;
                 total_raw += raw;
             }
         }
-        // Scale so unordered-pair sum equals total_traffic.
         if total_raw > 0.0 {
-            let scale = config.total_traffic / total_raw;
+            let scale = TOTAL_TRAFFIC / total_raw;
             for x in &mut demand {
                 *x *= scale;
             }
-        }
-        TrafficMatrix { n, demand }
-    }
-
-    /// Uniform all-pairs demand summing to `total_traffic`.
-    pub fn uniform(n: usize, total_traffic: f64) -> Self {
-        let pairs = (n * n.saturating_sub(1)) / 2;
-        let per = if pairs > 0 {
-            total_traffic / pairs as f64
-        } else {
-            0.0
-        };
-        let mut demand = vec![per; n * n];
-        for i in 0..n {
-            demand[i * n + i] = 0.0;
         }
         TrafficMatrix { n, demand }
     }
@@ -150,7 +122,7 @@ mod tests {
 
     #[test]
     fn gravity_favors_big_close_pairs() {
-        let tm = TrafficMatrix::gravity(&fixture(), &GravityConfig::default());
+        let tm = TrafficMatrix::gravity(&fixture());
         // Pair (0,1): big and close; pair (1,2): small and far.
         assert!(tm.demand(0, 1) > tm.demand(0, 2));
         assert!(tm.demand(0, 2) > tm.demand(1, 2));
@@ -160,7 +132,7 @@ mod tests {
 
     #[test]
     fn symmetric_zero_diagonal() {
-        let tm = TrafficMatrix::gravity(&fixture(), &GravityConfig::default());
+        let tm = TrafficMatrix::gravity(&fixture());
         for i in 0..3 {
             assert_eq!(tm.demand(i, i), 0.0);
             for j in 0..3 {
@@ -171,55 +143,36 @@ mod tests {
 
     #[test]
     fn scales_to_total() {
-        let config = GravityConfig {
-            total_traffic: 777.0,
-            ..GravityConfig::default()
-        };
-        let tm = TrafficMatrix::gravity(&fixture(), &config);
-        assert!((tm.total() - 777.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn uniform_matrix() {
-        let tm = TrafficMatrix::uniform(4, 60.0);
-        assert!((tm.total() - 60.0).abs() < 1e-9);
-        assert!((tm.demand(0, 1) - 10.0).abs() < 1e-9);
-        assert_eq!(tm.demand(2, 2), 0.0);
-        assert_eq!(tm.len(), 4);
-    }
-
-    #[test]
-    fn distance_blind_when_gamma_zero() {
-        let config = GravityConfig {
-            distance_exponent: 0.0,
-            ..GravityConfig::default()
-        };
-        let tm = TrafficMatrix::gravity(&fixture(), &config);
-        // demand(0,1)/demand(0,2) should equal pop ratio 500/100 = 5.
-        assert!((tm.demand(0, 1) / tm.demand(0, 2) - 5.0).abs() < 1e-9);
+        let tm = TrafficMatrix::gravity(&fixture());
+        assert!((tm.total() - TOTAL_TRAFFIC).abs() < 1e-6);
     }
 
     #[test]
     fn node_demand_is_row_sum() {
-        let tm = TrafficMatrix::uniform(4, 60.0);
-        assert!((tm.node_demand(0) - 30.0).abs() < 1e-9);
+        let tm = TrafficMatrix::gravity(&fixture());
+        assert_eq!(tm.len(), 3);
+        assert!((tm.node_demand(0) - (tm.demand(0, 1) + tm.demand(0, 2))).abs() < 1e-9);
     }
 
     #[test]
     fn min_distance_floors_colocated() {
         let mut census = fixture();
         census.cities[1].location = census.cities[0].location; // co-located
-        let tm = TrafficMatrix::gravity(&census, &GravityConfig::default());
+        let tm = TrafficMatrix::gravity(&census);
         assert!(tm.demand(0, 1).is_finite());
         assert!(tm.demand(0, 1) > 0.0);
     }
 
     #[test]
     fn degenerate_sizes() {
-        let tm = TrafficMatrix::uniform(0, 100.0);
+        let mut census = fixture();
+        census.cities.truncate(1);
+        let tm1 = TrafficMatrix::gravity(&census);
+        assert_eq!(tm1.len(), 1);
+        assert_eq!(tm1.total(), 0.0);
+        census.cities.clear();
+        let tm = TrafficMatrix::gravity(&census);
         assert!(tm.is_empty());
         assert_eq!(tm.total(), 0.0);
-        let tm1 = TrafficMatrix::uniform(1, 100.0);
-        assert_eq!(tm1.total(), 0.0);
     }
 }

@@ -8,7 +8,7 @@
 //! - [`point`]: planar points and Euclidean distance;
 //! - [`bbox`]: axis-aligned bounding regions;
 //! - [`population`]: synthetic population centers — Zipf-ranked city sizes
-//!   placed uniformly or in metro clusters, the stand-in for census data;
+//!   placed in metro clusters, the stand-in for census data;
 //! - [`gravity`]: gravity-model traffic matrices between population
 //!   centers, the demand input to the design formulations.
 //!

@@ -38,99 +38,54 @@ pub struct Census {
     pub region: BoundingBox,
 }
 
-/// Parameters for synthesizing a census.
-#[derive(Clone, Debug)]
-pub struct CensusConfig {
-    /// Number of cities.
-    pub n_cities: usize,
-    /// Population of the rank-1 city.
-    pub max_population: f64,
-    /// Zipf exponent `s` (≈ 1.0 empirically; larger = steeper dominance).
-    pub zipf_exponent: f64,
-    /// Region to populate.
-    pub region: BoundingBox,
-    /// Spatial placement of cities.
-    pub placement: Placement,
-}
-
-/// How city locations are drawn.
-#[derive(Clone, Debug)]
-pub enum Placement {
-    /// Independent uniform placement over the region.
-    Uniform,
-    /// `centers` metro seeds placed uniformly; every city is attached to a
-    /// random seed and displaced by a Gaussian of the given standard
-    /// deviation (in region units). Models coastal/corridor clustering.
-    Clustered { centers: usize, spread: f64 },
-}
-
-impl Default for CensusConfig {
-    fn default() -> Self {
-        CensusConfig {
-            n_cities: 100,
-            max_population: 8_000_000.0,
-            zipf_exponent: 1.0,
-            region: BoundingBox::square(1000.0),
-            placement: Placement::Clustered {
-                centers: 8,
-                spread: 60.0,
-            },
-        }
-    }
-}
+/// Population of the rank-1 city.
+const MAX_POPULATION: f64 = 8_000_000.0;
+/// Zipf exponent `s` of city sizes (≈ 1.0 empirically).
+const ZIPF_EXPONENT: f64 = 1.0;
+/// Region the cities are placed in.
+const REGION: BoundingBox = BoundingBox::square(1000.0);
+/// Metro seeds the cities cluster around.
+const METRO_CENTERS: usize = 8;
+/// Standard deviation of a city's Gaussian displacement from its metro
+/// seed, in region units.
+const METRO_SPREAD: f64 = 60.0;
 
 impl Census {
-    /// Synthesizes a census from `config` using `rng`.
-    pub fn synthesize(config: &CensusConfig, rng: &mut impl Rng) -> Self {
-        assert!(config.n_cities > 0, "census needs at least one city");
-        assert!(
-            config.max_population > 0.0,
-            "max_population must be positive"
-        );
-        assert!(
-            config.zipf_exponent >= 0.0,
-            "zipf exponent must be non-negative"
-        );
-        let locations: Vec<Point> = match &config.placement {
-            Placement::Uniform => (0..config.n_cities)
-                .map(|_| config.region.sample_uniform(rng))
-                .collect(),
-            Placement::Clustered { centers, spread } => {
-                let k = (*centers).max(1);
-                let seeds: Vec<Point> = (0..k).map(|_| config.region.sample_uniform(rng)).collect();
-                (0..config.n_cities)
-                    .map(|_| {
-                        let seed = seeds[rng.random_range(0..k)];
-                        // Box–Muller Gaussian displacement.
-                        let (g1, g2) = gaussian_pair(rng);
-                        config
-                            .region
-                            .clamp(Point::new(seed.x + g1 * spread, seed.y + g2 * spread))
-                    })
-                    .collect()
-            }
-        };
-        let cities = locations
-            .into_iter()
-            .enumerate()
-            .map(|(i, location)| {
+    /// Synthesizes a census of `n_cities` cities using `rng`: Zipf sizes
+    /// (the rank-r city has population 8·10⁶ / r) placed in a
+    /// 1000 × 1000 square. Eight metro seeds are placed uniformly; every
+    /// city is attached to a random seed and displaced by a Gaussian of
+    /// standard deviation 60, which models coastal/corridor clustering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n_cities == 0`.
+    pub fn synthesize(n_cities: usize, rng: &mut impl Rng) -> Self {
+        assert!(n_cities > 0, "census needs at least one city");
+        let seeds: Vec<Point> = (0..METRO_CENTERS)
+            .map(|_| REGION.sample_uniform(rng))
+            .collect();
+        let cities = (0..n_cities)
+            .map(|i| {
+                let seed = seeds[rng.random_range(0..METRO_CENTERS)];
+                // Box–Muller Gaussian displacement.
+                let (g1, g2) = gaussian_pair(rng);
+                let location = REGION.clamp(Point::new(
+                    seed.x + g1 * METRO_SPREAD,
+                    seed.y + g2 * METRO_SPREAD,
+                ));
                 let rank = i + 1;
                 City {
                     location,
-                    population: config.max_population / (rank as f64).powf(config.zipf_exponent),
+                    population: MAX_POPULATION / (rank as f64).powf(ZIPF_EXPONENT),
                     rank,
                 }
             })
             .collect();
         Census {
             cities,
-            region: config.region,
+            region: REGION,
         }
-    }
-
-    /// Total population across cities.
-    pub fn total_population(&self) -> f64 {
-        self.cities.iter().map(|c| c.population).sum()
     }
 
     /// City locations in rank order.
@@ -160,18 +115,10 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn cfg(placement: Placement) -> CensusConfig {
-        CensusConfig {
-            n_cities: 50,
-            placement,
-            ..CensusConfig::default()
-        }
-    }
-
     #[test]
     fn zipf_populations_decay() {
         let mut rng = StdRng::seed_from_u64(1);
-        let census = Census::synthesize(&cfg(Placement::Uniform), &mut rng);
+        let census = Census::synthesize(50, &mut rng);
         assert_eq!(census.cities.len(), 50);
         for w in census.cities.windows(2) {
             assert!(w[0].population >= w[1].population);
@@ -184,14 +131,8 @@ mod tests {
     #[test]
     fn cities_inside_region() {
         let mut rng = StdRng::seed_from_u64(2);
-        for placement in [
-            Placement::Uniform,
-            Placement::Clustered {
-                centers: 5,
-                spread: 100.0,
-            },
-        ] {
-            let census = Census::synthesize(&cfg(placement), &mut rng);
+        for _ in 0..2 {
+            let census = Census::synthesize(50, &mut rng);
             for c in &census.cities {
                 assert!(census.region.contains(&c.location));
             }
@@ -200,19 +141,14 @@ mod tests {
 
     #[test]
     fn clustered_is_tighter_than_uniform() {
-        // Average nearest-neighbor distance should be smaller when
-        // clustered with small spread.
+        // Average nearest-neighbor distance is smaller than for as many
+        // points drawn uniformly over the same region.
         let mut rng = StdRng::seed_from_u64(3);
-        let uni = Census::synthesize(&cfg(Placement::Uniform), &mut rng);
-        let clu = Census::synthesize(
-            &cfg(Placement::Clustered {
-                centers: 3,
-                spread: 10.0,
-            }),
-            &mut rng,
-        );
-        let mean_nn = |c: &Census| {
-            let pts = c.locations();
+        let census = Census::synthesize(50, &mut rng);
+        let uniform: Vec<Point> = (0..50)
+            .map(|_| census.region.sample_uniform(&mut rng))
+            .collect();
+        let mean_nn = |pts: &[Point]| {
             let mut total = 0.0;
             for (i, p) in pts.iter().enumerate() {
                 let d = pts
@@ -225,47 +161,30 @@ mod tests {
             }
             total / pts.len() as f64
         };
-        assert!(mean_nn(&clu) < mean_nn(&uni));
+        assert!(mean_nn(&census.locations()) < mean_nn(&uniform));
     }
 
     #[test]
     fn deterministic_given_seed() {
-        let c1 = Census::synthesize(&CensusConfig::default(), &mut StdRng::seed_from_u64(9));
-        let c2 = Census::synthesize(&CensusConfig::default(), &mut StdRng::seed_from_u64(9));
+        let c1 = Census::synthesize(100, &mut StdRng::seed_from_u64(9));
+        let c2 = Census::synthesize(100, &mut StdRng::seed_from_u64(9));
         assert_eq!(c1.cities, c2.cities);
     }
 
     #[test]
     fn top_and_total() {
         let mut rng = StdRng::seed_from_u64(4);
-        let census = Census::synthesize(&cfg(Placement::Uniform), &mut rng);
+        let census = Census::synthesize(50, &mut rng);
         assert_eq!(census.top(5).len(), 5);
         assert_eq!(census.top(500).len(), 50);
-        assert!(census.total_population() > census.cities[0].population);
+        let total: f64 = census.cities.iter().map(|c| c.population).sum();
+        assert!(total > census.cities[0].population);
     }
 
     #[test]
     #[should_panic(expected = "at least one city")]
     fn zero_cities_rejected() {
         let mut rng = StdRng::seed_from_u64(0);
-        let bad = CensusConfig {
-            n_cities: 0,
-            ..CensusConfig::default()
-        };
-        Census::synthesize(&bad, &mut rng);
-    }
-
-    #[test]
-    fn flat_zipf_exponent_gives_equal_sizes() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let config = CensusConfig {
-            zipf_exponent: 0.0,
-            ..cfg(Placement::Uniform)
-        };
-        let census = Census::synthesize(&config, &mut rng);
-        assert!(census
-            .cities
-            .iter()
-            .all(|c| (c.population - census.cities[0].population).abs() < 1e-9));
+        Census::synthesize(0, &mut rng);
     }
 }

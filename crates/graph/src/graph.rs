@@ -152,12 +152,6 @@ impl<N, E> Graph<N, E> {
         &self.nodes[n.index()]
     }
 
-    /// Mutable borrow of a node's annotation.
-    #[inline]
-    pub fn node_weight_mut(&mut self, n: NodeId) -> &mut N {
-        &mut self.nodes[n.index()]
-    }
-
     /// Borrow of an edge's annotation.
     #[inline]
     pub fn edge_weight(&self, e: EdgeId) -> &E {
@@ -358,8 +352,6 @@ mod tests {
     fn weights_roundtrip() {
         let mut g = diamond();
         assert_eq!(*g.node_weight(NodeId(2)), "c");
-        *g.node_weight_mut(NodeId(2)) = "z";
-        assert_eq!(*g.node_weight(NodeId(2)), "z");
         assert_eq!(*g.edge_weight(EdgeId(3)), 4);
         *g.edge_weight_mut(EdgeId(3)) = 40;
         assert_eq!(*g.edge_weight(EdgeId(3)), 40);

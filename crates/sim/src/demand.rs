@@ -19,15 +19,12 @@
 //! **symmetric with a zero diagonal by construction** — `a · b` and
 //! `b · a` are the same IEEE product, so `demand(i, j)` and
 //! `demand(j, i)` are bit-identical. Matrices are deterministic
-//! functions of `(topology, config)`: the optional per-node mass jitter
-//! draws from a seeded RNG in node order, so a fixed seed regenerates
-//! the same matrix byte-for-byte.
+//! functions of `(topology, config)`; callers that want other masses
+//! pass them to [`DemandMatrix::from_masses`].
 
 use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::NodeId;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One demand: `amount` of traffic from `src` to `dst`.
 #[derive(Clone, Copy, Debug)]
@@ -65,14 +62,6 @@ pub struct DemandConfig {
     /// carries the full symmetric amount, so the ordered-pair total is
     /// twice this.
     pub total_traffic: f64,
-    /// Per-node multiplicative mass jitter amplitude in `[0, 1)`:
-    /// `mass ·= 1 + jitter · u`, `u ~ U(-1, 1)` drawn from `seed` in
-    /// node order. 0 disables the RNG entirely.
-    pub mass_jitter: f64,
-    /// Floor on pairwise distance (gravity with positions only).
-    pub min_distance: f64,
-    /// Seed for the mass jitter.
-    pub seed: u64,
 }
 
 impl Default for DemandConfig {
@@ -82,12 +71,13 @@ impl Default for DemandConfig {
                 distance_exponent: 1.0,
             },
             total_traffic: 1_000_000.0,
-            mass_jitter: 0.0,
-            min_distance: 1.0,
-            seed: 0,
         }
     }
 }
+
+/// Floor on pairwise distance in [`DemandMatrix::build`] (gravity with
+/// positions only).
+const MIN_DISTANCE: f64 = 1.0;
 
 /// An origin–destination demand source the traffic engine can route.
 ///
@@ -144,7 +134,7 @@ impl DemandMatrix {
     /// Panics if `positions` is present with the wrong length.
     pub fn build(csr: &CsrGraph, positions: Option<&[Point]>, cfg: &DemandConfig) -> DemandMatrix {
         let n = csr.node_count();
-        let mut mass: Vec<f64> = match cfg.model {
+        let mass: Vec<f64> = match cfg.model {
             DemandModel::Uniform => vec![1.0; n],
             DemandModel::Gravity { .. } => (0..n)
                 .map(|v| csr.degree(NodeId(v as u32)) as f64)
@@ -159,12 +149,6 @@ impl DemandMatrix {
                 m
             }
         };
-        if cfg.mass_jitter > 0.0 {
-            let mut rng = StdRng::seed_from_u64(cfg.seed);
-            for m in &mut mass {
-                *m *= 1.0 + cfg.mass_jitter * rng.random_range(-1.0..1.0);
-            }
-        }
         let gamma = match cfg.model {
             DemandModel::Gravity { distance_exponent } => distance_exponent,
             _ => 0.0,
@@ -173,7 +157,7 @@ impl DemandMatrix {
             mass,
             positions.map(|p| p.to_vec()),
             gamma,
-            cfg.min_distance,
+            MIN_DISTANCE,
             cfg.total_traffic,
         )
     }
@@ -250,7 +234,7 @@ impl DemandMatrix {
         self.mass.is_empty()
     }
 
-    /// The (possibly jittered) mass of node `i`.
+    /// The mass of node `i`.
     pub fn mass(&self, i: usize) -> f64 {
         self.mass[i]
     }
@@ -432,7 +416,6 @@ mod tests {
         DemandConfig {
             model,
             total_traffic: 100.0,
-            ..DemandConfig::default()
         }
     }
 
@@ -493,26 +476,6 @@ mod tests {
         assert!((dm.mass(0) - 1.0).abs() < 1e-12);
         assert!((dm.mass(1) - 0.5).abs() < 1e-12);
         assert!(dm.demand(0, 1) > dm.demand(3, 4));
-    }
-
-    #[test]
-    fn jitter_is_seed_deterministic() {
-        let base = DemandConfig {
-            mass_jitter: 0.3,
-            seed: 9,
-            ..cfg(DemandModel::Gravity {
-                distance_exponent: 0.0,
-            })
-        };
-        let a = DemandMatrix::build(&star(), None, &base);
-        let b = DemandMatrix::build(&star(), None, &base);
-        let c = DemandMatrix::build(&star(), None, &DemandConfig { seed: 10, ..base });
-        for i in 0..5 {
-            for j in 0..5 {
-                assert_eq!(a.demand(i, j).to_bits(), b.demand(i, j).to_bits());
-            }
-        }
-        assert!((0..5).any(|i| a.mass(i).to_bits() != c.mass(i).to_bits()));
     }
 
     #[test]

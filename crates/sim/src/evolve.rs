@@ -56,12 +56,11 @@ pub enum NodeRole {
 /// (1.0 for the geography-free controls).
 pub type EvolveGraph = Graph<NodeRole, f64>;
 
-/// Engine-level schedule: how long, how fast, under which trend.
+/// Engine-level schedule: how fast and under which trend. The engine
+/// is open-ended; callers run as many [`Evolution::step`]s as they
+/// need.
 #[derive(Clone, Debug)]
 pub struct EvolveConfig {
-    /// Epochs to simulate (the engine itself is open-ended; this is
-    /// what [`Evolution::run`] executes).
-    pub epochs: u64,
     /// Customer arrivals per epoch (constant — demand growth scales
     /// traffic per customer, not the arrival code path).
     pub arrivals_per_epoch: usize,
@@ -142,22 +141,10 @@ impl<M: GrowthModel> Evolution<M> {
         }
     }
 
-    /// Simulated epochs completed (0 right after seeding).
-    #[inline]
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
     /// The network as of the last completed epoch.
     #[inline]
     pub fn graph(&self) -> &EvolveGraph {
         &self.graph
-    }
-
-    /// The schedule this run executes.
-    #[inline]
-    pub fn config(&self) -> &EvolveConfig {
-        &self.config
     }
 
     /// The model's report name.
@@ -191,15 +178,6 @@ impl<M: GrowthModel> Evolution<M> {
             reopt_links,
         }
     }
-
-    /// Runs the configured number of epochs, handing every delta (and
-    /// the grown graph) to `observer`.
-    pub fn run(&mut self, mut observer: impl FnMut(&EvolveGraph, &EpochDelta)) {
-        for _ in 0..self.config.epochs {
-            let delta = self.step();
-            observer(&self.graph, &delta);
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -216,18 +194,6 @@ pub struct HotGrowthConfig {
     /// Per-router access degree cap (the line-card constraint; cores
     /// are exempt for trunks but not for customer attachment).
     pub degree_cap: u32,
-    /// Customer scatter radius around a metro center.
-    pub metro_radius: f64,
-    /// Traffic units one customer sources at epoch 0 (scaled by the
-    /// demand trend thereafter).
-    pub demand_per_customer: f64,
-    /// Backbone trunks re-optimization may add per pass.
-    pub max_trunks_per_reopt: usize,
-    /// A customer dual-homes once the trend's cost factor drops below
-    /// this (cheap transport makes redundancy affordable).
-    pub multihome_cost_threshold: f64,
-    /// Cable price list the trunk economics use (scaled per epoch).
-    pub catalog: CableCatalog,
 }
 
 impl Default for HotGrowthConfig {
@@ -236,14 +202,20 @@ impl Default for HotGrowthConfig {
             cities: 8,
             alpha: 6.0,
             degree_cap: 12,
-            metro_radius: 40.0,
-            demand_per_customer: 1.0,
-            max_trunks_per_reopt: 2,
-            multihome_cost_threshold: 0.4,
-            catalog: CableCatalog::realistic_2003(),
         }
     }
 }
+
+/// Customer scatter radius around a metro center.
+const METRO_RADIUS: f64 = 40.0;
+/// Traffic units one customer sources at epoch 0 (scaled by the demand
+/// trend thereafter).
+const DEMAND_PER_CUSTOMER: f64 = 1.0;
+/// Backbone trunks re-optimization may add per pass.
+const MAX_TRUNKS_PER_REOPT: usize = 2;
+/// A customer dual-homes once the trend's cost factor drops below this
+/// (cheap transport makes redundancy affordable).
+const MULTIHOME_COST_THRESHOLD: f64 = 0.4;
 
 /// Whether `cap` is a per-router access degree cap [`HotGrowth::new`]
 /// accepts: at least 2, so a router can take an uplink and a customer.
@@ -283,7 +255,9 @@ impl HotGrowth {
             degree_cap_is_valid(cfg.degree_cap),
             "cap must admit a through-path"
         );
-        let link_cost = LinkCost::cables_only(cfg.catalog.clone());
+        // Trunk economics price links from the 2003 catalog, scaled per
+        // epoch by the trend's cost factor.
+        let link_cost = LinkCost::cables_only(CableCatalog::realistic_2003());
         HotGrowth {
             cfg,
             link_cost,
@@ -374,7 +348,7 @@ impl HotGrowth {
         city: usize,
         p: Point,
     ) -> (Option<u32>, Option<u32>) {
-        let scale = 1.0 / self.cfg.metro_radius.max(1e-9);
+        let scale = 1.0 / METRO_RADIUS;
         let mut best: Option<(f64, u32)> = None;
         let mut second: Option<(f64, u32)> = None;
         for &cand in &self.city_members[city] {
@@ -450,7 +424,7 @@ impl GrowthModel for HotGrowth {
             let city = self.pick_city(rng);
             let center = self.centers[city];
             let angle = rng.random::<f64>() * std::f64::consts::TAU;
-            let radius = self.cfg.metro_radius * rng.random::<f64>().sqrt();
+            let radius = METRO_RADIUS * rng.random::<f64>().sqrt();
             let p = Point {
                 x: center.x + radius * angle.cos(),
                 y: center.y + radius * angle.sin(),
@@ -462,7 +436,7 @@ impl GrowthModel for HotGrowth {
             let root = self.root_core[target.index()];
             self.track(v, p, self.depth[target.index()] + 1, root, city);
             self.served[root as usize] += 1;
-            if cost_factor < self.cfg.multihome_cost_threshold {
+            if cost_factor < MULTIHOME_COST_THRESHOLD {
                 if let Some(alt) = runner_up {
                     let alt = NodeId(alt);
                     if g.find_edge(alt, v).is_none() {
@@ -501,7 +475,7 @@ impl GrowthModel for HotGrowth {
             .map(|(c, &p)| (c, p / cores_in[c].max(1) as f64))
             .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite").then(b.0.cmp(&a.0)))
             .expect("at least one city");
-        let jitter = self.cfg.metro_radius * 0.25;
+        let jitter = METRO_RADIUS * 0.25;
         let p = Point {
             x: self.centers[entry_city].x + (rng.random::<f64>() - 0.5) * jitter,
             y: self.centers[entry_city].y + (rng.random::<f64>() - 0.5) * jitter,
@@ -521,7 +495,7 @@ impl GrowthModel for HotGrowth {
                 }
                 let flow = self.served[i] as f64
                     * self.served[j] as f64
-                    * self.cfg.demand_per_customer
+                    * DEMAND_PER_CUSTOMER
                     * demand_factor
                     / (self.served.iter().sum::<u64>().max(1) as f64);
                 if flow <= 0.0 {
@@ -542,7 +516,7 @@ impl GrowthModel for HotGrowth {
                 .then(x.1.cmp(&y.1))
                 .then(x.2.cmp(&y.2))
         });
-        for &(_, a, b) in candidates.iter().take(self.cfg.max_trunks_per_reopt) {
+        for &(_, a, b) in candidates.iter().take(MAX_TRUNKS_PER_REOPT) {
             let d = self.pos[a as usize].dist(&self.pos[b as usize]).max(1e-9);
             g.add_edge(NodeId(a), NodeId(b), d);
         }
@@ -560,12 +534,12 @@ impl GrowthModel for HotGrowth {
 pub struct DegreeGrowth {
     name: &'static str,
     /// Links per arriving node.
-    pub m: usize,
+    m: usize,
     /// GLP degree shift (`0` = pure BA preferential attachment).
-    pub beta: f64,
+    beta: f64,
     /// Probability an arrival event instead densifies: adds `m` links
     /// between existing nodes (GLP's edge events; `0` = pure BA).
-    pub p_edge_only: f64,
+    p_edge_only: f64,
 }
 
 impl DegreeGrowth {
@@ -698,9 +672,10 @@ mod tests {
     use hot_graph::csr::CsrGraph;
     use hot_graph::unionfind::UnionFind;
 
+    const EPOCHS: u64 = 6;
+
     fn tiny_config(seed: u64) -> EvolveConfig {
         EvolveConfig {
-            epochs: 6,
             arrivals_per_epoch: 10,
             trend: TechTrend::dotcom(),
             reopt_interval: 2,
@@ -726,8 +701,12 @@ mod tests {
                 }),
                 tiny_config(seed),
             );
-            let mut deltas = Vec::new();
-            evo.run(|g, d| deltas.push((d.clone(), g.node_count(), g.edge_count())));
+            let deltas: Vec<_> = (0..EPOCHS)
+                .map(|_| {
+                    let d = evo.step();
+                    (d, evo.graph().node_count(), evo.graph().edge_count())
+                })
+                .collect();
             (deltas, CsrGraph::from_graph(evo.graph()))
         };
         let (d1, c1) = run(11);
@@ -747,8 +726,8 @@ mod tests {
         };
         let cap = cfg.degree_cap;
         let mut evo = Evolution::new(HotGrowth::new(cfg), tiny_config(7));
-        evo.run(|_, _| {});
-        assert_eq!(evo.epoch(), 6);
+        let last = (0..EPOCHS).map(|_| evo.step()).last();
+        assert_eq!(last.map(|d| d.epoch), Some(EPOCHS));
         let g = evo.graph();
         assert_eq!(components(g), 1, "arrivals always attach");
         // Customers never exceed the cap; cores may only via trunks /
@@ -770,7 +749,9 @@ mod tests {
     #[test]
     fn degree_controls_build_hubs() {
         let mut evo = Evolution::new(DegreeGrowth::ba(2), tiny_config(3));
-        evo.run(|_, _| {});
+        for _ in 0..EPOCHS {
+            evo.step();
+        }
         let g = evo.graph();
         assert_eq!(components(g), 1);
         assert_eq!(g.node_count(), 3 + 60, "clique seed + 60 arrivals");
@@ -782,7 +763,9 @@ mod tests {
         assert!(max_deg > 8, "preferential attachment grows hubs");
         // GLP variant stays runnable and multigraph-free.
         let mut glp = Evolution::new(DegreeGrowth::glp(2), tiny_config(3));
-        glp.run(|_, _| {});
+        for _ in 0..EPOCHS {
+            glp.step();
+        }
         let gg = glp.graph();
         for (e, a, b, _) in gg.edges() {
             assert_ne!(a, b);

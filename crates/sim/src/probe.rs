@@ -29,7 +29,7 @@
 
 use crate::traceroute::InferredMap;
 use hot_graph::csr::{CsrBfsTree, CsrGraph, UNREACHABLE};
-use hot_graph::graph::{Graph, NodeId};
+use hot_graph::graph::NodeId;
 use hot_graph::parallel::run_chunks;
 
 /// A probe campaign: who probes, toward what, under which forwarding
@@ -242,33 +242,6 @@ pub fn run_campaign(csr: &CsrGraph, campaign: &ProbeCampaign, threads: usize) ->
     }
 }
 
-/// Convenience wrapper for a campaign on a [`Graph`]: builds its CSR
-/// view, gathers per-edge latencies with `weight`, and runs the batched
-/// campaign under latency forwarding (destinations: every node when
-/// `None`).
-pub fn infer_map_batched<N, E>(
-    truth: &Graph<N, E>,
-    vantages: &[NodeId],
-    destinations: Option<&[NodeId]>,
-    mut weight: impl FnMut(&E) -> f64,
-    threads: usize,
-) -> CampaignResult {
-    let csr = CsrGraph::from_graph(truth);
-    let latency: Vec<f64> = truth
-        .edge_ids()
-        .map(|e| weight(truth.edge_weight(e)))
-        .collect();
-    run_campaign(
-        &csr,
-        &ProbeCampaign {
-            vantages,
-            destinations,
-            link_latency: Some(&latency),
-        },
-        threads,
-    )
-}
-
 fn advance_epoch(scratch: &mut WorkerScratch) {
     if scratch.epoch == u32::MAX {
         scratch.stamp.fill(0);
@@ -332,6 +305,7 @@ fn mark_subset(
 mod tests {
     use super::*;
     use crate::traceroute::strided_vantages;
+    use hot_graph::graph::Graph;
 
     /// Square with a cheap diagonal.
     fn square_diag() -> Graph<(), f64> {

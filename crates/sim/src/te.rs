@@ -16,8 +16,8 @@
 //!
 //! Everything is a deterministic function of (graph, demand,
 //! capacities, config): the engine is bit-identical at any thread
-//! count, comparisons are exact, and the default dyadic penalty (0.5)
-//! keeps every weight an exact power of two.
+//! count, comparisons are exact, and the dyadic penalty (0.5) keeps
+//! every weight an exact power of two.
 
 use crate::demand::OdDemand;
 use crate::traffic::{link_loads_weighted, TrafficLoads};
@@ -26,27 +26,23 @@ use hot_graph::csr::CsrGraph;
 /// Parameters of the TE weight-tuning loop.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TeConfig {
-    /// Links with utilization ≥ `hot_fraction × current max` are
-    /// penalized together each round (in `(0, 1]`; the argmax link is
-    /// always included).
-    pub hot_fraction: f64,
-    /// Multiplicative weight penalty applied to hot links (in
-    /// `(0, 1)`). The default 0.5 is dyadic, so weights stay exact
-    /// powers of two.
-    pub penalty: f64,
     /// Maximum number of *accepted* improvement rounds.
     pub max_rounds: usize,
 }
 
 impl Default for TeConfig {
     fn default() -> Self {
-        TeConfig {
-            hot_fraction: 0.9,
-            penalty: 0.5,
-            max_rounds: 8,
-        }
+        TeConfig { max_rounds: 8 }
     }
 }
+
+/// Links with utilization ≥ `HOT_FRACTION × current max` are penalized
+/// together each round (the argmax link is always included).
+const HOT_FRACTION: f64 = 0.9;
+
+/// Multiplicative weight penalty applied to hot links. 0.5 is dyadic,
+/// so weights stay exact powers of two.
+const PENALTY: f64 = 0.5;
 
 /// Result of [`tune_weights`].
 #[derive(Clone, Debug, PartialEq)]
@@ -113,16 +109,6 @@ pub fn tune_weights(
         csr.edge_count(),
         "one capacity per link required"
     );
-    assert!(
-        cfg.hot_fraction > 0.0 && cfg.hot_fraction <= 1.0,
-        "hot_fraction must be in (0, 1], got {}",
-        cfg.hot_fraction
-    );
-    assert!(
-        cfg.penalty > 0.0 && cfg.penalty < 1.0,
-        "penalty must be in (0, 1), got {}",
-        cfg.penalty
-    );
     let mut weights = vec![1.0; csr.edge_count()];
     let mut loads = link_loads_weighted(csr, demand, &weights, threads);
     let mut best_max = max_utilization(&loads.link_load, capacities);
@@ -134,11 +120,11 @@ pub fn tune_weights(
             converged = true;
             break;
         }
-        let cut = cfg.hot_fraction * best_max;
+        let cut = HOT_FRACTION * best_max;
         let mut candidate = weights.clone();
         for (e, w) in candidate.iter_mut().enumerate() {
             if loads.link_load[e] / capacities[e] >= cut {
-                *w *= cfg.penalty;
+                *w *= PENALTY;
             }
         }
         rounds_tried += 1;

@@ -28,50 +28,6 @@ pub struct InferredMap {
     pub edge_coverage: f64,
 }
 
-impl InferredMap {
-    /// Materializes the inferred topology. Only *observed* links are
-    /// included — an induced subgraph would over-report by keeping true
-    /// links between observed routers that no traceroute ever crossed.
-    pub fn to_graph<N: Clone, E: Clone>(&self, truth: &Graph<N, E>) -> Graph<N, E> {
-        let mut out: Graph<N, E> = Graph::new();
-        let mut mapping = vec![None; truth.node_count()];
-        for v in truth.node_ids() {
-            if self.node_seen[v.index()] {
-                mapping[v.index()] = Some(out.add_node(truth.node_weight(v).clone()));
-            }
-        }
-        for (e, a, b, w) in truth.edges() {
-            if self.edge_seen[e.index()] {
-                let (Some(na), Some(nb)) = (mapping[a.index()], mapping[b.index()]) else {
-                    unreachable!("observed edges have observed endpoints");
-                };
-                out.add_edge(na, nb, w.clone());
-            }
-        }
-        out
-    }
-
-    /// Degree sequence of the inferred topology: one entry per observed
-    /// node in ascending ground-truth id order (the node order
-    /// [`Self::to_graph`] emits), counting only observed links.
-    /// Computed straight off the masks in O(n + m) — materializing the
-    /// inferred graph first, as this used to do, made every call pay a
-    /// full graph rebuild.
-    pub fn degree_sequence<N, E>(&self, truth: &Graph<N, E>) -> Vec<u32> {
-        let mut deg = vec![0u32; truth.node_count()];
-        for (e, a, b, _) in truth.edges() {
-            if self.edge_seen[e.index()] {
-                deg[a.index()] += 1;
-                deg[b.index()] += 1;
-            }
-        }
-        (0..truth.node_count())
-            .filter(|&v| self.node_seen[v])
-            .map(|v| deg[v])
-            .collect()
-    }
-}
-
 /// Deterministic vantage choice: `k` nodes spread evenly over the id
 /// space (the reproducibility convention used across the workspace).
 pub fn strided_vantages<N, E>(g: &Graph<N, E>, k: usize) -> Vec<NodeId> {
@@ -86,6 +42,8 @@ pub fn strided_vantages<N, E>(g: &Graph<N, E>, k: usize) -> Vec<NodeId> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::{run_campaign, ProbeCampaign};
+    use hot_graph::csr::CsrGraph;
 
     /// A latency-forwarding campaign on one worker.
     fn probe_map(
@@ -93,7 +51,13 @@ mod tests {
         vantages: &[NodeId],
         destinations: Option<&[NodeId]>,
     ) -> InferredMap {
-        crate::probe::infer_map_batched(g, vantages, destinations, |w| *w, 1).map
+        let latency: Vec<f64> = g.edge_ids().map(|e| *g.edge_weight(e)).collect();
+        let campaign = ProbeCampaign {
+            vantages,
+            destinations,
+            link_latency: Some(&latency),
+        };
+        run_campaign(&CsrGraph::from_graph(g), &campaign, 1).map
     }
 
     /// Square with a diagonal: shortest paths never use some edges.
@@ -133,36 +97,18 @@ mod tests {
     fn inferred_graph_is_subgraph() {
         let g = square_diag();
         let map = probe_map(&g, &[NodeId(1)], None);
-        let inferred = map.to_graph(&g);
+        let csr = CsrGraph::from_graph(&g);
+        let (inferred, _) = csr.edge_masked(&map.edge_seen);
         assert!(inferred.edge_count() <= g.edge_count());
-        assert!(inferred.node_count() <= g.node_count());
-        // Degree in the inferred map never exceeds the true degree.
-        // (Computed once before the loop — recomputing the sequence per
-        // node made this quadratic.)
+        // Degree in the inferred map never exceeds the true degree, and
+        // every observed link has both endpoints observed.
         let true_degs = g.degree_sequence();
         let inferred_degs = inferred.degree_sequence();
-        let mut observed_idx = 0usize;
         for v in 0..g.node_count() {
-            if map.node_seen[v] {
-                assert!(inferred_degs[observed_idx] <= true_degs[v]);
-                observed_idx += 1;
+            assert!(inferred_degs[v] <= true_degs[v]);
+            if inferred_degs[v] > 0 {
+                assert!(map.node_seen[v]);
             }
-        }
-    }
-
-    /// The mask-based degree sequence equals the one obtained by
-    /// materializing the inferred graph (the old implementation).
-    #[test]
-    fn degree_sequence_matches_materialized_graph() {
-        let g = square_diag();
-        for k in 1..=4 {
-            let map = probe_map(&g, &strided_vantages(&g, k), None);
-            assert_eq!(
-                map.degree_sequence(&g),
-                map.to_graph(&g).degree_sequence(),
-                "k = {}",
-                k
-            );
         }
     }
 

@@ -366,6 +366,21 @@ mod tests {
     use crate::demand::{Demand, DemandConfig, DemandMatrix, DemandModel};
     use crate::failure::route_demands;
     use hot_graph::graph::{Graph, NodeId};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Gravity demand on irregular non-integer masses: each node's
+    /// degree scaled by `1 + amp · u`, `u ~ U(-1, 1)` drawn from `seed`
+    /// in node order.
+    fn jittered_gravity(csr: &CsrGraph, amp: f64, seed: u64) -> DemandMatrix {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mass = (0..csr.node_count())
+            .map(|v| {
+                csr.degree(NodeId(v as u32)) as f64 * (1.0 + amp * rng.random_range(-1.0..1.0))
+            })
+            .collect();
+        DemandMatrix::from_masses(mass, None, 0.0, 1.0, 1_000_000.0)
+    }
 
     /// A demand given by an explicit dense matrix (tests only).
     struct Dense {
@@ -507,18 +522,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let csr = CsrGraph::from_graph(&g);
-        let dem = DemandMatrix::build(
-            &csr,
-            None,
-            &DemandConfig {
-                model: DemandModel::Gravity {
-                    distance_exponent: 0.0,
-                },
-                mass_jitter: 0.4,
-                seed: 5,
-                ..DemandConfig::default()
-            },
-        );
+        let dem = jittered_gravity(&csr, 0.4, 5);
         for policy in [RoutePolicy::TreePath, RoutePolicy::Ecmp] {
             let reference = link_loads(&csr, &dem, policy, 1);
             for threads in 2..=8 {
@@ -544,18 +548,7 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let csr = CsrGraph::from_graph(&g);
-        let dem = DemandMatrix::build(
-            &csr,
-            None,
-            &DemandConfig {
-                model: DemandModel::Gravity {
-                    distance_exponent: 0.0,
-                },
-                mass_jitter: 0.3,
-                seed: 11,
-                ..DemandConfig::default()
-            },
-        );
+        let dem = jittered_gravity(&csr, 0.3, 11);
         let plain = link_loads(&csr, &dem, RoutePolicy::Ecmp, 3);
         for threads in [1, 3, 8] {
             let unit = link_loads_weighted(&csr, &dem, &vec![1.0; csr.edge_count()], threads);

@@ -13,14 +13,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 25,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(11),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(25, &mut StdRng::seed_from_u64(11));
+    let traffic = TrafficMatrix::gravity(&census);
     let config = InternetConfig {
         n_isps: 30,
         max_pops: 10,

@@ -60,14 +60,8 @@ struct Topology {
 /// Generates the full economy at roughly `target_nodes` routers and
 /// packs the analytics inputs into a [`Snapshot`].
 fn generate_snapshot(target_nodes: usize, seed: u64) -> Snapshot {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 120,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(120, &mut StdRng::seed_from_u64(seed));
+    let traffic = TrafficMatrix::gravity(&census);
     // Scale by growing the ISP population (Zipf footprints, largest ISP
     // 24 POPs) at a fixed 490 customers per POP: per-POP access design
     // (Esau-Williams trees, facility location) is superlinear in

@@ -11,14 +11,8 @@ use rand::SeedableRng;
 
 fn main() {
     // Geography: 50 Zipf-ranked cities clustered into metro corridors.
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 50,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(3),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(50, &mut StdRng::seed_from_u64(3));
+    let traffic = TrafficMatrix::gravity(&census);
     println!(
         "census: {} cities, top city population {:.0}",
         census.cities.len(),

@@ -14,14 +14,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn main() {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 30,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(21),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(30, &mut StdRng::seed_from_u64(21));
+    let traffic = TrafficMatrix::gravity(&census);
     let config = IspConfig {
         n_pops: 8,
         total_customers: 300,

@@ -21,7 +21,6 @@ fn evolve_and_report<M: GrowthModel>(model: M) {
     let mut evo = Evolution::new(
         model,
         EvolveConfig {
-            epochs: EPOCHS,
             arrivals_per_epoch: ARRIVALS,
             trend: TechTrend::dotcom(),
             reopt_interval: 4,

@@ -33,8 +33,8 @@
 //!
 //! let mut rng = StdRng::seed_from_u64(7);
 //! // A census of population centers and its gravity traffic matrix...
-//! let census = Census::synthesize(&CensusConfig::default(), &mut rng);
-//! let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+//! let census = Census::synthesize(100, &mut rng);
+//! let traffic = TrafficMatrix::gravity(&census);
 //! // ...drive a cost-based national ISP design.
 //! let config = IspConfig { n_pops: 6, total_customers: 150, ..IspConfig::default() };
 //! let isp = generate_isp(&census, &traffic, &config, &mut rng);
@@ -144,12 +144,12 @@ pub mod prelude {
     pub use hot_core::plr::{self, Design, PlrConfig, SparkDensity};
     pub use hot_econ::cable::{CableCatalog, CableType};
     pub use hot_econ::cost::LinkCost;
-    pub use hot_econ::demand::DemandModel;
+    pub use hot_econ::demand::BoundedPareto;
     pub use hot_econ::pricing::RevenueModel;
     pub use hot_geo::bbox::BoundingBox;
-    pub use hot_geo::gravity::{GravityConfig, TrafficMatrix};
+    pub use hot_geo::gravity::TrafficMatrix;
     pub use hot_geo::point::Point;
-    pub use hot_geo::population::{Census, CensusConfig, Placement};
+    pub use hot_geo::population::Census;
     pub use hot_graph::{Graph, NodeId};
     pub use hot_metrics::expfit::TailClass;
     pub use hot_metrics::MetricReport;

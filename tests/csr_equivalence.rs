@@ -193,13 +193,7 @@ fn fixtures() -> Vec<(&'static str, Graph<(), ()>)> {
         &mut StdRng::seed_from_u64(2),
     )
     .map(|_, _| (), |_, _| ());
-    let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n: 400,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(3),
-    );
+    let glp_graph = glp::generate(&glp::GlpConfig { n: 400 }, &mut StdRng::seed_from_u64(3));
     let empty: Graph<(), ()> = Graph::new();
     let mut single: Graph<(), ()> = Graph::new();
     single.add_node(());

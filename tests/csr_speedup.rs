@@ -29,13 +29,7 @@ fn par_betweenness_speedup_glp_20k() {
     } else {
         20_000
     };
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let g = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     let csr = CsrGraph::from_graph(&g);
     let threads = default_threads();
 

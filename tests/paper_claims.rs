@@ -110,7 +110,6 @@ fn claim_redundancy_breaks_tree() {
         &BackboneConfig {
             redundancy: false,
             shortcut_pairs: 0,
-            ..Default::default()
         },
     );
     let mesh = design(
@@ -119,7 +118,6 @@ fn claim_redundancy_breaks_tree() {
         &BackboneConfig {
             redundancy: true,
             shortcut_pairs: 0,
-            ..Default::default()
         },
     );
     assert_eq!(tree.edges.len(), 9); // spanning tree
@@ -130,14 +128,8 @@ fn claim_redundancy_breaks_tree() {
 /// one generated economy.
 #[test]
 fn claim_as_vs_router_degree_laws() {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 15,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(4),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(15, &mut StdRng::seed_from_u64(4));
+    let traffic = TrafficMatrix::gravity(&census);
     let config = InternetConfig {
         n_isps: 25,
         max_pops: 8,

@@ -9,14 +9,8 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn geography(seed: u64) -> (Census, TrafficMatrix) {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 20,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(20, &mut StdRng::seed_from_u64(seed));
+    let traffic = TrafficMatrix::gravity(&census);
     (census, traffic)
 }
 

@@ -28,13 +28,7 @@ fn batched_campaign_speedup_glp() {
     } else {
         (30_000, 64)
     };
-    let glp_graph = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let glp_graph = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     // Re-key the GLP topology with per-link latencies derived from the
     // edge index: tie-heavy small integers, so equal-cost choices must
     // agree between the engines too.

@@ -35,10 +35,7 @@ fn scale_kernels_speedup_glp() {
     };
     let threads = default_threads();
     let csr = CsrGraph::from_graph(&glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n },
         &mut StdRng::seed_from_u64(20030617),
     ));
     // Knuth-stride sample of sources, spread across the id space.
@@ -85,10 +82,7 @@ fn scale_kernels_speedup_glp() {
     // Sampled betweenness on a smaller graph (exact Brandes is the
     // baseline and is O(n·m)).
     let bw_csr = CsrGraph::from_graph(&glp::generate(
-        &glp::GlpConfig {
-            n: bw_n,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: bw_n },
         &mut StdRng::seed_from_u64(20030618),
     ));
     let t2 = Instant::now();

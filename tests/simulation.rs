@@ -3,23 +3,18 @@
 
 use hot_exp::scenarios::e13::inflation_stats;
 use hotgen::bgp::{AsTopology, UNREACHED};
+use hotgen::graph::csr::CsrGraph;
 use hotgen::prelude::*;
 use hotgen::sim::demand::Demand;
 use hotgen::sim::failure::{route_demands, single_link_failures};
-use hotgen::sim::probe::infer_map_batched;
+use hotgen::sim::probe::{run_campaign, ProbeCampaign};
 use hotgen::sim::traceroute::strided_vantages;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 fn setup(seed: u64) -> (Census, TrafficMatrix) {
-    let census = Census::synthesize(
-        &CensusConfig {
-            n_cities: 20,
-            ..CensusConfig::default()
-        },
-        &mut StdRng::seed_from_u64(seed),
-    );
-    let traffic = TrafficMatrix::gravity(&census, &GravityConfig::default());
+    let census = Census::synthesize(20, &mut StdRng::seed_from_u64(seed));
+    let traffic = TrafficMatrix::gravity(&census);
     (census, traffic)
 }
 
@@ -124,28 +119,28 @@ fn traceroute_inference_is_conservative() {
         ..IspConfig::default()
     };
     let isp = generate_isp(&census, &traffic, &config, &mut StdRng::seed_from_u64(8));
-    let latency = |l: &hotgen::core::isp::Link| l.length.max(1e-9);
-    let few = infer_map_batched(
-        &isp.graph,
-        &strided_vantages(&isp.graph, 2),
-        None,
-        latency,
-        2,
-    )
-    .map;
-    let many = infer_map_batched(
-        &isp.graph,
-        &strided_vantages(&isp.graph, 16),
-        None,
-        latency,
-        2,
-    )
-    .map;
+    let csr = CsrGraph::from_graph(&isp.graph);
+    let latency: Vec<f64> = isp
+        .graph
+        .edge_ids()
+        .map(|e| isp.graph.edge_weight(e).length.max(1e-9))
+        .collect();
+    let probe = |k: usize| {
+        let vantages = strided_vantages(&isp.graph, k);
+        let campaign = ProbeCampaign {
+            vantages: &vantages,
+            destinations: None,
+            link_latency: Some(&latency),
+        };
+        run_campaign(&csr, &campaign, 2).map
+    };
+    let few = probe(2);
+    let many = probe(16);
     // Coverage is monotone in vantage count and bounded by the truth.
     assert!(many.edge_coverage >= few.edge_coverage - 1e-12);
     assert!(many.edge_coverage <= 1.0 + 1e-12);
     // The inferred map never invents links.
-    let inferred = many.to_graph(&isp.graph);
+    let (inferred, _) = csr.edge_masked(&many.edge_seen);
     assert!(inferred.edge_count() <= isp.graph.edge_count());
 }
 

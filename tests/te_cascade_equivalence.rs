@@ -124,10 +124,7 @@ impl OdDemand for SquareDemand {
 #[test]
 fn cascade_matches_naive_on_glp5k() {
     let g = glp::generate(
-        &glp::GlpConfig {
-            n: 5000,
-            ..glp::GlpConfig::default()
-        },
+        &glp::GlpConfig { n: 5000 },
         &mut StdRng::seed_from_u64(20030617),
     );
     let csr = CsrGraph::from_graph(&g);

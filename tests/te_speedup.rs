@@ -51,13 +51,7 @@ fn batched_cascade_speedup_glp() {
     } else {
         (5_000, 400)
     };
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let g = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     let csr = CsrGraph::from_graph(&g);
     let threads = default_threads();
     let dem = Banded {

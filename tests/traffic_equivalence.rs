@@ -37,10 +37,7 @@ fn glp5k() -> &'static (Graph<(), ()>, CsrGraph) {
     static FIXTURE: OnceLock<(Graph<(), ()>, CsrGraph)> = OnceLock::new();
     FIXTURE.get_or_init(|| {
         let g = glp::generate(
-            &glp::GlpConfig {
-                n: 5000,
-                ..glp::GlpConfig::default()
-            },
+            &glp::GlpConfig { n: 5000 },
             &mut StdRng::seed_from_u64(20030617),
         );
         let csr = CsrGraph::from_graph(&g);
@@ -117,25 +114,17 @@ fn batched_matches_naive_per_flow_exactly() {
     assert_eq!(per_flow.unrouted_flows, 0);
 }
 
-/// Thread-count identity on *non-integer* demand (gravity with jittered
-/// masses), for both route policies: 1 worker vs 8 workers, link loads
-/// byte-identical, over a ≥ 1M-flow band.
+/// Thread-count identity on *non-integer* demand (gravity on degree
+/// masses jittered by `1 + 0.5 · u`, `u ~ U(-1, 1)`), for both route
+/// policies: 1 worker vs 8 workers, link loads byte-identical, over a
+/// ≥ 1M-flow band.
 #[test]
 fn one_vs_eight_threads_byte_identical_on_glp5k() {
     let (_, csr) = glp5k();
+    let degrees = csr.degree_sequence().into_iter().map(f64::from);
+    let mass = common::jittered(degrees, 0.5, 7);
     let dem = Banded {
-        inner: DemandMatrix::build(
-            csr,
-            None,
-            &DemandConfig {
-                model: DemandModel::Gravity {
-                    distance_exponent: 1.0,
-                },
-                mass_jitter: 0.5,
-                seed: 7,
-                ..DemandConfig::default()
-            },
-        ),
+        inner: DemandMatrix::from_masses(mass, None, 1.0, 1.0, 1_000_000.0),
         max_src: 1000,
     };
     for policy in [RoutePolicy::TreePath, RoutePolicy::Ecmp] {

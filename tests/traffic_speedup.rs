@@ -31,13 +31,7 @@ fn batched_engine_speedup_glp5k() {
     } else {
         (5_000, 1_200)
     };
-    let g = glp::generate(
-        &glp::GlpConfig {
-            n,
-            ..glp::GlpConfig::default()
-        },
-        &mut StdRng::seed_from_u64(20030617),
-    );
+    let g = glp::generate(&glp::GlpConfig { n }, &mut StdRng::seed_from_u64(20030617));
     let csr = CsrGraph::from_graph(&g);
     let threads = default_threads();
     let dem = DemandMatrix::build(
