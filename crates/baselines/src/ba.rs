@@ -21,7 +21,7 @@ use rand::Rng;
 /// Panics if `m == 0` or `n < m + 1`.
 pub fn generate(n: usize, m: usize, rng: &mut impl Rng) -> Graph<(), ()> {
     assert!(m >= 1, "m must be at least 1");
-    assert!(n >= m + 1, "need at least m + 1 = {} nodes", m + 1);
+    assert!(n > m, "need at least m + 1 = {} nodes", m + 1);
     let mut g = Graph::with_capacity(n, n * m);
     // `endpoints` holds each node id once per unit of degree.
     let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * m);

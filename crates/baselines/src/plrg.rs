@@ -67,7 +67,7 @@ pub fn power_law_degrees(
 pub fn configuration_model(degrees: &[usize], rng: &mut impl Rng) -> Graph<(), ()> {
     let n = degrees.len();
     let stubs_total: usize = degrees.iter().sum();
-    assert!(stubs_total % 2 == 0, "degree sum must be even");
+    assert!(stubs_total.is_multiple_of(2), "degree sum must be even");
     for (i, &d) in degrees.iter().enumerate() {
         assert!(d < n.max(1), "degree of node {} exceeds n-1", i);
     }

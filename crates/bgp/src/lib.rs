@@ -11,24 +11,28 @@
 //! - [`topology`] — [`AsTopology`]: the AS-level relationship network in
 //!   flat CSR form, each AS labeled with an economic [`AsClass`]
 //!   (tier-1 / tier-2 / cloud / stub) derived from the generator's own
-//!   economics, or inferred by degree for baseline (BA/GLP) graphs.
+//!   economics, or inferred by degree for baseline (BA/GLP) graphs. It
+//!   also holds the undirected relationship graph as a `hot-graph`
+//!   [`CsrGraph`](hot_graph::csr::CsrGraph) ([`AsTopology::csr`]): the
+//!   unrestricted hop distances policy is measured against are the
+//!   workspace's one CSR BFS on it.
 //! - [`propagate`] — the per-source valley-free kernel: a three-phase
 //!   BFS over `(as, phase)` states writing a flat [`RouteTable`]
 //!   (distances + path-membership flags), allocation-free after its
 //!   [`PropagationScratch`] exists and hardened against out-of-range
 //!   sources.
-//! - [`summary`] — the batched sweep: one propagation per source, fanned
-//!   over `hot-graph`'s deterministic 64-chunk scheduler, reduced into
-//!   the all-integer [`PolicySummary`] (path-inflation histogram/CCDF vs
-//!   unrestricted shortest paths, provider-free / tier1-free /
-//!   hierarchy-free counts per source class). Bit-identical at any
-//!   thread count.
+//! - [`summary`] — the batched sweep: one propagation and one CSR BFS
+//!   per source, fanned over `hot-graph`'s deterministic 64-chunk
+//!   scheduler, reduced into the all-integer [`PolicySummary`]
+//!   (path-inflation histogram/CCDF vs unrestricted shortest paths,
+//!   provider-free / tier1-free / hierarchy-free counts per source
+//!   class). Bit-identical at any thread count.
 //!
 //! Two scenarios in `hot-exp` drive it: E13 (`policy-inflation`) runs
 //! one [`AsTopology::propagate_into`] and one
-//! [`AsTopology::shortest_into`] per source on a shared scratch, and
-//! E17 (`policy-routing`) runs the batched sweep over HOT and
-//! degree-based internets.
+//! [`bfs_distances_into`](hot_graph::csr::CsrGraph::bfs_distances_into)
+//! per source, serially, and E17 (`policy-routing`) runs the batched
+//! sweep over HOT and degree-based internets.
 
 pub mod propagate;
 pub mod summary;

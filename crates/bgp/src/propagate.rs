@@ -32,9 +32,12 @@
 //! per hop.
 
 use crate::topology::{AsTopology, BIT_HIERARCHY, BIT_PROVIDER_OF_SRC, BIT_TIER1};
+use hot_graph::csr::BfsScratch;
+use hot_graph::graph::NodeId;
 
-/// Distance sentinel: the state/destination was not reached.
-pub const UNREACHED: u32 = u32::MAX;
+/// Distance sentinel: the state/destination was not reached. It is the
+/// CSR BFS's sentinel, so unrestricted distances read the same.
+pub const UNREACHED: u32 = hot_graph::csr::UNREACHABLE;
 
 /// The flat per-source route table the propagation fills: one best
 /// valley-free distance and one path-membership byte per destination AS
@@ -96,10 +99,6 @@ pub struct PropagationScratch {
     /// Per-AS membership bits: the topology's class bits plus, during a
     /// propagation, [`BIT_PROVIDER_OF_SRC`] on the source's providers.
     node_bits: Vec<u8>,
-    /// Scratch for the unrestricted BFS (`dist` per AS).
-    sp_dist: Vec<u32>,
-    /// Queue / touched list of the unrestricted BFS (AS ids).
-    sp_queue: Vec<u32>,
 }
 
 impl PropagationScratch {
@@ -110,8 +109,6 @@ impl PropagationScratch {
             flags: vec![0; 3 * n],
             queue: Vec::with_capacity(3 * n),
             node_bits: vec![0; n],
-            sp_dist: vec![UNREACHED; n],
-            sp_queue: Vec::with_capacity(n),
         }
     }
 
@@ -216,47 +213,20 @@ impl AsTopology {
         table
     }
 
-    /// Unrestricted shortest distances from `src` (policy ignored),
-    /// written into `out` ([`UNREACHED`] = disconnected). Same
-    /// hardening: an out-of-range `src` reaches nothing.
-    pub fn shortest_into(&self, src: usize, scratch: &mut PropagationScratch, out: &mut [u32]) {
-        let n = self.len();
-        debug_assert_eq!(out.len(), n, "output sized for another topology");
-        for &v in &scratch.sp_queue {
-            scratch.sp_dist[v as usize] = UNREACHED;
-        }
-        scratch.sp_queue.clear();
-        out.fill(UNREACHED);
-        if src >= n {
-            return;
-        }
-        scratch.sp_dist[src] = 0;
-        scratch.sp_queue.push(src as u32);
-        let mut head = 0;
-        while head < scratch.sp_queue.len() {
-            let a = scratch.sp_queue[head] as usize;
-            head += 1;
-            let d = scratch.sp_dist[a] + 1;
-            for adj in [self.providers(a), self.customers(a), self.peers(a)] {
-                for &b in adj {
-                    if scratch.sp_dist[b as usize] == UNREACHED {
-                        scratch.sp_dist[b as usize] = d;
-                        scratch.sp_queue.push(b);
-                    }
-                }
-            }
-        }
-        for &v in &scratch.sp_queue {
-            out[v as usize] = scratch.sp_dist[v as usize];
-        }
-    }
-
-    /// One-shot unrestricted shortest distances.
+    /// Unrestricted shortest hop distances from `src` (policy ignored),
+    /// [`UNREACHED`] = disconnected: one BFS on the relationship graph
+    /// ([`AsTopology::csr`]). Same hardening: an out-of-range `src`
+    /// reaches nothing. Sweeps over many sources reuse one
+    /// [`BfsScratch`] with [`hot_graph::csr::CsrGraph::bfs_distances_into`]
+    /// instead.
     pub fn shortest(&self, src: usize) -> Vec<u32> {
-        let mut scratch = PropagationScratch::for_topology(self);
-        let mut out = vec![UNREACHED; self.len()];
-        self.shortest_into(src, &mut scratch, &mut out);
-        out
+        if src >= self.len() {
+            return vec![UNREACHED; self.len()];
+        }
+        let mut scratch = BfsScratch::sized(self.len());
+        self.csr()
+            .bfs_distances_into(NodeId(src as u32), &mut scratch);
+        scratch.dist().to_vec()
     }
 }
 
@@ -369,9 +339,9 @@ mod tests {
         for src in 0..t.len() {
             let vf = t.propagate(src);
             let sp = t.shortest(src);
-            for d in 0..t.len() {
-                if vf.dist[d] != UNREACHED {
-                    assert!(sp[d] != UNREACHED && vf.dist[d] >= sp[d]);
+            for (&v, &s) in vf.dist.iter().zip(&sp) {
+                if v != UNREACHED {
+                    assert!(s != UNREACHED && v >= s);
                 }
             }
         }

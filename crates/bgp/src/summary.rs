@@ -11,6 +11,8 @@
 
 use crate::propagate::{PropagationScratch, RouteTable, UNREACHED};
 use crate::topology::{AsClass, AsTopology};
+use hot_graph::csr::BfsScratch;
+use hot_graph::graph::NodeId;
 use hot_graph::parallel::run_chunks;
 
 /// Path counts attributed to sources of one [`AsClass`], in the style of
@@ -128,23 +130,22 @@ impl PolicySummary {
     fn absorb(&mut self, src: usize, class: AsClass, table: &RouteTable, sp: &[u32]) {
         self.sources += 1;
         self.by_class[class.index()].sources += 1;
-        for d in 0..table.dist.len() {
+        for (d, (&vf, &sp)) in table.dist.iter().zip(sp).enumerate() {
             if d == src {
                 continue;
             }
             self.pairs += 1;
-            if sp[d] != UNREACHED {
+            if sp != UNREACHED {
                 self.bfs_reachable += 1;
             }
-            let vf = table.dist[d];
             if vf == UNREACHED {
                 continue;
             }
-            debug_assert!(sp[d] != UNREACHED && sp[d] <= vf);
+            debug_assert!(sp != UNREACHED && sp <= vf);
             self.policy_reachable += 1;
             self.sum_policy_hops += vf as u64;
-            self.sum_shortest_hops += sp[d] as u64;
-            bump(&mut self.inflation_hist, (vf - sp[d]) as usize);
+            self.sum_shortest_hops += sp as u64;
+            bump(&mut self.inflation_hist, (vf - sp) as usize);
             bump(&mut self.vf_hist, vf as usize);
             let c = &mut self.by_class[class.index()];
             c.paths += 1;
@@ -236,21 +237,22 @@ pub fn policy_summary(topo: &AsTopology, sources: &[u32], threads: usize) -> Pol
             (
                 PropagationScratch::for_topology(topo),
                 RouteTable::sized(n),
-                vec![UNREACHED; n],
+                BfsScratch::sized(n),
             )
         },
-        |(scratch, table, sp), range| {
+        |(scratch, table, bfs), range| {
             let mut part = PolicySummary::default();
-            for i in range {
-                let src = sources[i] as usize;
+            for &src in &sources[range] {
+                let src = src as usize;
                 topo.propagate_into(src, scratch, table);
-                topo.shortest_into(src, scratch, sp);
-                let class = if src < n {
-                    topo.class(src)
+                if src < n {
+                    topo.csr().bfs_distances_into(NodeId(src as u32), bfs);
+                    part.absorb(src, topo.class(src), table, bfs.dist());
                 } else {
-                    AsClass::Stub
-                };
-                part.absorb(src, class, table, sp);
+                    // An out-of-range source reaches nothing, under policy
+                    // or not: its all-unreached table is its distances too.
+                    part.absorb(src, AsClass::Stub, table, &table.dist);
+                }
             }
             part
         },

@@ -23,6 +23,7 @@
 //! - **stub** — everyone else (edge networks that only buy).
 
 use hot_core::peering::{Internet, Relationship};
+use hot_graph::csr::CsrGraph;
 use hot_graph::graph::Graph;
 
 /// Economic class of an AS, in the style of the tier-1 / tier-2 /
@@ -77,7 +78,8 @@ pub(crate) const BIT_TIER1: u8 = 2;
 pub(crate) const BIT_HIERARCHY: u8 = 4;
 
 /// The AS relationship network in flat form: three CSR adjacencies
-/// (providers / customers / peers) plus a class label per AS.
+/// (providers / customers / peers), the undirected [`CsrGraph`] of all
+/// relationships, and a class label per AS.
 ///
 /// Pair-level relationships are deduplicated: however many physical
 /// peering links two ASes maintain, they appear once per relationship
@@ -91,6 +93,9 @@ pub struct AsTopology {
     cust_adj: Vec<u32>,
     peer_off: Vec<u32>,
     peer_adj: Vec<u32>,
+    /// One link per relationship, policy ignored: what the unrestricted
+    /// hop distances run on.
+    csr: CsrGraph,
     class: Vec<AsClass>,
     /// `BIT_TIER1 | BIT_HIERARCHY` membership per AS (provider-of-source
     /// is per-source and added by the propagation scratch).
@@ -126,6 +131,27 @@ impl AsTopology {
         let (prov_off, prov_adj) = csr_from_edges(n, providers);
         let (cust_off, cust_adj) = csr_from_edges(n, customers);
         let (peer_off, peer_adj) = csr_from_edges(n, peers);
+        // Each provider→customer pair once, each peer pair once; a
+        // self-relation carries no hop.
+        let mut links = Vec::with_capacity(cust_adj.len() + peer_adj.len() / 2);
+        for a in 0..n {
+            let (cust, peer) = (cust_off[a] as usize, peer_off[a] as usize);
+            let customers = &cust_adj[cust..cust_off[a + 1] as usize];
+            let peers = &peer_adj[peer..peer_off[a + 1] as usize];
+            links.extend(
+                customers
+                    .iter()
+                    .filter(|&&c| c as usize != a)
+                    .map(|&c| (a, c as usize, ())),
+            );
+            links.extend(
+                peers
+                    .iter()
+                    .filter(|&&q| a < q as usize)
+                    .map(|&q| (a, q as usize, ())),
+            );
+        }
+        let csr = CsrGraph::from_graph(&Graph::<(), ()>::from_edges(n, links));
         let class_bits = class
             .iter()
             .map(|c| match c {
@@ -142,6 +168,7 @@ impl AsTopology {
             cust_adj,
             peer_off,
             peer_adj,
+            csr,
             class,
             class_bits,
         }
@@ -269,7 +296,7 @@ impl AsTopology {
         class: Vec<AsClass>,
     ) -> AsTopology {
         let providers = provider_customer.iter().map(|&(p, c)| (c, p)).collect();
-        let customers = provider_customer.iter().copied().collect();
+        let customers = provider_customer.to_vec();
         let peers = peer_pairs
             .iter()
             .flat_map(|&(a, b)| [(a, b), (b, a)])
@@ -300,6 +327,13 @@ impl AsTopology {
     /// The settlement-free peers of `a`.
     pub fn peers(&self, a: usize) -> &[u32] {
         &self.peer_adj[self.peer_off[a] as usize..self.peer_off[a + 1] as usize]
+    }
+
+    /// The undirected relationship graph (one link per relationship,
+    /// policy ignored), on which the unrestricted hop distances run
+    /// ([`CsrGraph::bfs_distances_into`]).
+    pub fn csr(&self) -> &CsrGraph {
+        &self.csr
     }
 
     /// Class of AS `a`.
@@ -367,6 +401,8 @@ mod tests {
         assert_eq!(t.class_bits(0), BIT_TIER1 | BIT_HIERARCHY);
         assert_eq!(t.class_bits(2), BIT_HIERARCHY);
         assert_eq!(t.class_bits(4), 0);
+        // Three transit links and one peering, each once.
+        assert_eq!((t.csr().node_count(), t.csr().edge_count()), (5, 4));
     }
 
     #[test]
@@ -383,6 +419,7 @@ mod tests {
         assert_eq!(t.peers(2), &[1]);
         assert_eq!(t.p2c_count(), 2);
         assert_eq!(t.p2p_count(), 1);
+        assert_eq!(t.csr().edge_count(), 3);
     }
 
     #[test]

@@ -96,7 +96,7 @@ pub fn solve(instance: &FacilityInstance, swap_passes: usize) -> FacilitySolutio
             let mut candidate = open.clone();
             candidate.push(s);
             let (c, _) = instance.evaluate(&candidate);
-            if c < cost - 1e-12 && best.map_or(true, |(_, bc)| c < bc) {
+            if c < cost - 1e-12 && best.is_none_or(|(_, bc)| c < bc) {
                 best = Some((s, c));
             }
         }

@@ -152,7 +152,7 @@ pub fn solve(instance: &CmstInstance) -> CmstSolution {
                 }
                 let saving =
                     comp_center_link[ci] - instance.terminals[i].dist(&instance.terminals[j]);
-                if saving > 1e-12 && best.map_or(true, |(_, _, s)| saving > s) {
+                if saving > 1e-12 && best.is_none_or(|(_, _, s)| saving > s) {
                     best = Some((i, j, saving));
                 }
             }

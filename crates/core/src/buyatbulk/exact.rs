@@ -313,7 +313,7 @@ mod tests {
         let mut edges = Vec::new();
         decode_prufer(&[3, 3, 3, 4], &mut degree, &mut edges);
         assert_eq!(edges.len(), 5);
-        let mut deg = vec![0usize; 6];
+        let mut deg = [0usize; 6];
         for &(a, b) in &edges {
             deg[a] += 1;
             deg[b] += 1;

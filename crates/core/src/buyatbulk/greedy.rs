@@ -49,8 +49,8 @@ pub fn mst_route(instance: &Instance) -> AccessNetwork {
     };
     let tree = RootedTree::from_graph(&tree_graph, NodeId(0)).expect("MST spans the nodes");
     let mut parents = vec![0usize; m];
-    for v in 1..m {
-        parents[v] = tree.parent(NodeId(v as u32)).expect("non-root").index();
+    for (v, p) in parents.iter_mut().enumerate().skip(1) {
+        *p = tree.parent(NodeId(v as u32)).expect("non-root").index();
     }
     AccessNetwork::from_parents(&parents)
 }
@@ -81,8 +81,8 @@ pub fn improve(instance: &Instance, start: &AccessNetwork, max_moves: usize) -> 
     let initial_cost = start.total_cost(instance);
     // Mutable tree state as a parent array.
     let mut parent = vec![0usize; m];
-    for v in 1..m {
-        parent[v] = start
+    for (v, p) in parent.iter_mut().enumerate().skip(1) {
+        *p = start
             .tree
             .parent(NodeId(v as u32))
             .expect("non-root")

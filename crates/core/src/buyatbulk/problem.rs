@@ -155,14 +155,15 @@ impl AccessNetwork {
     pub fn total_cost(&self, instance: &Instance) -> f64 {
         let flows = self.uplink_flows(instance);
         let mut total = 0.0;
-        for v in 1..self.tree.len() {
+        // `flows` has one entry per tree node.
+        for (v, &flow) in flows.iter().enumerate().skip(1) {
             let p = self
                 .tree
                 .parent(NodeId(v as u32))
                 .expect("non-root")
                 .index();
             let length = instance.node_point(v).dist(&instance.node_point(p));
-            total += instance.cost.cost(length, flows[v]);
+            total += instance.cost.cost(length, flow);
         }
         total
     }

@@ -48,26 +48,23 @@ pub fn build_report(instance: &Instance, solution: &AccessNetwork) -> BuildRepor
     let mut links = Vec::with_capacity(solution.len().saturating_sub(1));
     let mut cable_km = vec![0.0; n_types];
     let mut total_length = 0.0;
-    for v in 1..solution.len() {
+    // `flows` has one entry per tree node.
+    for (v, &flow) in flows.iter().enumerate().skip(1) {
         let p = solution
             .tree
             .parent(NodeId(v as u32))
             .expect("non-root")
             .index();
         let length = instance.node_point(v).dist(&instance.node_point(p));
-        let (cable_type, instances) = instance.cost.cable_choice(flows[v]);
+        let (cable_type, instances) = instance.cost.cable_choice(flow);
         let capacity = instance.cost.catalog.types()[cable_type].capacity * instances as f64;
         links.push(LinkReport {
             node: v,
             length,
-            flow: flows[v],
+            flow,
             cable_type,
             instances,
-            utilization: if capacity > 0.0 {
-                flows[v] / capacity
-            } else {
-                0.0
-            },
+            utilization: if capacity > 0.0 { flow / capacity } else { 0.0 },
         });
         cable_km[cable_type] += instances as f64 * length;
         total_length += length;

@@ -224,7 +224,7 @@ fn augment_to_two_edge_connected(pops: &[Point], edges: &mut Vec<(usize, usize)>
                     continue; // not crossing
                 }
                 let d = pops[i].dist(&pops[j]);
-                if best.map_or(true, |(_, _, bd)| d < bd) {
+                if best.is_none_or(|(_, _, bd)| d < bd) {
                     best = Some((i, j, d));
                 }
             }

@@ -241,7 +241,7 @@ impl CableCatalog {
         for (i, t) in self.types.iter().enumerate() {
             let instances = t.instances_for(flow);
             let cost = instances as f64 * t.fixed_cost + t.marginal_cost * flow;
-            if best.map_or(true, |(_, _, c)| cost < c) {
+            if best.is_none_or(|(_, _, c)| cost < c) {
                 best = Some((i, instances, cost));
             }
         }

@@ -144,7 +144,7 @@ fn main() -> ExitCode {
         }
     };
     if args.list {
-        println!("{:<5} {:<18} {}", "id", "name", "summary");
+        println!("{:<5} {:<18} summary", "id", "name");
         for spec in registry::registry() {
             println!("{:<5} {:<18} {}", spec.id, spec.name, spec.summary);
         }

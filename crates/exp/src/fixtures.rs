@@ -1,15 +1,19 @@
 //! Shared fixtures: the canonical seed, the standard geography every
 //! ISP-level scenario builds on (moved here from `hot-bench` so the
-//! scenario engine does not depend on the bench crate), and the
-//! customer-demand workload the traffic scenarios route.
+//! scenario engine does not depend on the bench crate), the
+//! customer-demand workload the traffic scenarios route, and the
+//! backbone link-cut study E12 and E16 share.
 
 use crate::registry::RunCtx;
-use hot_core::isp::{IspTopology, RouterRole};
+use hot_core::isp::backbone::BackboneConfig;
+use hot_core::isp::generator::{generate, IspConfig};
+use hot_core::isp::{IspTopology, LinkKind, RouterRole};
 use hot_geo::gravity::TrafficMatrix;
 use hot_geo::point::Point;
 use hot_geo::population::Census;
 use hot_graph::io::{fnv1a, Snapshot, SNAPSHOT_VERSION};
-use hot_sim::demand::DemandMatrix;
+use hot_sim::demand::{Demand, DemandMatrix};
+use hot_sim::failure::{single_link_failures, FailureSummary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Debug;
@@ -56,6 +60,53 @@ pub fn customer_masses(isp: &IspTopology) -> (Vec<f64>, Vec<Point>) {
 pub fn customer_gravity_demand(isp: &IspTopology, total_traffic: f64) -> DemandMatrix {
     let (mass, positions) = customer_masses(isp);
     DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, total_traffic)
+}
+
+/// The backbone link-cut study of E12 and E16, which prices the
+/// paper's redundancy requirement (§4, footnote 7): an ISP of `pops`
+/// POPs built from `seed`, whose backbone is a tree (`redundancy` off)
+/// or a mesh; gravity demand between every pair of its POP routers;
+/// and every loaded trunk of the backbone-only subgraph failed in turn.
+pub fn backbone_failures(
+    census: &Census,
+    traffic: &TrafficMatrix,
+    pops: usize,
+    redundancy: bool,
+    seed: u64,
+    threads: usize,
+) -> FailureSummary {
+    let cfg = IspConfig {
+        backbone: BackboneConfig {
+            redundancy,
+            shortcut_pairs: 0,
+        },
+        n_pops: pops,
+        // Backbone-only study: POPs exchange traffic; per-metro
+        // customer minimums force a small positive count.
+        total_customers: 10,
+        ..IspConfig::default()
+    };
+    let isp = generate(census, traffic, &cfg, &mut StdRng::seed_from_u64(seed));
+    let mut demands = Vec::new();
+    for (i, &ra) in isp.pop_routers.iter().enumerate() {
+        for (j, &rb) in isp.pop_routers.iter().enumerate().skip(i + 1) {
+            let amount = traffic.demand(isp.pop_cities[i], isp.pop_cities[j]);
+            if amount > 0.0 {
+                demands.push(Demand {
+                    src: ra,
+                    dst: rb,
+                    amount,
+                });
+            }
+        }
+    }
+    // Restrict to the backbone subgraph so failures hit trunks only.
+    let keep: Vec<bool> = isp
+        .graph
+        .edge_ids()
+        .map(|e| isp.graph.edge_weight(e).kind == LinkKind::Backbone)
+        .collect();
+    single_link_failures(&isp.graph.edge_subgraph(&keep), &demands, threads)
 }
 
 /// Whether `total_traffic` can scale a traffic scenario's demand:

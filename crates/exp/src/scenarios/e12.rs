@@ -8,18 +8,17 @@
 //! concentration and provisioning fit — plus what a single link failure
 //! costs on a redundant vs tree backbone.
 
-use crate::fixtures::standard_geography;
+use crate::fixtures::{backbone_failures, standard_geography};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
-use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::{LinkKind, RouterRole};
 use hot_graph::graph::NodeId;
 use hot_metrics::hierarchy::gini;
 use hot_metrics::surrogate::degree_surrogate;
 use hot_sim::demand::Demand;
-use hot_sim::failure::{route_demands, single_link_failures};
+use hot_sim::failure::route_demands;
 use hot_sim::traffic::TrafficLoads;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -155,10 +154,9 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         return report
             .into_skipped("the generated ISP has fewer than 2 customer routers to route between");
     }
-    // Per-flow hop routing on the CSR BFS kernel: one tree per distinct
-    // source. The stride sample repeats pairs, and `unrouted` counts
-    // demands, so each flow is walked on its own.
-    let outcome = route_demands(&isp.graph, &demands);
+    // Hop routing on the batched engine. The stride sample repeats
+    // pairs; each entry is its own flow, so `unrouted` counts demands.
+    let outcome = route_demands(&isp.graph, &demands, ctx.threads);
     let mut load_table = Table::new(&[
         "topology", "unrouted", "meanhops", "maxload", "gini", "idle",
     ]);
@@ -175,7 +173,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         }
     }
     let surrogate = degree_surrogate(&isp.graph, 10, &mut StdRng::seed_from_u64(ctx.seed + 1));
-    let s_outcome = route_demands(&surrogate, &demands);
+    let s_outcome = route_demands(&surrogate, &demands, ctx.threads);
     load_table.push(outcome_row("isp-surrogate", &s_outcome));
     report.section(
         Section::new("load on the designed ISP vs its degree-preserving surrogate")
@@ -188,45 +186,14 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
 
     let mut fail_table = Table::new(&["backbone", "stranding", "worststranded", "meanstretch"]);
     for (name, redundancy) in [("tree (off)", false), ("mesh (on)", true)] {
-        let cfg = IspConfig {
-            backbone: BackboneConfig {
-                redundancy,
-                shortcut_pairs: 0,
-            },
-            n_pops: p.fail_pops,
-            // Backbone-only study: POPs exchange traffic; per-metro
-            // customer minimums force a small positive count.
-            total_customers: 10,
-            ..IspConfig::default()
-        };
-        let bb_isp = generate(
+        let summary = backbone_failures(
             &census,
             &traffic,
-            &cfg,
-            &mut StdRng::seed_from_u64(ctx.seed + 2),
+            p.fail_pops,
+            redundancy,
+            ctx.seed + 2,
+            ctx.threads,
         );
-        // Demands between POP routers with gravity weights.
-        let mut demands = Vec::new();
-        for (i, &ra) in bb_isp.pop_routers.iter().enumerate() {
-            for (j, &rb) in bb_isp.pop_routers.iter().enumerate().skip(i + 1) {
-                let amount = traffic.demand(bb_isp.pop_cities[i], bb_isp.pop_cities[j]);
-                if amount > 0.0 {
-                    demands.push(Demand {
-                        src: ra,
-                        dst: rb,
-                        amount,
-                    });
-                }
-            }
-        }
-        // Restrict to the backbone subgraph so failures hit trunks only.
-        let keep: Vec<bool> = bb_isp
-            .graph
-            .edge_ids()
-            .map(|e| bb_isp.graph.edge_weight(e).kind == LinkKind::Backbone)
-            .collect();
-        let backbone_graph = bb_isp.graph.edge_subgraph(&keep);
-        let summary = single_link_failures(&backbone_graph, &demands);
         fail_table.push(vec![
             Json::str(name),
             Json::Float(summary.stranding_fraction),

@@ -15,6 +15,8 @@ use crate::report::{ExpReport, Section, Table};
 use hot_bgp::{AsTopology, PropagationScratch, RouteTable, UNREACHED};
 use hot_core::isp::generator::IspConfig;
 use hot_core::peering::{generate_internet, InternetConfig, Relationship};
+use hot_graph::csr::BfsScratch;
+use hot_graph::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -72,21 +74,23 @@ pub struct InflationStats {
     pub max_inflation: f64,
 }
 
-/// Computes the inflation statistics of `topo`: one valley-free and one
-/// unrestricted BFS per source on a shared scratch, accumulated source
-/// by source, destinations ascending.
+/// Computes the inflation statistics of `topo`: one valley-free
+/// propagation and one unrestricted BFS on the relationship graph per
+/// source, each on its own reused scratch, accumulated source by
+/// source, destinations ascending.
 pub fn inflation_stats(topo: &AsTopology) -> InflationStats {
     let n = topo.len();
     let mut scratch = PropagationScratch::for_topology(topo);
     let mut table = RouteTable::sized(n);
-    let mut sp = vec![UNREACHED; n];
+    let mut bfs = BfsScratch::sized(n);
     let (mut reach_shortest, mut reach_policy) = (0usize, 0usize);
     let (mut compared, mut inflated) = (0usize, 0usize);
     let mut inflation_sum = 0.0;
     let mut max_inflation = 1.0f64;
     for src in 0..n {
         topo.propagate_into(src, &mut scratch, &mut table);
-        topo.shortest_into(src, &mut scratch, &mut sp);
+        topo.csr().bfs_distances_into(NodeId(src as u32), &mut bfs);
+        let sp = bfs.dist();
         for dst in (0..n).filter(|&dst| dst != src && sp[dst] != UNREACHED) {
             reach_shortest += 1;
             let (v, s) = (table.dist[dst], sp[dst]);

@@ -3,28 +3,27 @@
 //!
 //! E12 showed what redundancy buys in *reachability* (stranded traffic
 //! vs stretch); this scenario asks where the displaced traffic *lands*.
-//! Two studies share the `hot-sim::failure` link-cut model:
+//! Both studies cut links and re-route on the batched traffic engine:
 //!
-//! 1. **Backbone redundancy on/off** — every loaded trunk fails once;
-//!    besides stranding and stretch we now track the post-failure peak
-//!    link load relative to the baseline peak (`max_load_amplification`):
-//!    the mesh converts failures into bounded load shifts, the tree
-//!    converts them into outages.
+//! 1. **Backbone redundancy on/off** — E12's backbone study
+//!    ([`crate::fixtures::backbone_failures`], at this scenario's seed):
+//!    every loaded trunk fails once; besides stranding and stretch we
+//!    track the post-failure peak link load relative to the baseline
+//!    peak (`max_load_amplification`): the mesh converts failures into
+//!    bounded load shifts, the tree converts them into outages.
 //! 2. **Top-trunk cuts on the full ISP** — the most-loaded links under
 //!    gravity customer demand are cut one at a time and the full demand
 //!    re-routed with the batched traffic engine, measuring how much
 //!    traffic strands and how far the peak load climbs.
 
-use crate::fixtures::{customer_gravity_demand, standard_geography, total_traffic_is_valid};
+use crate::fixtures::{
+    backbone_failures, customer_gravity_demand, standard_geography, total_traffic_is_valid,
+};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
-use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
-use hot_core::isp::LinkKind;
 use hot_graph::csr::CsrGraph;
-use hot_sim::demand::Demand;
-use hot_sim::failure::single_link_failures;
 use hot_sim::traffic::{link_loads, RoutePolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -104,8 +103,8 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     }
     let (census, traffic) = standard_geography(p.cities, ctx.seed);
 
-    // Study 1: backbone redundancy on/off under the link-cut model,
-    // now with load-redistribution accounting.
+    // Study 1: E12's backbone study, plus load-redistribution
+    // accounting.
     let mut fail_table = Table::new(&[
         "backbone",
         "stranding",
@@ -114,41 +113,14 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         "maxampl",
     ]);
     for (name, redundancy) in [("tree (off)", false), ("mesh (on)", true)] {
-        let cfg = IspConfig {
-            backbone: BackboneConfig {
-                redundancy,
-                shortcut_pairs: 0,
-            },
-            n_pops: p.fail_pops,
-            total_customers: 10,
-            ..IspConfig::default()
-        };
-        let bb_isp = generate(
+        let summary = backbone_failures(
             &census,
             &traffic,
-            &cfg,
-            &mut StdRng::seed_from_u64(ctx.seed + 1),
+            p.fail_pops,
+            redundancy,
+            ctx.seed + 1,
+            ctx.threads,
         );
-        let mut demands = Vec::new();
-        for (i, &ra) in bb_isp.pop_routers.iter().enumerate() {
-            for (j, &rb) in bb_isp.pop_routers.iter().enumerate().skip(i + 1) {
-                let amount = traffic.demand(bb_isp.pop_cities[i], bb_isp.pop_cities[j]);
-                if amount > 0.0 {
-                    demands.push(Demand {
-                        src: ra,
-                        dst: rb,
-                        amount,
-                    });
-                }
-            }
-        }
-        let keep: Vec<bool> = bb_isp
-            .graph
-            .edge_ids()
-            .map(|e| bb_isp.graph.edge_weight(e).kind == LinkKind::Backbone)
-            .collect();
-        let backbone_graph = bb_isp.graph.edge_subgraph(&keep);
-        let summary = single_link_failures(&backbone_graph, &demands);
         fail_table.push(vec![
             Json::str(name),
             Json::Float(summary.stranding_fraction),

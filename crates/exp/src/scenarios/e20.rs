@@ -22,7 +22,7 @@ use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_econ::trend::TechTrend;
-use hot_metrics::rolling::{pow2_thresholds, DeltaBetweenness, Trajectory};
+use hot_metrics::rolling::{pow2_thresholds, stride_is_valid, Trajectory};
 use hot_sim::evolve::{
     degree_cap_is_valid, DegreeGrowth, Evolution, EvolveConfig, GrowthModel, HotGrowth,
     HotGrowthConfig,
@@ -237,7 +237,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             p.hot_degree_cap
         ));
     }
-    if !DeltaBetweenness::stride_is_valid(p.pivot_stride) {
+    if !stride_is_valid(p.pivot_stride) {
         return report.into_skipped("pivot_stride = 0 samples no pivots (need >= 1)");
     }
     if !TechTrend::cost_decline_is_valid(p.cost_decline)

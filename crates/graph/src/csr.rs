@@ -81,7 +81,7 @@ impl BfsScratch {
     pub fn sized(n: usize) -> BfsScratch {
         let words = n.div_ceil(64).max(1);
         let mut visited = vec![0u64; words];
-        if n % 64 != 0 {
+        if !n.is_multiple_of(64) {
             // Phantom tail bits count as visited forever.
             visited[words - 1] = !0u64 << (n % 64);
         } else if n == 0 {
@@ -185,7 +185,7 @@ impl CsrGraph {
                 edge_ids.len()
             ));
         }
-        if entries % 2 != 0 {
+        if !entries.is_multiple_of(2) {
             return Err(format!("odd adjacency entry count {}", entries));
         }
         let n = offsets.len() - 1;
@@ -1425,8 +1425,8 @@ mod property_tests {
             // Full mask: identity mapping, identical CSR arrays.
             let (full, full_map) = g.induced_subgraph(&vec![true; n]);
             let full_csr = CsrGraph::from_graph(&full);
-            for v in 0..n {
-                prop_assert_eq!(full_map[v], Some(NodeId(v as u32)));
+            for (v, &new) in full_map.iter().enumerate() {
+                prop_assert_eq!(new, Some(NodeId(v as u32)));
             }
             prop_assert_eq!(&full_csr.offsets, &csr.offsets);
             prop_assert_eq!(&full_csr.targets, &csr.targets);

@@ -73,7 +73,7 @@ where
     I: Fn() -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
 {
-    let threads = threads.max(1).min(NUM_CHUNKS);
+    let threads = threads.clamp(1, NUM_CHUNKS);
     let next = AtomicUsize::new(0);
     let mut collected: Vec<(usize, T)> = Vec::with_capacity(NUM_CHUNKS);
     std::thread::scope(|scope| {

@@ -158,7 +158,7 @@ mod tests {
             .collect();
         assert!(!profile.is_empty());
         for (k, phi) in profile {
-            assert!(phi >= 0.0 && phi <= 1.0, "phi({}) = {}", k, phi);
+            assert!((0.0..=1.0).contains(&phi), "phi({}) = {}", k, phi);
         }
     }
 }

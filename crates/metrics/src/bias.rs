@@ -23,7 +23,7 @@
 //! arithmetic), so scenario reports built from these numbers stay
 //! byte-stable.
 
-use crate::degree_dist::{summarize_sample, DegreeSummary};
+use crate::degree_dist::{ccdf_at, summarize_sample, DegreeSummary};
 use crate::hierarchy::{betweenness_estimate, gini};
 use hot_graph::csr::CsrGraph;
 
@@ -167,14 +167,6 @@ pub fn bias_summary(
     }
 }
 
-/// Fraction of `sample` at or above `k` (0 for the empty sample).
-fn ccdf_at(sample: &[u32], k: u32) -> f64 {
-    if sample.is_empty() {
-        return 0.0;
-    }
-    sample.iter().filter(|&&d| d >= k).count() as f64 / sample.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +187,7 @@ mod tests {
         // Observe the path edges, hide the chord.
         let edge_seen = vec![true, true, true, false];
         assert_eq!(observed_degrees(&csr, &edge_seen), vec![1, 2, 2, 1]);
-        assert_eq!(observed_degrees(&csr, &vec![false; 4]), vec![0, 0, 0, 0]);
+        assert_eq!(observed_degrees(&csr, &[false; 4]), vec![0, 0, 0, 0]);
     }
 
     #[test]
@@ -249,7 +241,7 @@ mod tests {
         let g: Graph<(), ()> = Graph::from_edges(6, (1..6).map(|i| (0, i, ())).collect::<Vec<_>>());
         let csr = CsrGraph::from_graph(&g);
         let (b, _) = betweenness_estimate(&csr, default_threads());
-        let s = bias_summary(&csr, &vec![true; 6], &vec![true; 5], &b, 1);
+        let s = bias_summary(&csr, &[true; 6], &[true; 5], &b, 1);
         let ks: Vec<u32> = s.degree_ccdf.iter().map(|p| p.degree).collect();
         assert_eq!(ks, vec![1, 2, 4], "max true degree is 5");
         assert_eq!(s.degree_ccdf[0].true_ccdf, 1.0);

@@ -1,8 +1,9 @@
 //! Degree-distribution summary statistics.
 //!
 //! Thin layer over [`hot_graph::degree`] adding the scalar summaries the
-//! metric matrix reports (mean, max, coefficient of variation) and ASCII
-//! CCDF rendering for the examples.
+//! metric matrix reports (mean, max, coefficient of variation), the
+//! threshold CCDF the bias and trajectory tables read, and ASCII CCDF
+//! rendering for the examples.
 
 use hot_graph::graph::Graph;
 
@@ -42,6 +43,15 @@ pub fn summarize_sample(degs: &[u32]) -> DegreeSummary {
         cv,
         leaf_fraction: degs.iter().filter(|&&d| d == 1).count() as f64 / n as f64,
     }
+}
+
+/// CCDF of a degree sample at threshold `k`: the fraction of the sample
+/// at or above `k` (0 for the empty sample).
+pub fn ccdf_at(sample: &[u32], k: u32) -> f64 {
+    if sample.is_empty() {
+        return 0.0;
+    }
+    sample.iter().filter(|&&d| d >= k).count() as f64 / sample.len() as f64
 }
 
 /// Renders a log-log ASCII scatter of a CCDF, for terminal output in the
@@ -115,6 +125,16 @@ mod tests {
         let s = summarize(&g);
         assert_eq!(s.mean, 0.0);
         assert_eq!(s.max, 0);
+    }
+
+    #[test]
+    fn ccdf_at_counts_the_tail() {
+        let sample = [0, 1, 2, 2, 3, 5];
+        assert_eq!(ccdf_at(&sample, 0), 1.0);
+        assert_eq!(ccdf_at(&sample, 1), 5.0 / 6.0);
+        assert_eq!(ccdf_at(&sample, 2), 4.0 / 6.0);
+        assert_eq!(ccdf_at(&sample, 6), 0.0);
+        assert_eq!(ccdf_at(&[], 1), 0.0);
     }
 
     #[test]

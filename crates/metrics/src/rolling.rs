@@ -9,101 +9,20 @@
 //!
 //! - the component count comes from the CSR component pass
 //!   ([`CsrGraph::components`]), the workspace's one connectivity engine;
-//! - [`RollingDegrees`] summarizes the degree sequence as a histogram
-//!   (integer arithmetic, so every statistic is order-exact);
-//! - [`DeltaBetweenness`] is a Brandes–Pich pivot *stream* whose
+//! - the degree statistics come from the metric battery's own helpers
+//!   ([`summarize_sample`] and [`ccdf_at`]), so an epoch row and a
+//!   one-shot report read a degree sequence the same way;
+//! - load is a Brandes–Pich pivot *stream* ([`pivots_for`]) whose
 //!   membership is a pure per-node hash, so growth only ever appends
 //!   pivots and the estimate is deterministic at every thread count;
 //! - [`Trajectory`] records one [`EpochMetrics`] row per epoch at a
 //!   fixed threshold grid so rows are comparable across the run.
 
 use crate::bias::{concentration, Concentration};
+use crate::degree_dist::{ccdf_at, summarize_sample};
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
 use hot_graph::parallel::par_betweenness_sampled;
-
-/// Degree histogram of one degree sequence, with the summary
-/// statistics a trajectory row reports.
-#[derive(Clone, Debug)]
-pub struct RollingDegrees {
-    nodes: usize,
-    /// `hist[d]` = number of nodes with degree `d`.
-    hist: Vec<u64>,
-    edges: u64,
-    max: u32,
-}
-
-impl RollingDegrees {
-    /// Histogram of a degree sequence.
-    pub fn from_degrees(sample: &[u32]) -> Self {
-        let max = sample.iter().copied().max().unwrap_or(0);
-        let mut hist = vec![0u64; max as usize + 1];
-        let mut total = 0u64;
-        for &d in sample {
-            hist[d as usize] += 1;
-            total += d as u64;
-        }
-        debug_assert_eq!(total % 2, 0, "undirected degree sum is even");
-        RollingDegrees {
-            nodes: sample.len(),
-            hist,
-            edges: total / 2,
-            max,
-        }
-    }
-
-    /// Node count.
-    #[inline]
-    pub fn node_count(&self) -> usize {
-        self.nodes
-    }
-
-    /// Edge count (half the degree sum).
-    #[inline]
-    pub fn edge_count(&self) -> u64 {
-        self.edges
-    }
-
-    /// The degree histogram (`hist()[d]` nodes have degree `d`).
-    #[inline]
-    pub fn hist(&self) -> &[u64] {
-        &self.hist
-    }
-
-    /// Maximum degree (0 when empty).
-    #[inline]
-    pub fn max_degree(&self) -> u32 {
-        self.max
-    }
-
-    /// Mean degree `2m / n` (0 when empty).
-    pub fn mean_degree(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            2.0 * self.edges as f64 / self.nodes as f64
-        }
-    }
-
-    /// Fraction of nodes with degree exactly 1 (the access leaves).
-    pub fn leaf_fraction(&self) -> f64 {
-        if self.nodes == 0 {
-            0.0
-        } else {
-            *self.hist.get(1).unwrap_or(&0) as f64 / self.nodes as f64
-        }
-    }
-
-    /// CCDF at `k`: fraction of nodes with degree ≥ `k` (0 when empty).
-    pub fn ccdf_at(&self, k: u32) -> f64 {
-        if self.nodes == 0 {
-            return 0.0;
-        }
-        let from = (k as usize).min(self.hist.len());
-        let above: u64 = self.hist[from..].iter().sum();
-        above as f64 / self.nodes as f64
-    }
-}
 
 /// Power-of-two degree thresholds `1, 2, 4, … ≤ max(1, cap)` — the grid
 /// an analyst fits a power law on, fixed per run so trajectory rows
@@ -121,46 +40,42 @@ pub fn pow2_thresholds(cap: u32) -> Vec<u32> {
     out
 }
 
-/// Brandes–Pich betweenness over a deterministic pivot *stream*.
+/// Whether `stride` is a pivot rate [`pivots_for`] accepts: at least 1
+/// (one pivot per `stride` nodes).
+pub fn stride_is_valid(stride: u64) -> bool {
+    stride >= 1
+}
+
+/// Whether `v` is in the pivot stream for `(seed, stride)`.
+fn is_pivot(seed: u64, stride: u64, v: u32) -> bool {
+    if stride <= 1 || v == 0 {
+        return true;
+    }
+    let mut z = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    z.is_multiple_of(stride)
+}
+
+/// The Brandes–Pich pivot *stream* among the first `n` nodes,
+/// ascending.
 ///
 /// Pivot membership is a pure function of `(seed, node id)` (a
 /// splitmix64 hash threshold at rate `1 / stride`, with node 0 always
 /// a pivot so the set is never empty). Growth only ever *appends*
 /// pivots: the set at `n` nodes extends the set at any smaller count,
-/// so the sampled sources stay put as the network grows. The estimate
-/// is [`par_betweenness_sampled`] over [`Self::pivots_for`] on the
-/// fixed-chunk scheduler: deterministic at every thread count, and with
-/// `stride == 1` it is the exact parallel Brandes.
-pub struct DeltaBetweenness;
-
-impl DeltaBetweenness {
-    /// Whether `stride` is a pivot rate [`Self::pivots_for`] accepts:
-    /// at least 1 (one pivot per `stride` nodes).
-    pub fn stride_is_valid(stride: u64) -> bool {
-        stride >= 1
-    }
-
-    /// Whether `v` is in the pivot stream for `(seed, stride)`.
-    fn is_pivot(seed: u64, stride: u64, v: u32) -> bool {
-        if stride <= 1 || v == 0 {
-            return true;
-        }
-        let mut z = seed ^ (v as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        z % stride == 0
-    }
-
-    /// The pivots among the first `n` nodes, ascending. Panics unless
-    /// `stride` passes [`Self::stride_is_valid`].
-    pub fn pivots_for(seed: u64, stride: u64, n: usize) -> Vec<NodeId> {
-        assert!(Self::stride_is_valid(stride), "stride must be at least 1");
-        (0..n as u32)
-            .filter(|&v| Self::is_pivot(seed, stride, v))
-            .map(NodeId)
-            .collect()
-    }
+/// so the sampled sources stay put as the network grows. Fed to
+/// [`par_betweenness_sampled`] on the fixed-chunk scheduler, the
+/// estimate is deterministic at every thread count, and with
+/// `stride == 1` it is the exact parallel Brandes. Panics unless
+/// `stride` passes [`stride_is_valid`].
+pub fn pivots_for(seed: u64, stride: u64, n: usize) -> Vec<NodeId> {
+    assert!(stride_is_valid(stride), "stride must be at least 1");
+    (0..n as u32)
+        .filter(|&v| is_pivot(seed, stride, v))
+        .map(NodeId)
+        .collect()
 }
 
 /// One epoch's analytics row.
@@ -201,7 +116,7 @@ impl Trajectory {
     }
 
     /// Appends the row for `g` at `epoch`, recomputed from one CSR view:
-    /// its component count, the degree histogram, and the load
+    /// its component count, the degree statistics, and the load
     /// concentration of the sampled betweenness over the pivot stream
     /// `(pivot_seed, pivot_stride)` on `threads` workers.
     pub fn record<N, E>(
@@ -213,21 +128,22 @@ impl Trajectory {
         threads: usize,
     ) {
         let csr = CsrGraph::from_graph(g);
-        let degrees = RollingDegrees::from_degrees(&csr.degree_sequence());
-        let pivots = DeltaBetweenness::pivots_for(pivot_seed, pivot_stride, g.node_count());
+        let degrees = csr.degree_sequence();
+        let summary = summarize_sample(&degrees);
+        let pivots = pivots_for(pivot_seed, pivot_stride, g.node_count());
         let betweenness = par_betweenness_sampled(&csr, &pivots, threads);
         self.rows.push(EpochMetrics {
             epoch,
-            nodes: degrees.node_count(),
-            edges: degrees.edge_count(),
+            nodes: csr.node_count(),
+            edges: csr.edge_count() as u64,
             components: csr.component_count(),
-            mean_degree: degrees.mean_degree(),
-            max_degree: degrees.max_degree(),
-            leaf_fraction: degrees.leaf_fraction(),
+            mean_degree: summary.mean,
+            max_degree: summary.max,
+            leaf_fraction: summary.leaf_fraction,
             ccdf: self
                 .thresholds
                 .iter()
-                .map(|&k| degrees.ccdf_at(k))
+                .map(|&k| ccdf_at(&degrees, k))
                 .collect(),
             load: concentration(&betweenness),
             pivots: pivots.len(),
@@ -258,38 +174,38 @@ mod tests {
     use super::*;
     use hot_graph::parallel::par_betweenness;
 
+    /// A row's degree statistics match a count made from scratch off
+    /// the edge list.
     #[test]
     fn rolling_degrees_match_from_scratch() {
         let edges = [(0, 1), (1, 2), (0, 2), (2, 3), (3, 1), (4, 0)];
-        let mut deg = vec![0u32; 6];
+        let mut deg = [0u32; 6];
         for &(a, b) in &edges {
             deg[a] += 1;
             deg[b] += 1;
         }
-        let r = RollingDegrees::from_degrees(&deg);
-        let mut hist = [0u64; 4];
-        for &d in &deg {
-            hist[d as usize] += 1;
-        }
-        assert_eq!(r.hist(), &hist[..]);
-        assert_eq!(r.node_count(), 6);
-        assert_eq!(r.edge_count(), edges.len() as u64);
-        assert_eq!(r.max_degree(), 3);
-        assert_eq!(r.mean_degree().to_bits(), 2.0f64.to_bits());
-        assert_eq!(r.ccdf_at(2), 4.0 / 6.0);
+        let g: Graph<(), ()> = Graph::from_edges(6, edges.iter().map(|&(a, b)| (a, b, ())));
+        let mut t = Trajectory::new(vec![1, 2, 100]);
+        t.record(0, &g, 3, 1, 1);
+        let row = &t.rows[0];
+        assert_eq!((row.nodes, row.edges), (6, edges.len() as u64));
+        assert_eq!(row.max_degree, *deg.iter().max().unwrap());
+        assert_eq!(row.mean_degree.to_bits(), 2.0f64.to_bits());
         // Node 5 is isolated, node 4 is the only leaf.
-        assert_eq!(r.ccdf_at(1), 5.0 / 6.0);
-        assert_eq!(r.leaf_fraction(), 1.0 / 6.0);
-        assert_eq!(r.ccdf_at(100), 0.0);
+        assert_eq!(row.ccdf, vec![5.0 / 6.0, 4.0 / 6.0, 0.0]);
+        assert_eq!(row.leaf_fraction, 1.0 / 6.0);
+        assert_eq!(row.components, 2);
     }
 
     #[test]
     fn empty_tracker_is_all_zeros() {
-        let r = RollingDegrees::from_degrees(&[]);
-        assert_eq!(r.node_count(), 0);
-        assert_eq!(r.mean_degree(), 0.0);
-        assert_eq!(r.ccdf_at(1), 0.0);
-        assert_eq!(r.max_degree(), 0);
+        let mut t = Trajectory::new(vec![1]);
+        t.record(0, &Graph::<(), ()>::new(), 3, 1, 1);
+        let row = &t.rows[0];
+        assert_eq!((row.nodes, row.edges, row.max_degree), (0, 0, 0));
+        assert_eq!(row.mean_degree, 0.0);
+        assert_eq!(row.ccdf, vec![0.0]);
+        assert_eq!(row.pivots, 0);
     }
 
     #[test]
@@ -302,15 +218,15 @@ mod tests {
 
     #[test]
     fn pivot_stream_has_a_stable_prefix() {
-        let small = DeltaBetweenness::pivots_for(7, 4, 50);
-        let large = DeltaBetweenness::pivots_for(7, 4, 200);
+        let small = pivots_for(7, 4, 50);
+        let large = pivots_for(7, 4, 200);
         assert!(large.len() > small.len());
         assert_eq!(&large[..small.len()], &small[..]);
-        let tiny = DeltaBetweenness::pivots_for(7, 4, 13);
+        let tiny = pivots_for(7, 4, 13);
         assert_eq!(&small[..tiny.len()], &tiny[..]);
         // Node 0 is always a pivot, so the stream is never empty.
-        assert_eq!(DeltaBetweenness::pivots_for(99, 1_000_000, 5).len(), 1);
-        assert!(!DeltaBetweenness::stride_is_valid(0));
+        assert_eq!(pivots_for(99, 1_000_000, 5).len(), 1);
+        assert!(!stride_is_valid(0));
     }
 
     #[test]
@@ -328,7 +244,7 @@ mod tests {
             ],
         );
         let csr = CsrGraph::from_graph(&g);
-        let pivots = DeltaBetweenness::pivots_for(1, 1, csr.node_count());
+        let pivots = pivots_for(1, 1, csr.node_count());
         assert_eq!(pivots.len(), 6);
         let est = par_betweenness_sampled(&csr, &pivots, 2);
         let exact = par_betweenness(&csr, 2);

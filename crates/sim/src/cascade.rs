@@ -254,7 +254,7 @@ mod tests {
     #[test]
     fn ample_capacity_is_a_one_round_fixed_point() {
         let (csr, dem) = square();
-        let out = cascade(&csr, &dem, &vec![100.0; 4], &CascadeConfig::default(), 4);
+        let out = cascade(&csr, &dem, &[100.0; 4], &CascadeConfig::default(), 4);
         assert!(out.converged);
         assert_eq!(out.rounds.len(), 1);
         assert_eq!(out.failed_links(), 0);
@@ -268,7 +268,7 @@ mod tests {
             threshold: 1.0,
             max_rounds: 1,
         };
-        let out = cascade(&csr, &dem, &vec![0.5; 4], &cfg, 1);
+        let out = cascade(&csr, &dem, &[0.5; 4], &cfg, 1);
         assert!(!out.converged);
         assert_eq!(out.rounds.len(), 1);
     }

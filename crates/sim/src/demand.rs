@@ -96,7 +96,9 @@ pub trait OdDemand: Sync {
     /// inner loop; the default delegates to [`Self::demand`] per pair,
     /// and implementations may specialize for speed — but must emit
     /// exactly the amounts `demand` reports (bit for bit), or the
-    /// batched engine and the per-flow baseline drift apart.
+    /// batched engine and the per-flow references drift apart. A
+    /// destination may repeat (a demand list with a repeated pair):
+    /// each entry is one flow, and the entries add up to `demand`.
     fn gather_row(&self, src: usize, out: &mut Vec<(u32, f64)>) {
         for dst in 0..self.node_count() {
             if dst == src {

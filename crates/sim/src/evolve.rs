@@ -9,8 +9,10 @@
 //! [`Graph`]: each simulated epoch appends arrivals and links and
 //! optionally re-optimizes the backbone under the epoch's prices
 //! ([`hot_econ::trend::TechTrend`] + [`CableCatalog`] economics).
-//! Per-epoch analytics (`hot_metrics::rolling`) read the graph between
-//! steps through one freshly built CSR view.
+//! Arrivals read only the epoch's transport-cost factor; re-optimization
+//! reads the demand factor too. Per-epoch analytics
+//! (`hot_metrics::rolling`) read the graph between steps through one
+//! freshly built CSR view.
 //!
 //! Two families of [`GrowthModel`] are provided:
 //!
@@ -90,25 +92,18 @@ pub trait GrowthModel {
     /// Seeds the initial network into an empty graph (epoch 0).
     fn init(&mut self, g: &mut EvolveGraph, rng: &mut StdRng);
 
-    /// Adds this epoch's arrivals. `demand_factor` / `cost_factor` are
-    /// the trend's multipliers at this epoch.
-    fn grow(
-        &mut self,
-        g: &mut EvolveGraph,
-        epoch: u64,
-        arrivals: usize,
-        demand_factor: f64,
-        cost_factor: f64,
-        rng: &mut StdRng,
-    );
+    /// Adds this epoch's arrivals. `cost_factor` is the trend's cost
+    /// multiplier at this epoch.
+    fn grow(&mut self, g: &mut EvolveGraph, arrivals: usize, cost_factor: f64, rng: &mut StdRng);
 
-    /// Periodic re-optimization under current economics; returns how
-    /// many links it added. Default: none (the degree controls never
-    /// re-optimize — there is no objective to re-optimize).
+    /// Periodic re-optimization under current economics
+    /// (`demand_factor` / `cost_factor` are the trend's multipliers at
+    /// this epoch); returns how many links it added. Default: none (the
+    /// degree controls never re-optimize — there is no objective to
+    /// re-optimize).
     fn reoptimize(
         &mut self,
         _g: &mut EvolveGraph,
-        _epoch: u64,
         _demand_factor: f64,
         _cost_factor: f64,
         _rng: &mut StdRng,
@@ -160,19 +155,18 @@ impl<M: GrowthModel> Evolution<M> {
         let cost = self.config.trend.cost_factor(self.epoch);
         self.model.grow(
             &mut self.graph,
-            self.epoch,
             self.config.arrivals_per_epoch,
-            demand,
             cost,
             &mut self.rng,
         );
-        let reopt_links =
-            if self.config.reopt_interval > 0 && self.epoch % self.config.reopt_interval == 0 {
-                self.model
-                    .reoptimize(&mut self.graph, self.epoch, demand, cost, &mut self.rng)
-            } else {
-                0
-            };
+        let reopt_links = if self.config.reopt_interval > 0
+            && self.epoch.is_multiple_of(self.config.reopt_interval)
+        {
+            self.model
+                .reoptimize(&mut self.graph, demand, cost, &mut self.rng)
+        } else {
+            0
+        };
         EpochDelta {
             epoch: self.epoch,
             reopt_links,
@@ -411,15 +405,7 @@ impl GrowthModel for HotGrowth {
     /// One epoch of customer arrivals: Zipf metro draw, scatter in the
     /// metro disc, attach by `α·dist + depth` under the degree cap;
     /// dual-home to the runner-up once transport is cheap enough.
-    fn grow(
-        &mut self,
-        g: &mut EvolveGraph,
-        _epoch: u64,
-        arrivals: usize,
-        _demand_factor: f64,
-        cost_factor: f64,
-        rng: &mut StdRng,
-    ) {
+    fn grow(&mut self, g: &mut EvolveGraph, arrivals: usize, cost_factor: f64, rng: &mut StdRng) {
         for _ in 0..arrivals {
             let city = self.pick_city(rng);
             let center = self.centers[city];
@@ -455,7 +441,6 @@ impl GrowthModel for HotGrowth {
     fn reoptimize(
         &mut self,
         g: &mut EvolveGraph,
-        epoch: u64,
         demand_factor: f64,
         cost_factor: f64,
         rng: &mut StdRng,
@@ -520,7 +505,6 @@ impl GrowthModel for HotGrowth {
             let d = self.pos[a as usize].dist(&self.pos[b as usize]).max(1e-9);
             g.add_edge(NodeId(a), NodeId(b), d);
         }
-        let _ = epoch;
         g.edge_count() - edges_before
     }
 }
@@ -619,22 +603,13 @@ impl GrowthModel for DegreeGrowth {
         }
     }
 
-    fn grow(
-        &mut self,
-        g: &mut EvolveGraph,
-        _epoch: u64,
-        arrivals: usize,
-        _demand_factor: f64,
-        _cost_factor: f64,
-        rng: &mut StdRng,
-    ) {
+    fn grow(&mut self, g: &mut EvolveGraph, arrivals: usize, _cost_factor: f64, rng: &mut StdRng) {
         for _ in 0..arrivals {
             if self.p_edge_only > 0.0 && rng.random::<f64>() < self.p_edge_only {
                 // Densification event: m new links between existing
                 // nodes (distinct endpoints, no parallels; bounded
                 // resampling so termination never depends on luck).
                 for _ in 0..self.m {
-                    let mut placed = false;
                     for _ in 0..32 {
                         let Some(a) = self.preferential_pick(g, &[], rng) else {
                             break;
@@ -644,11 +619,9 @@ impl GrowthModel for DegreeGrowth {
                         };
                         if g.find_edge(a, b).is_none() {
                             g.add_edge(a, b, 1.0);
-                            placed = true;
                             break;
                         }
                     }
-                    let _ = placed;
                 }
             } else {
                 let mut chosen: Vec<u32> = Vec::with_capacity(self.m);

@@ -1,10 +1,8 @@
 //! Batched, deterministic link-load simulation.
 //!
-//! [`crate::failure::route_demands`] walks every flow's path edge by
-//! edge — fine for thousands of demands, hopeless for the all-pairs
-//! workloads the demand models in [`crate::demand`] describe (millions
-//! of OD flows).
-//! This engine routes those workloads in O(n + m) per *source* instead
+//! The engine routes the all-pairs workloads the demand models in
+//! [`crate::demand`] describe (millions of OD flows), and the explicit
+//! demand lists of [`crate::failure`], in O(n + m) per *source* instead
 //! of O(path) per *flow*:
 //!
 //! 1. one CSR BFS tree per source, computed once into reused scratch
@@ -55,7 +53,8 @@ use hot_graph::parallel::run_chunks;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RoutePolicy {
     /// The deterministic BFS-tree path (first discovery in adjacency
-    /// order) — what [`crate::failure::route_demands`] uses for hop counts.
+    /// order) — the hop routing of every traffic table, demand lists
+    /// ([`crate::failure::route_demands`]) included.
     TreePath,
     /// Equal-cost multipath: the flow splits over all shortest paths,
     /// proportionally to path counts (Brandes σ).
@@ -147,8 +146,9 @@ struct EngineScratch {
 /// model, in input order. Output is bit-identical at every thread
 /// count.
 ///
-/// Self-demand (the matrix diagonal) and non-positive demands are
-/// ignored. All models must cover exactly `csr.node_count()` nodes.
+/// Self-demand (the matrix diagonal) is never routed; every other entry
+/// a model's [`OdDemand::gather_row`] emits is one flow. All models must
+/// cover exactly `csr.node_count()` nodes.
 pub fn link_loads_multi(
     csr: &CsrGraph,
     demands: &[&dyn OdDemand],
@@ -301,7 +301,9 @@ fn seed_demands(
             out.unrouted_flows += 1;
             out.unrouted_traffic += amount;
         } else {
-            acc[v] = amount;
+            // The accumulator is zero on entry, so adding gives a single
+            // entry's exact bits and a repeated destination its sum.
+            acc[v] += amount;
             out.routed_flows += 1;
             out.routed_traffic += amount;
             out.traffic_hops += amount * dist[v] as f64;
@@ -408,7 +410,7 @@ mod tests {
         let (g, csr) = path4();
         let mut d = vec![0.0; 16];
         d[3] = 5.0; // 0 -> 3
-        d[1 * 4 + 2] = 2.0; // 1 -> 2
+        d[4 + 2] = 2.0; // 1 -> 2
         let dense = Dense { n: 4, d };
         let loads = link_loads(&csr, &dense, RoutePolicy::TreePath, 2);
         let flows = vec![
@@ -423,7 +425,7 @@ mod tests {
                 amount: 2.0,
             },
         ];
-        let reference = route_demands(&g, &flows);
+        let reference = route_demands(&g, &flows, 2);
         assert_eq!(loads.link_load, reference.link_load);
         assert_eq!(loads.routed_flows, 2);
         assert_eq!(loads.unrouted_flows, 0);

@@ -6,6 +6,7 @@
 //! cargo run --release --example routing_study
 //! ```
 
+use hotgen::graph::parallel::default_threads;
 use hotgen::metrics::hierarchy::gini;
 use hotgen::prelude::*;
 use hotgen::sim::demand::Demand;
@@ -43,7 +44,8 @@ fn main() {
         })
         .filter(|d| d.src != d.dst)
         .collect();
-    let outcome = route_demands(&isp.graph, &demands);
+    let threads = default_threads();
+    let outcome = route_demands(&isp.graph, &demands, threads);
     let positive: Vec<f64> = outcome
         .link_load
         .iter()
@@ -75,7 +77,7 @@ fn main() {
         );
     }
     // Failure stress on the loaded links.
-    let summary = single_link_failures(&isp.graph, &demands);
+    let summary = single_link_failures(&isp.graph, &demands, threads);
     println!(
         "\nsingle-link failures over {} loaded links: {:.0}% strand traffic \
          (worst case {:.1}% of all traffic), survivors re-route at {:.3}x hops",

@@ -107,9 +107,9 @@ pub mod bgp {
             for src in 0..t.len() {
                 let vf = t.propagate(src);
                 let sp = t.shortest(src);
-                for dst in 0..t.len() {
-                    if vf.dist[dst] != UNREACHED && sp[dst] != UNREACHED {
-                        assert!(vf.dist[dst] >= sp[dst]);
+                for (&v, &s) in vf.dist.iter().zip(&sp) {
+                    if v != UNREACHED && s != UNREACHED {
+                        assert!(v >= s);
                     }
                 }
             }

@@ -6,7 +6,7 @@
 //! (`shortest_path`), the per-vantage traceroute (`traceroute`), the
 //! per-flow traffic and cascade engines (`per_flow`), and the two-pass
 //! ECMP engine (`ecmp`). Each binary uses only part of this module.
-#![allow(dead_code)]
+#![allow(dead_code, reason = "each test binary uses only part of this module")]
 
 pub mod ecmp;
 pub mod per_flow;

@@ -986,9 +986,10 @@ fn all_pairs_symmetric() {
         .node_ids()
         .map(|s| latencies(&dijkstra_tree(&g, s)).to_vec())
         .collect();
-    for i in 0..4 {
-        for j in 0..4 {
-            assert!((m[i][j] - m[j][i]).abs() < 1e-12);
+    assert_eq!(m.len(), 4);
+    for (i, row) in m.iter().enumerate() {
+        for (j, &latency) in row.iter().enumerate() {
+            assert!((latency - m[j][i]).abs() < 1e-12);
         }
     }
 }

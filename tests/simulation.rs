@@ -40,7 +40,7 @@ fn routing_conserves_demand_on_generated_isp() {
             amount: 2.0,
         })
         .collect();
-    let outcome = route_demands(&isp.graph, &demands);
+    let outcome = route_demands(&isp.graph, &demands, 2);
     // The ISP graph is connected: everything routes.
     assert_eq!(outcome.unrouted_flows, 0);
     let total: f64 = demands.iter().map(|d| d.amount).sum();
@@ -75,7 +75,7 @@ fn failure_sim_agrees_with_cut_structure() {
             amount: 1.0,
         })
         .collect();
-    let summary = single_link_failures(&isp.graph, &demands);
+    let summary = single_link_failures(&isp.graph, &demands, 2);
     // Customer uplinks are bridges: most failures strand something.
     assert!(summary.stranding_fraction > 0.5);
     // Stretch is a ratio >= 1 whenever defined.

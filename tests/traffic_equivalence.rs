@@ -13,13 +13,15 @@
 //!
 //! The ECMP engine (one shortest-path DAG sweep per source) is checked
 //! against the two-pass engine it replaced (`tests/common/ecmp.rs`) on
-//! random weighted multigraphs, bit for bit.
+//! random weighted multigraphs, bit for bit, and the demand-list router
+//! with its link-cut study against the per-flow oracle on random
+//! multigraphs and lists.
 
 use hotgen::baselines::glp;
 use hotgen::graph::csr::CsrGraph;
-use hotgen::graph::{Graph, NodeId};
+use hotgen::graph::{EdgeId, Graph, NodeId};
 use hotgen::sim::demand::{Demand, DemandConfig, DemandMatrix, DemandModel, OdDemand};
-use hotgen::sim::failure::route_demands;
+use hotgen::sim::failure::{route_demands, single_link_failures};
 use hotgen::sim::traffic::{
     link_loads, link_loads_multi, link_loads_weighted, RoutePolicy, TrafficLoads,
 };
@@ -109,7 +111,7 @@ fn batched_matches_naive_per_flow_exactly() {
 
     // Naive 2: the demand-list router agrees too (same CSR, same
     // first-discovery trees).
-    let per_flow = route_demands(g, &flows);
+    let per_flow = route_demands(g, &flows, 4);
     assert_eq!(bits(&batched.link_load), bits(&per_flow.link_load));
     assert_eq!(per_flow.unrouted_flows, 0);
 }
@@ -383,4 +385,146 @@ fn ecmp_sweep_matches_two_pass_oracle() {
         let single = link_loads(&csr, &dem, RoutePolicy::Ecmp, threads);
         assert_same_loads(&single, &oracle[0], &format!("single {}", label));
     }
+}
+
+/// A random demand list over `n` nodes, in small integer or non-integer
+/// amounts: about one entry in five repeats an earlier pair, about one
+/// endpoint in twelve lies outside the graph, and pairs across
+/// components or on isolated nodes are disconnected. It holds no
+/// self-demand, which a list never routes.
+fn random_demand_list(n: usize, integer: bool, rng: &mut StdRng) -> Vec<Demand> {
+    let mut list: Vec<Demand> = Vec::new();
+    for _ in 0..rng.random_range(0..=3 * n) {
+        let amount = if integer {
+            rng.random_range(1u32..=5) as f64
+        } else {
+            rng.random_range(0.01..10.0)
+        };
+        if !list.is_empty() && rng.random_range(0..5) == 0 {
+            let repeat = list[rng.random_range(0..list.len())];
+            list.push(Demand { amount, ..repeat });
+            continue;
+        }
+        let mut endpoint = || {
+            if rng.random_range(0..12) == 0 {
+                n + rng.random_range(0usize..3)
+            } else {
+                rng.random_range(0..n)
+            }
+        };
+        let (src, dst) = (endpoint(), endpoint());
+        if src != dst {
+            list.push(Demand {
+                src: NodeId(src as u32),
+                dst: NodeId(dst as u32),
+                amount,
+            });
+        }
+    }
+    list
+}
+
+/// The per-flow oracle of a demand list: one BFS tree per in-range
+/// source, each flow's tree path walked edge by edge.
+fn per_flow(g: &Graph<(), ()>, demands: &[Demand]) -> TrafficLoads {
+    let csr = CsrGraph::from_graph(g);
+    let mut sources: Vec<NodeId> = demands
+        .iter()
+        .map(|d| d.src)
+        .filter(|s| s.index() < csr.node_count())
+        .collect();
+    sources.sort_unstable();
+    sources.dedup();
+    naive_link_load(&csr, &bfs_forest(&csr, &sources, 1), demands)
+}
+
+/// `got == want`: the same bits on integer amounts, within a relative
+/// 1e-12 on non-integer ones.
+fn assert_agrees(got: f64, want: f64, exact: bool, label: &str) {
+    if exact {
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "{}: {} vs {}",
+            label,
+            got,
+            want
+        );
+    } else {
+        assert!(
+            (got - want).abs() <= 1e-12 * got.abs().max(want.abs()),
+            "{}: {} vs {}",
+            label,
+            got,
+            want
+        );
+    }
+}
+
+/// The demand-list router and its link-cut study against the per-flow
+/// oracle, on random multigraphs (parallel links, isolated nodes,
+/// several components) with lists that repeat pairs, reach outside the
+/// graph and join disconnected pairs, at 1–4 threads: `route_demands`
+/// matches `naive_link_load`, and every `FailureImpact` matches the
+/// oracle re-run on `edge_subgraph` without that link.
+#[test]
+fn demand_lists_and_link_cuts_match_per_flow_oracle() {
+    let mut rng = StdRng::seed_from_u64(20030617);
+    let mut cuts = 0;
+    for case in 0..1000 {
+        let g = random_multigraph(&mut rng);
+        let integer = rng.random_range(0..2) == 0;
+        let demands = random_demand_list(g.node_count(), integer, &mut rng);
+        let threads = rng.random_range(1usize..=4);
+        let label = format!(
+            "case {} (n {}, m {}, {} demands, threads {})",
+            case,
+            g.node_count(),
+            g.edge_count(),
+            demands.len(),
+            threads
+        );
+
+        let want = per_flow(&g, &demands);
+        let got = route_demands(&g, &demands, threads);
+        assert_eq!(got.routed_flows, want.routed_flows, "{}", label);
+        assert_eq!(got.unrouted_flows, want.unrouted_flows, "{}", label);
+        for (e, (&a, &b)) in got.link_load.iter().zip(&want.link_load).enumerate() {
+            assert_agrees(a, b, integer, &format!("load {} {}", e, label));
+        }
+        assert_agrees(got.routed_traffic, want.routed_traffic, integer, &label);
+        assert_agrees(got.unrouted_traffic, want.unrouted_traffic, integer, &label);
+        assert_agrees(got.traffic_hops, want.traffic_hops, integer, &label);
+
+        let summary = single_link_failures(&g, &demands, threads);
+        let loaded: Vec<EdgeId> = g
+            .edge_ids()
+            .filter(|e| want.link_load[e.index()] > 0.0)
+            .collect();
+        let cut_links: Vec<EdgeId> = summary.impacts.iter().map(|i| i.link).collect();
+        assert_eq!(cut_links, loaded, "{}", label);
+        for impact in &summary.impacts {
+            let mut keep = vec![true; g.edge_count()];
+            keep[impact.link.index()] = false;
+            let after = per_flow(&g.edge_subgraph(&keep), &demands);
+            let stretch = if after.routed_traffic > 0.0 && want.routed_traffic > 0.0 {
+                after.mean_hops() / want.mean_hops()
+            } else {
+                1.0
+            };
+            let label = format!("cut {} {}", impact.link.index(), label);
+            let affected = want.link_load[impact.link.index()];
+            assert_agrees(impact.affected_traffic, affected, integer, &label);
+            assert_agrees(
+                impact.stranded_traffic,
+                after.unrouted_traffic,
+                integer,
+                &label,
+            );
+            assert_agrees(impact.stretch, stretch, integer, &label);
+            assert_agrees(impact.max_load_after, after.max_load(), integer, &label);
+            cuts += 1;
+        }
+    }
+    assert!(cuts > 5000, "only {} cuts simulated", cuts);
 }
