@@ -135,21 +135,16 @@ impl AsTopology {
         // self-relation carries no hop.
         let mut links = Vec::with_capacity(cust_adj.len() + peer_adj.len() / 2);
         for a in 0..n {
-            let (cust, peer) = (cust_off[a] as usize, peer_off[a] as usize);
-            let customers = &cust_adj[cust..cust_off[a + 1] as usize];
-            let peers = &peer_adj[peer..peer_off[a + 1] as usize];
-            links.extend(
-                customers
-                    .iter()
-                    .filter(|&&c| c as usize != a)
-                    .map(|&c| (a, c as usize, ())),
-            );
-            links.extend(
-                peers
-                    .iter()
-                    .filter(|&&q| a < q as usize)
-                    .map(|&q| (a, q as usize, ())),
-            );
+            let customers = &cust_adj[cust_off[a] as usize..cust_off[a + 1] as usize];
+            let peers = &peer_adj[peer_off[a] as usize..peer_off[a + 1] as usize];
+            for &b in customers
+                .iter()
+                .chain(peers.iter().filter(|&&q| a < q as usize))
+            {
+                if b as usize != a {
+                    links.push((a, b as usize, ()));
+                }
+            }
         }
         let csr = CsrGraph::from_graph(&Graph::<(), ()>::from_edges(n, links));
         let class_bits = class
