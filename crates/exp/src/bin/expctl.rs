@@ -8,13 +8,16 @@
 //!
 //! Every run is a pure function of `(scenario, scale, seed)`; `--threads`
 //! only changes wall-clock, never bytes — `--all --threads 1` and
-//! `--all --threads 8` write identical JSON files.
+//! `--all --threads 8` write identical JSON files. Each run ends with
+//! one stderr line per scenario (id, name, ok or skipped, seconds) and
+//! a summary line.
 
 use hot_exp::registry::{self, RunCtx, Scale, ScenarioSpec};
 use hot_exp::report::{ExpReport, ExpStatus};
 use hot_exp::SEED;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::time::Instant;
 
 struct Args {
     list: bool,
@@ -159,7 +162,7 @@ fn main() -> ExitCode {
         snapshot_dir: args.snapshot_dir.clone(),
     };
     // `--all` and `--run` share one loop: scenarios run one at a time,
-    // each with every `--threads` worker for its own kernels.
+    // each on every `--threads` worker.
     let specs: Vec<&ScenarioSpec> = if args.all {
         registry::registry().iter().collect()
     } else {
@@ -179,15 +182,31 @@ fn main() -> ExitCode {
     // finishes, so a long sweep shows progress and a later failure
     // keeps every report already written.
     let mut skipped = 0usize;
+    let mut timings = Vec::with_capacity(specs.len());
     for spec in &specs {
+        let start = Instant::now();
         let report = (spec.run)(ctx.clone());
+        let seconds = start.elapsed().as_secs_f64();
         if let Err(msg) = emit(&report, &args) {
             eprintln!("expctl: {}", msg);
             return ExitCode::FAILURE;
         }
-        if matches!(report.status, ExpStatus::Skipped { .. }) {
-            skipped += 1;
-        }
+        let status = match report.status {
+            ExpStatus::Ok => "ok",
+            ExpStatus::Skipped { .. } => {
+                skipped += 1;
+                "skipped"
+            }
+        };
+        timings.push((spec, status, seconds));
+    }
+    // Wall-clock goes to stderr only: stdout and the JSON stay the same
+    // bytes at every thread count.
+    for (spec, status, seconds) in timings {
+        eprintln!(
+            "expctl: {:<5} {:<18} {:<7} {:>9.3} s",
+            spec.id, spec.name, status, seconds
+        );
     }
     eprintln!(
         "expctl: {} scenario(s) run ({} skipped), scale {}, seed {}, {} thread(s)",

@@ -17,6 +17,8 @@ use hot_core::fkp::{grow, FkpConfig};
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_econ::cable::CableCatalog;
 use hot_econ::cost::LinkCost;
+use hot_graph::graph::Graph;
+use hot_graph::parallel::par_map;
 use hot_metrics::report::MetricValue;
 use hot_metrics::MetricReport;
 use rand::rngs::StdRng;
@@ -86,10 +88,20 @@ pub fn metric_matrix(reports: &[MetricReport]) -> Table {
     table
 }
 
-/// Builds the ten-row generator battery at the given size.
-pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
+/// A generated topology stripped to its structure: every metric in the
+/// battery reads structure only, and `Graph::map` keeps adjacency order.
+type Plain = Graph<(), ()>;
+
+fn plain<N, E>(g: &Graph<N, E>) -> Plain {
+    g.map(|_, _| (), |_, _| ())
+}
+
+/// Builds the twelve rows of the generator battery at the given size,
+/// one after another on the calling thread: each row's RNG stream is
+/// fixed by the seed, and the last row rewires the ISP row's graph.
+fn generator_graphs(p: &Params, seed: u64) -> Vec<(&'static str, Plain)> {
     let n = p.n;
-    let mut reports = Vec::new();
+    let mut rows = Vec::new();
     // --- optimization-driven family ---
     {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -101,7 +113,7 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
             },
             &mut rng,
         );
-        reports.push(MetricReport::compute("fkp(a=10)", &topo.to_graph()));
+        rows.push(("fkp(a=10)", plain(&topo.to_graph())));
         let topo = grow(
             &FkpConfig {
                 n,
@@ -110,14 +122,14 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
             },
             &mut rng,
         );
-        reports.push(MetricReport::compute("fkp(a=4n)", &topo.to_graph()));
+        rows.push(("fkp(a=4n)", plain(&topo.to_graph())));
     }
     {
         let mut rng = StdRng::seed_from_u64(seed + 1);
         let cost = LinkCost::cables_only(CableCatalog::realistic_2003());
         let inst = Instance::random_uniform(n - 1, 15.0, cost, &mut rng);
         let sol = mmp::solve(&inst, &mut rng);
-        reports.push(MetricReport::compute("buy-at-bulk", &sol.to_graph(&inst)));
+        rows.push(("buy-at-bulk", plain(&sol.to_graph(&inst))));
     }
     let isp_config = IspConfig {
         n_pops: p.isp_pops,
@@ -131,20 +143,13 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
         let mut rng = StdRng::seed_from_u64(seed + 2);
         generate(&census, &traffic, &isp_config, &mut rng)
     };
-    reports.push(MetricReport::compute("isp(full)", &isp.graph));
+    rows.push(("isp(full)", plain(&isp.graph)));
     // --- degree-based family ---
     {
         let mut rng = StdRng::seed_from_u64(seed + 3);
-        reports.push(MetricReport::compute(
-            "ba(m=2)",
-            &ba::generate(n, 2, &mut rng),
-        ));
-        let g = glp::generate(&glp::GlpConfig { n }, &mut rng);
-        reports.push(MetricReport::compute("glp", &g));
-        reports.push(MetricReport::compute(
-            "plrg(g=2.2)",
-            &plrg::generate(n, 2.2, 1, &mut rng),
-        ));
+        rows.push(("ba(m=2)", ba::generate(n, 2, &mut rng)));
+        rows.push(("glp", glp::generate(&glp::GlpConfig { n }, &mut rng)));
+        rows.push(("plrg(g=2.2)", plrg::generate(n, 2.2, 1, &mut rng)));
     }
     // --- structural family ---
     {
@@ -157,7 +162,7 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
             },
             &mut rng,
         );
-        reports.push(MetricReport::compute("waxman", &g));
+        rows.push(("waxman", plain(&g)));
         let (td, ts, spt, ss) = p.transit_stub;
         let tsg = transit_stub::generate(
             &transit_stub::TransitStubConfig {
@@ -168,15 +173,14 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
             },
             &mut rng,
         );
-        reports.push(MetricReport::compute("transit-stub", &tsg));
+        rows.push(("transit-stub", plain(&tsg)));
         let b = brite::generate(&brite::BriteConfig { n }, &mut rng);
-        reports.push(MetricReport::compute("brite", &b));
+        rows.push(("brite", plain(&b)));
     }
     // --- null model, edge-matched to BA(m=2) ---
     {
         let mut rng = StdRng::seed_from_u64(seed + 5);
-        let g = random::gnm(n, 2 * n - 3, &mut rng);
-        reports.push(MetricReport::compute("gnm(matched)", &g));
+        rows.push(("gnm(matched)", random::gnm(n, 2 * n - 3, &mut rng)));
     }
     // --- the sharpest control: the ISP graph's own degree-preserving
     //     surrogate — identical degree sequence, randomized wiring ---
@@ -184,9 +188,26 @@ pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
         let mut rng = StdRng::seed_from_u64(seed + 6);
         let surrogate =
             hot_metrics::surrogate::degree_surrogate(&isp.graph, p.surrogate_swaps, &mut rng);
-        reports.push(MetricReport::compute("isp-surrogate", &surrogate));
+        rows.push(("isp-surrogate", plain(&surrogate)));
     }
-    reports
+    rows
+}
+
+/// The full metric battery of every row, one row per job on `threads`
+/// workers, returned in row order.
+fn battery(rows: &[(&'static str, Plain)], threads: usize) -> Vec<MetricReport> {
+    par_map(rows.len(), threads, |i| {
+        let (name, g) = &rows[i];
+        MetricReport::compute(*name, g)
+    })
+}
+
+/// The twelve-row generator battery at the given size, computed on one
+/// thread. [`run`] computes the same reports on the run's threads; this
+/// one-thread form is the entry point the benchmark's replay is checked
+/// against.
+pub fn generator_reports(p: &Params, seed: u64) -> Vec<MetricReport> {
+    battery(&generator_graphs(p, seed), 1)
 }
 
 pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
@@ -209,7 +230,7 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             p.n, p.cities, p.isp_pops, p.isp_customers
         ));
     }
-    let reports = generator_reports(p, ctx.seed);
+    let reports = battery(&generator_graphs(p, ctx.seed), ctx.threads);
     report.section(
         Section::new("metric matrix")
             .table(metric_matrix(&reports))

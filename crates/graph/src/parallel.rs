@@ -1,4 +1,5 @@
-//! Deterministic parallel kernels over [`CsrGraph`].
+//! Deterministic parallel kernels over [`CsrGraph`], and the chunk
+//! scheduler behind every parallel sweep in the workspace.
 //!
 //! The per-source loops of the hot analytics (Brandes betweenness,
 //! multi-source BFS path sampling) are embarrassingly parallel, but naive
@@ -9,15 +10,24 @@
 //! 1. Sources are split into [`NUM_CHUNKS`] contiguous chunks whose
 //!    boundaries depend only on the input size — never on the thread
 //!    count.
-//! 2. Worker threads *steal whole chunks* from an atomic counter; each
-//!    chunk's partial result is a pure function of the chunk (sources
+//! 2. Workers *steal whole chunks* from an atomic counter; each chunk's
+//!    partial result is a pure function of the chunk (sources
 //!    accumulated in ascending order), no matter which thread runs it.
-//! 3. The main thread reduces the partials in chunk-index order.
+//!    The calling thread is one of the workers, so a one-thread run
+//!    spawns nothing.
+//! 3. The calling thread reduces the partials in chunk-index order.
 //!
 //! Consequently `par_betweenness(csr, t)` returns bit-identical output
 //! for every `t`. There are no separate serial entry points: a serial
 //! run is the kernel at `threads = 1`, so "serial vs parallel" can never
 //! drift apart.
+//!
+//! [`run_chunks`] is that scheduler, and [`par_map`] is its ordered map
+//! over `0..len` for callers whose items are independent jobs (E6's
+//! metric battery, one report per generator). Besides the kernels here,
+//! it fans out the robustness curves in `hot-metrics`, the batched
+//! traffic engine and the probe campaigns in `hot-sim`, and `hot-bgp`'s
+//! policy summary.
 //!
 //! All betweenness runs through [`par_betweenness_sampled`]; exact
 //! betweenness is that function with every node as a pivot. Each source's
@@ -52,9 +62,11 @@ fn chunk_bounds(len: usize, c: usize) -> std::ops::Range<usize> {
 }
 
 /// Runs `work` over all [`NUM_CHUNKS`] chunks of `0..len` on `threads`
-/// scoped worker threads and returns the per-chunk results sorted by
-/// chunk index.
+/// workers and returns the per-chunk results sorted by chunk index.
 ///
+/// The calling thread is a worker: it spawns `min(threads, non-empty
+/// chunks) − 1` scoped threads and runs the last worker loop itself, so
+/// `threads = 1` runs every chunk on the caller and spawns nothing.
 /// Chunks are handed out through an atomic counter (work stealing);
 /// `init` builds one reusable per-worker scratch state, so expensive
 /// buffers are allocated once per thread, not once per chunk. For the
@@ -62,49 +74,73 @@ fn chunk_bounds(len: usize, c: usize) -> std::ops::Range<usize> {
 /// the chunk range — the scratch must carry no information between
 /// chunks.
 ///
-/// This is the one scheduler behind every deterministic parallel sweep
-/// in the workspace (betweenness, path sampling, and the robustness
-/// curves in `hot-metrics`); empty chunks are skipped, so callers with
-/// fewer than [`NUM_CHUNKS`] items get exactly one singleton chunk per
-/// item, in order.
+/// Empty chunks are skipped, so callers with fewer than [`NUM_CHUNKS`]
+/// items get exactly one singleton chunk per item, in order. A panic in
+/// any chunk reaches the caller with its own payload, once every worker
+/// has stopped.
 pub fn run_chunks<S, T, I, F>(len: usize, threads: usize, init: I, work: F) -> Vec<(usize, T)>
 where
     T: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, std::ops::Range<usize>) -> T + Sync,
 {
-    let threads = threads.clamp(1, NUM_CHUNKS);
+    // Chunk `c` is empty exactly when `c >= len`, so `min(len, NUM_CHUNKS)`
+    // chunks hold work; more workers than that would only spin.
+    let threads = threads.clamp(1, len.clamp(1, NUM_CHUNKS));
     let next = AtomicUsize::new(0);
-    let mut collected: Vec<(usize, T)> = Vec::with_capacity(NUM_CHUNKS);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    // Lazy: threads that never win a chunk skip `init`.
-                    let mut state: Option<S> = None;
-                    let mut out = Vec::new();
-                    loop {
-                        let c = next.fetch_add(1, Ordering::Relaxed);
-                        if c >= NUM_CHUNKS {
-                            break;
-                        }
-                        let range = chunk_bounds(len, c);
-                        if range.is_empty() {
-                            continue;
-                        }
-                        let state = state.get_or_insert_with(&init);
-                        out.push((c, work(state, range)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            collected.extend(h.join().expect("analytics worker panicked"));
+    let worker = || {
+        // Lazy: workers that never win a chunk skip `init`.
+        let mut state: Option<S> = None;
+        let mut out = Vec::new();
+        loop {
+            let c = next.fetch_add(1, Ordering::Relaxed);
+            if c >= NUM_CHUNKS {
+                break;
+            }
+            let range = chunk_bounds(len, c);
+            if range.is_empty() {
+                continue;
+            }
+            let state = state.get_or_insert_with(&init);
+            out.push((c, work(state, range)));
         }
+        out
+    };
+    let mut collected = std::thread::scope(|scope| {
+        let handles: Vec<_> = (1..threads).map(|_| scope.spawn(worker)).collect();
+        let mut collected = worker();
+        for h in handles {
+            match h.join() {
+                Ok(part) => collected.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        collected
     });
     collected.sort_by_key(|&(c, _)| c);
     collected
+}
+
+/// `f(0), f(1), …, f(len − 1)` computed on `threads` workers through
+/// [`run_chunks`] and returned in index order, so the result is the same
+/// at every thread count. For independent jobs that each return one
+/// value, such as one metric report per graph; `f` must be a pure
+/// function of its index.
+pub fn par_map<T, F>(len: usize, threads: usize, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    let mut out = Vec::with_capacity(len);
+    for (_, part) in run_chunks(
+        len,
+        threads,
+        || (),
+        |_, range| range.map(&f).collect::<Vec<_>>(),
+    ) {
+        out.extend(part);
+    }
+    out
 }
 
 /// Betweenness centrality of every node (unweighted shortest paths, each
@@ -299,6 +335,69 @@ mod tests {
                 covered.extend(chunk_bounds(len, c));
             }
             assert_eq!(covered, (0..len).collect::<Vec<_>>(), "len {}", len);
+        }
+    }
+
+    #[test]
+    fn par_map_equals_the_serial_map() {
+        let f = |i: usize| format!("item {}", i * i + 7);
+        for len in [0usize, 1, 63, 64, 65, 200] {
+            let want: Vec<String> = (0..len).map(f).collect();
+            for threads in 1..=8 {
+                assert_eq!(
+                    par_map(len, threads, f),
+                    want,
+                    "len {} threads {}",
+                    len,
+                    threads
+                );
+            }
+        }
+        // Past NUM_CHUNKS items a chunk holds several of them.
+        let sizes = run_chunks(200, 4, || (), |_, range| range.len());
+        assert!(sizes.iter().any(|&(_, k)| k > 1));
+    }
+
+    #[test]
+    fn one_thread_runs_every_chunk_on_the_caller() {
+        let caller = std::thread::current().id();
+        for len in [1usize, 5, 64, 200] {
+            let ran_on = run_chunks(len, 1, || (), |_, _| std::thread::current().id());
+            assert_eq!(ran_on.len(), len.min(NUM_CHUNKS), "len {}", len);
+            assert!(ran_on.iter().all(|&(_, id)| id == caller), "len {}", len);
+        }
+    }
+
+    /// A panic in a chunk reaches the caller with its own payload,
+    /// whether the calling thread or a spawned worker ran the chunk.
+    #[test]
+    fn a_panicking_chunk_reaches_the_caller() {
+        let caller = std::thread::current().id();
+        for (threads, on_caller) in [(1, true), (4, true), (4, false)] {
+            // Every worker waits here with its first chunk in hand, so
+            // the caller and each spawned worker run at least one chunk.
+            let barrier = std::sync::Barrier::new(threads);
+            let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_chunks(
+                    NUM_CHUNKS,
+                    threads,
+                    || barrier.wait(),
+                    |_, range| {
+                        if (std::thread::current().id() == caller) == on_caller {
+                            panic!("chunk failed");
+                        }
+                        range.len()
+                    },
+                )
+            }));
+            let payload = caught.expect_err("the panic reaches the caller");
+            assert_eq!(
+                payload.downcast_ref::<&str>(),
+                Some(&"chunk failed"),
+                "threads {}, on the caller: {}",
+                threads,
+                on_caller
+            );
         }
     }
 

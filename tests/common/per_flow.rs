@@ -5,7 +5,7 @@
 //! library engines against them.
 
 use hotgen::graph::csr::{CsrBfsTree, CsrGraph};
-use hotgen::graph::parallel::run_chunks;
+use hotgen::graph::parallel::par_map;
 use hotgen::graph::NodeId;
 use hotgen::sim::cascade::{CascadeConfig, CascadeOutcome, CascadeRound};
 use hotgen::sim::demand::{Demand, OdDemand};
@@ -31,15 +31,7 @@ pub struct BfsForest {
 /// `(csr, source)`, so the forest is identical at every thread count.
 /// Duplicate sources keep the first tree.
 pub fn bfs_forest(csr: &CsrGraph, sources: &[NodeId], threads: usize) -> BfsForest {
-    let trees = run_chunks(
-        sources.len(),
-        threads,
-        || (),
-        |_, range| range.map(|i| csr.bfs_tree(sources[i])).collect::<Vec<_>>(),
-    )
-    .into_iter()
-    .flat_map(|(_, part)| part)
-    .collect();
+    let trees = par_map(sources.len(), threads, |i| csr.bfs_tree(sources[i]));
     let mut index = vec![u32::MAX; csr.node_count()];
     for (i, &s) in sources.iter().enumerate() {
         if index[s.index()] == u32::MAX {
@@ -79,7 +71,9 @@ impl BfsForest {
 /// edge over a prebuilt [`BfsForest`]. Semantically
 /// `hotgen::sim::failure::route_demands` over a prebuilt tree cache.
 /// Flows whose source has no tree in the forest — or whose endpoints
-/// lie outside the graph — count as unrouted.
+/// lie outside the graph — count as unrouted. A self-demand inside the
+/// graph is no flow at all, neither routed nor unrouted, as in the
+/// library.
 pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> TrafficLoads {
     let n = csr.node_count();
     let mut out = TrafficLoads {
@@ -91,6 +85,9 @@ pub fn naive_link_load(csr: &CsrGraph, forest: &BfsForest, flows: &[Demand]) -> 
         traffic_hops: 0.0,
     };
     for f in flows {
+        if f.src == f.dst && f.dst.index() < n {
+            continue;
+        }
         let path = if f.dst.index() < n {
             forest
                 .tree_from(f.src)

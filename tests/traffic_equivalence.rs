@@ -389,9 +389,9 @@ fn ecmp_sweep_matches_two_pass_oracle() {
 
 /// A random demand list over `n` nodes, in small integer or non-integer
 /// amounts: about one entry in five repeats an earlier pair, about one
-/// endpoint in twelve lies outside the graph, and pairs across
-/// components or on isolated nodes are disconnected. It holds no
-/// self-demand, which a list never routes.
+/// endpoint in twelve lies outside the graph, pairs across components or
+/// on isolated nodes are disconnected, and some entries are self-pairs
+/// (`src == dst`, inside or outside the graph).
 fn random_demand_list(n: usize, integer: bool, rng: &mut StdRng) -> Vec<Demand> {
     let mut list: Vec<Demand> = Vec::new();
     for _ in 0..rng.random_range(0..=3 * n) {
@@ -413,13 +413,11 @@ fn random_demand_list(n: usize, integer: bool, rng: &mut StdRng) -> Vec<Demand> 
             }
         };
         let (src, dst) = (endpoint(), endpoint());
-        if src != dst {
-            list.push(Demand {
-                src: NodeId(src as u32),
-                dst: NodeId(dst as u32),
-                amount,
-            });
-        }
+        list.push(Demand {
+            src: NodeId(src as u32),
+            dst: NodeId(dst as u32),
+            amount,
+        });
     }
     list
 }
@@ -464,17 +462,22 @@ fn assert_agrees(got: f64, want: f64, exact: bool, label: &str) {
 /// The demand-list router and its link-cut study against the per-flow
 /// oracle, on random multigraphs (parallel links, isolated nodes,
 /// several components) with lists that repeat pairs, reach outside the
-/// graph and join disconnected pairs, at 1–4 threads: `route_demands`
-/// matches `naive_link_load`, and every `FailureImpact` matches the
-/// oracle re-run on `edge_subgraph` without that link.
+/// graph, join disconnected pairs and hold self-pairs, at 1–4 threads:
+/// `route_demands` matches `naive_link_load`, and every `FailureImpact`
+/// matches the oracle re-run on `edge_subgraph` without that link.
 #[test]
 fn demand_lists_and_link_cuts_match_per_flow_oracle() {
     let mut rng = StdRng::seed_from_u64(20030617);
     let mut cuts = 0;
-    for case in 0..1000 {
+    let mut self_pairs = 0;
+    for case in 0..1200 {
         let g = random_multigraph(&mut rng);
         let integer = rng.random_range(0..2) == 0;
         let demands = random_demand_list(g.node_count(), integer, &mut rng);
+        self_pairs += demands
+            .iter()
+            .filter(|d| d.src == d.dst && d.src.index() < g.node_count())
+            .count();
         let threads = rng.random_range(1usize..=4);
         let label = format!(
             "case {} (n {}, m {}, {} demands, threads {})",
@@ -527,4 +530,5 @@ fn demand_lists_and_link_cuts_match_per_flow_oracle() {
         }
     }
     assert!(cuts > 4000, "only {} cuts simulated", cuts);
+    assert!(self_pairs > 1000, "only {} self-pairs drawn", self_pairs);
 }
