@@ -18,7 +18,7 @@
 //! |---|---|
 //! | [`graph`] | [`Graph`], [`NodeId`], [`EdgeId`] — undirected annotated multigraph |
 //! | [`csr`] | [`CsrGraph`] — flat compressed-sparse-row view for the analytics kernels; the workspace's one hop-BFS engine (distances, trees, connected components, and the shortest-path DAG with path counts that ECMP routing and Brandes betweenness both walk back) and Dijkstra trees |
-//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness_sampled` (exact `par_betweenness` is its all-pivots run), `par_path_summary`; the chunk scheduler `run_chunks` and its ordered map `par_map` |
+//! | [`parallel`] | deterministic multi-threaded kernels: `par_betweenness_sampled` (exact `par_betweenness` is its all-pivots run, or a closed form on forests), `par_path_summary`; the chunk scheduler `run_chunks` and its ordered map `par_map` |
 //! | [`unionfind`] | disjoint-set forest used by Kruskal and Esau–Williams |
 //! | [`traversal`] | three connectivity queries on a [`Graph`]: component count, largest component, connectedness |
 //! | [`mst`] | Kruskal minimum spanning trees/forests |

@@ -34,11 +34,14 @@
 //! forward sweep is the shortest-path DAG of
 //! [`CsrGraph::path_dag_into`], the same pass ECMP routing uses, and
 //! Brandes' dependency pass walks its parent slots back in reverse visit
-//! order.
+//! order. The one exception is exact betweenness on a forest (a
+//! one-vantage traceroute map, an FKP tree): there every shortest path
+//! is unique, and [`par_betweenness`] counts the pairs each node
+//! separates in one O(n) pass instead, with the same bits.
 //!
 //! Everything uses `std::thread::scope`; there are no dependencies.
 
-use crate::csr::{BfsScratch, CsrGraph, CsrPathDag};
+use crate::csr::{BfsScratch, CsrGraph, CsrPathDag, UNREACHABLE};
 use crate::graph::NodeId;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -148,13 +151,88 @@ where
 /// worker threads: [`par_betweenness_sampled`] with every node as a
 /// pivot, in id order, where its `n / (2n)` scale is exactly one half.
 ///
+/// A forest (`edge_count + component_count == node_count`, which also
+/// rules out parallel links and self-loops) skips Brandes: each node's
+/// value is the number of pairs its removal separates, in closed form
+/// from one O(n) subtree-size pass on the calling thread. Those are
+/// Brandes' bits too, because on a forest every σ is 1 and Brandes only
+/// adds integers (exactly, while a component stays under 94 million
+/// nodes, so that its pair counts stay below 2⁵³).
+///
 /// Betweenness feeds the hierarchy metrics: in optimization-designed
 /// topologies load concentrates on a thin backbone, which shows up as an
 /// extremely skewed betweenness distribution. Output is bit-identical
 /// for every thread count — see the module docs.
 pub fn par_betweenness(csr: &CsrGraph, threads: usize) -> Vec<f64> {
+    if let Some(b) = forest_betweenness(csr) {
+        return b;
+    }
     let all: Vec<NodeId> = (0..csr.node_count() as u32).map(NodeId).collect();
     par_betweenness_sampled(csr, &all, threads)
+}
+
+/// Exact betweenness of a forest, or `None` when `csr` is not one.
+///
+/// Removing `v` from its N-node tree leaves parts of sizes `sᵢ` (its
+/// child subtrees under a BFS root, and the rest of the tree above it),
+/// and `v` lies on the one path between any two nodes in different
+/// parts: `((N − 1)² − Σ sᵢ²) / 2` unordered pairs. The count is formed
+/// in `u64` and converted once, as Brandes' all-integer sums would give.
+fn forest_betweenness(csr: &CsrGraph) -> Option<Vec<f64>> {
+    let n = csr.node_count();
+    // A forest has n − c links for c ≥ 1 components (none when n = 0).
+    if csr.edge_count() >= n {
+        return None;
+    }
+    // BFS from each unvisited node in id order: `order` lists every
+    // component contiguously, each node after its parent.
+    let mut parent = vec![UNREACHABLE; n];
+    let mut order: Vec<u32> = Vec::with_capacity(n);
+    let mut starts = Vec::new();
+    for root in 0..n as u32 {
+        if parent[root as usize] != UNREACHABLE {
+            continue;
+        }
+        parent[root as usize] = root;
+        starts.push(order.len());
+        let mut head = order.len();
+        order.push(root);
+        while let Some(&v) = order.get(head) {
+            head += 1;
+            for &u in csr.neighbors(NodeId(v)) {
+                if parent[u.index()] == UNREACHABLE {
+                    parent[u.index()] = v;
+                    order.push(u.0);
+                }
+            }
+        }
+    }
+    if csr.edge_count() + starts.len() != n {
+        return None;
+    }
+    // Subtree sizes and the sums of their squares per parent, leaves up.
+    let mut size = vec![1u64; n];
+    let mut below_sq = vec![0u64; n];
+    for &v in order.iter().rev() {
+        let p = parent[v as usize];
+        if p != v {
+            let s = size[v as usize];
+            size[p as usize] += s;
+            below_sq[p as usize] += s * s;
+        }
+    }
+    let mut b = vec![0.0f64; n];
+    starts.push(n);
+    for bounds in starts.windows(2) {
+        let component = &order[bounds[0]..bounds[1]];
+        let total = component.len() as u64;
+        for &v in component {
+            let above = total - size[v as usize];
+            let pairs = (total - 1).pow(2) - below_sq[v as usize] - above * above;
+            b[v as usize] = pairs as f64 * 0.5;
+        }
+    }
+    Some(b)
 }
 
 /// Betweenness centrality *estimated* from a pivot subset (Brandes–Pich
@@ -563,9 +641,54 @@ mod tests {
 #[cfg(test)]
 mod property_tests {
     use super::*;
-    use crate::csr::UNREACHABLE;
     use crate::graph::{Graph, NodeId};
     use proptest::prelude::*;
+
+    /// Undirected links as node-index pairs.
+    type Links = Vec<(usize, usize)>;
+
+    /// A forest drawn from the strategy values: one component per entry
+    /// of `sizes` (size 1 is an isolated node) shaped by `shapes` as a
+    /// star, a path or a random tree whose node `i` hangs below node
+    /// `picks[i] % i`, on node ids shuffled by `picks` and with links in
+    /// either orientation. Also returns one chord per component of three
+    /// or more nodes: two non-adjacent nodes of the same tree.
+    fn forest(sizes: &[usize], shapes: &[usize], picks: &[usize]) -> (usize, Links, Links) {
+        let n: usize = sizes.iter().sum();
+        let pick = |i: usize| picks[i % picks.len()];
+        let mut ids: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, pick(i) % (i + 1));
+        }
+        let (mut links, mut chords) = (Vec::new(), Vec::new());
+        let mut base = 0;
+        for (c, &size) in sizes.iter().enumerate() {
+            let parent = |i: usize| match shapes[c % shapes.len()] {
+                0 => 0,
+                1 => i - 1,
+                _ => pick(base + i) % i,
+            };
+            for i in 1..size {
+                let (a, b) = (ids[base + i], ids[base + parent(i)]);
+                links.push(if pick(n + base + i) % 2 == 0 {
+                    (a, b)
+                } else {
+                    (b, a)
+                });
+            }
+            if size >= 3 {
+                // 1 and 2 are siblings below 0, or 0-1-2 is a path.
+                let (a, b) = if parent(2) == 1 { (0, 2) } else { (1, 2) };
+                chords.push((ids[base + a], ids[base + b]));
+            }
+            base += size;
+        }
+        (n, links, chords)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
@@ -603,6 +726,47 @@ mod property_tests {
             }
             prop_assert!((total_b - interior).abs() < 1e-6,
                 "sum B = {} vs interior length {}", total_b, interior);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        /// On random forests of up to 200 nodes, exact betweenness takes
+        /// the closed form and matches Brandes (the all-pivot sampled
+        /// run) by `to_bits()` at 1 and 4 threads. One chord (a cycle) or
+        /// one doubled link makes the graph no forest, and it must then
+        /// take the Brandes path.
+        #[test]
+        fn forest_betweenness_matches_brandes_bit_for_bit(
+            sizes in proptest::collection::vec(1usize..41, 1..6),
+            shapes in proptest::collection::vec(0usize..3, 5..6),
+            picks in proptest::collection::vec(0usize..1000, 1..64),
+            which in 0usize..1000,
+        ) {
+            let (n, links, chords) = forest(&sizes, &shapes, &picks);
+            let all: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+            let mut variants = vec![(links.clone(), true)];
+            if let Some(&chord) = chords.get(which % chords.len().max(1)) {
+                variants.push(([&links[..], &[chord]].concat(), false));
+            }
+            if let Some(&link) = links.get(which % links.len().max(1)) {
+                variants.push(([&links[..], &[link]].concat(), false));
+            }
+            for (edges, is_forest) in variants {
+                let g: Graph<(), ()> =
+                    Graph::from_edges(n, edges.iter().map(|&(a, b)| (a, b, ())));
+                let csr = CsrGraph::from_graph(&g);
+                prop_assert_eq!(forest_betweenness(&csr).is_some(), is_forest,
+                    "sizes {:?}, {} links", sizes, edges.len());
+                for threads in [1, 4] {
+                    prop_assert_eq!(
+                        bits(&par_betweenness(&csr, threads)),
+                        bits(&par_betweenness_sampled(&csr, &all, threads)),
+                        "sizes {:?}, shapes {:?}, forest {}, threads {}",
+                        sizes, shapes, is_forest, threads
+                    );
+                }
+            }
         }
     }
 }

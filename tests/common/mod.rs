@@ -4,11 +4,13 @@
 //! library engines are checked against — the `Graph` BFS family and the
 //! classic CSR BFS (`traversal`), the `Graph` shortest paths
 //! (`shortest_path`), the per-vantage traceroute (`traceroute`), the
-//! per-flow traffic and cascade engines (`per_flow`), and the two-pass
-//! ECMP engine (`ecmp`). Each binary uses only part of this module.
+//! per-flow traffic and cascade engines (`per_flow`), the two-pass
+//! ECMP engine (`ecmp`) and the quadratic FKP growth scan (`fkp_scan`).
+//! Each binary uses only part of this module.
 #![allow(dead_code, reason = "each test binary uses only part of this module")]
 
 pub mod ecmp;
+pub mod fkp_scan;
 pub mod per_flow;
 pub mod shortest_path;
 pub mod traceroute;

@@ -9,18 +9,21 @@
 //! invariants down.
 //!
 //! The graph kernels are checked against the slow references in
-//! `tests/common`: the CSR BFS kernels and the component pass against
+//! `tests/common`: FKP growth's bucket-grid index against the quadratic
+//! scan, the CSR BFS kernels and the component pass against
 //! the `Graph` BFS family (and a union-find), the CSR Dijkstra against
 //! the `Graph` Dijkstra and Bellman–Ford, and the probe engine against
 //! the per-vantage traceroute reference.
 
 mod common;
 
+use common::fkp_scan;
 use common::shortest_path::{bellman_ford, dijkstra};
 use common::traceroute::infer_map;
 use common::traversal as oracle;
 use hotgen::baselines::{ba, glp, waxman};
-use hotgen::core::fkp::{self, FkpConfig};
+use hotgen::core::fkp::{self, Centrality, FkpConfig};
+use hotgen::geo::point::Point;
 use hotgen::graph::csr::{BfsScratch, CsrBfsTree, CsrGraph, UNREACHABLE};
 use hotgen::graph::traversal::{self, is_connected};
 use hotgen::graph::tree::{is_tree, RootedTree, TreeError};
@@ -108,6 +111,77 @@ proptest! {
         let (self_loops, duplicates) = simplicity(&g);
         prop_assert_eq!(self_loops, 0, "n = {}, seed = {}", n, seed);
         prop_assert_eq!(duplicates, 0, "n = {}, seed = {}", n, seed);
+    }
+}
+
+/// Trade-off weights every FKP oracle check runs: 0 (every candidate
+/// ties on distance, so only the lowest-id rule picks), the star, hub
+/// and distance regimes, and a weight far past pure distance.
+const FKP_ALPHAS: [f64; 7] = [0.0, 0.5, 1.0, 3.0, 8.0, 50.0, 1e4];
+
+const CENTRALITIES: [Centrality; 3] = [
+    Centrality::HopsToRoot,
+    Centrality::TreeDistToRoot,
+    Centrality::None,
+];
+
+/// `fkp::grow` and the quadratic scan, each from `seed`, draw the same
+/// positions and attach every arrival to the same parent, bit for bit.
+fn check_fkp_against_scan(config: &FkpConfig, seed: u64) -> Result<(), String> {
+    let topo = fkp::grow(config, &mut StdRng::seed_from_u64(seed));
+    let (points, parents) = fkp_scan::grow(config, &mut StdRng::seed_from_u64(seed));
+    let bits = |ps: &[Point]| -> Vec<(u64, u64)> {
+        ps.iter().map(|p| (p.x.to_bits(), p.y.to_bits())).collect()
+    };
+    prop_assert_eq!(
+        bits(&topo.points),
+        bits(&points),
+        "positions: {:?}, seed = {}",
+        config,
+        seed
+    );
+    let grown: Vec<u32> = (0..config.n as u32)
+        .map(|v| topo.tree.parent(NodeId(v)).map_or(0, |p| p.0))
+        .collect();
+    prop_assert_eq!(grown, parents, "parents: {:?}, seed = {}", config, seed);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+    /// FKP's bucket-grid index picks the scan's parent for every arrival:
+    /// n up to 600 (one grid cell below 128, four per side from 512),
+    /// all three centralities, the fixed weights and a random α in
+    /// [0, 100).
+    #[test]
+    fn fkp_index_matches_scan_oracle(
+        n in 1usize..601,
+        random_alpha in 0.0f64..100.0,
+        seed in 0u64..1_000_000,
+    ) {
+        for centrality in CENTRALITIES {
+            for alpha in FKP_ALPHAS.into_iter().chain([random_alpha]) {
+                check_fkp_against_scan(&FkpConfig { n, alpha, centrality }, seed)?;
+            }
+        }
+    }
+}
+
+/// The oracle check at the sizes where the grid changes shape, and at
+/// the smallest trees.
+#[test]
+fn fkp_index_matches_scan_oracle_at_grid_edges() {
+    for n in [1, 2, 3, 127, 128, 129, 287, 288, 511, 512, 600] {
+        for centrality in CENTRALITIES {
+            for alpha in FKP_ALPHAS {
+                let config = FkpConfig {
+                    n,
+                    alpha,
+                    centrality,
+                };
+                check_fkp_against_scan(&config, 20030617 + n as u64).unwrap();
+            }
+        }
     }
 }
 
