@@ -5,7 +5,7 @@ use hot_baselines::ba;
 use hot_metrics::clustering::mean_clustering;
 use hot_metrics::distortion::distortion;
 use hot_metrics::expansion::expansion_at;
-use hot_metrics::powerlaw::{fit_ccdf, hill_estimator};
+use hot_metrics::powerlaw::fit_ccdf;
 use hot_metrics::resilience::mean_pairwise_connectivity;
 use hot_metrics::MetricReport;
 use rand::rngs::StdRng;
@@ -42,7 +42,6 @@ fn bench_fits(c: &mut Criterion) {
     };
     let mut group = c.benchmark_group("fits_100k");
     group.bench_function("ccdf_fit", |b| b.iter(|| black_box(fit_ccdf(&sample))));
-    group.bench_function("hill", |b| b.iter(|| black_box(hill_estimator(&sample, 5))));
     group.finish();
 }
 

@@ -25,14 +25,15 @@
 //!   per source, fanned over `hot-graph`'s deterministic 64-chunk
 //!   scheduler, reduced into the all-integer [`PolicySummary`]
 //!   (path-inflation histogram/CCDF vs unrestricted shortest paths,
-//!   provider-free / tier1-free / hierarchy-free counts per source
-//!   class). Bit-identical at any thread count.
+//!   valley-free hop totals and maxima per shortest length, from which
+//!   the inflation ratios are read, and provider-free / tier1-free /
+//!   hierarchy-free counts per source class). Bit-identical at any
+//!   thread count. It is the crate's only valley-free sweep.
 //!
-//! Two scenarios in `hot-exp` drive it: E13 (`policy-inflation`) runs
-//! one [`AsTopology::propagate_into`] and one
-//! [`bfs_distances_into`](hot_graph::csr::CsrGraph::bfs_distances_into)
-//! per source, serially, and E17 (`policy-routing`) runs the batched
-//! sweep over HOT and degree-based internets.
+//! Two scenarios in `hot-exp` drive the sweep on the run's threads: E13
+//! (`policy-inflation`) reads its four inflation cells from one
+//! [`policy_summary_all`] per generated internet, and E17
+//! (`policy-routing`) runs it over HOT and degree-based internets.
 
 pub mod propagate;
 pub mod summary;

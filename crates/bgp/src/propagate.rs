@@ -353,9 +353,8 @@ mod tests {
     #[test]
     fn out_of_range_source_reaches_nothing() {
         let t = toy();
-        let table = t.propagate(99);
-        assert!(table.dist.iter().all(|&d| d == UNREACHED));
-        assert!(t.shortest(99).iter().all(|&d| d == UNREACHED));
+        assert_eq!(t.propagate(99).dist, vec![UNREACHED; t.len()]);
+        assert_eq!(t.shortest(99), vec![UNREACHED; t.len()]);
         let empty = AsTopology::from_relationships(0, &[], &[], vec![]);
         assert!(empty.propagate(0).dist.is_empty());
         assert!(empty.shortest(0).is_empty());

@@ -3,11 +3,12 @@
 //! all-integer counters.
 //!
 //! Everything a [`PolicySummary`] stores is an exact integer — pair
-//! counts, hop sums, histograms — so per-chunk partials merge with `+`
-//! and the result is bit-identical at any thread count *and* across
-//! debug/release builds; the floating-point views (means, CCDFs, shares)
-//! are derived at read time from those integers, one IEEE division each,
-//! and therefore equally stable.
+//! counts, hop sums, histograms, per-shortest-length totals and maxima —
+//! so per-chunk partials merge with `+` (and `max`) and the result is
+//! bit-identical at any thread count *and* across debug/release builds;
+//! the floating-point views (means, ratios, CCDFs, shares) are derived at
+//! read time from those integers in a fixed order, and therefore equally
+//! stable.
 
 use crate::propagate::{PropagationScratch, RouteTable, UNREACHED};
 use crate::topology::{AsClass, AsTopology};
@@ -90,6 +91,11 @@ pub struct PolicySummary {
     pub inflation_hist: Vec<u64>,
     /// Histogram of valley-free path lengths (hops).
     pub vf_hist: Vec<u64>,
+    /// Indexed by unrestricted shortest length `s` (hops): the total and
+    /// the longest valley-free hops over the policy-reachable pairs at
+    /// that length. Slot 0 stays `(0, 0)`: only a source is 0 hops from
+    /// itself.
+    pub by_shortest: Vec<(u64, u32)>,
     /// Per-source-class path counts, indexed by [`AsClass::index`].
     pub by_class: [ClassPathCounts; 4],
 }
@@ -120,6 +126,13 @@ impl PolicySummary {
         self.sum_shortest_hops += other.sum_shortest_hops;
         merge_hist(&mut self.inflation_hist, &other.inflation_hist);
         merge_hist(&mut self.vf_hist, &other.vf_hist);
+        if self.by_shortest.len() < other.by_shortest.len() {
+            self.by_shortest.resize(other.by_shortest.len(), (0, 0));
+        }
+        for (mine, &(total, longest)) in self.by_shortest.iter_mut().zip(&other.by_shortest) {
+            mine.0 += total;
+            mine.1 = mine.1.max(longest);
+        }
         for (mine, theirs) in self.by_class.iter_mut().zip(&other.by_class) {
             mine.merge(theirs);
         }
@@ -147,6 +160,12 @@ impl PolicySummary {
             self.sum_shortest_hops += sp as u64;
             bump(&mut self.inflation_hist, (vf - sp) as usize);
             bump(&mut self.vf_hist, vf as usize);
+            if self.by_shortest.len() <= sp as usize {
+                self.by_shortest.resize(sp as usize + 1, (0, 0));
+            }
+            let slot = &mut self.by_shortest[sp as usize];
+            slot.0 += vf as u64;
+            slot.1 = slot.1.max(vf);
             let c = &mut self.by_class[class.index()];
             c.paths += 1;
             if table.provider_free(d) {
@@ -190,6 +209,37 @@ impl PolicySummary {
     pub fn inflated_fraction(&self) -> f64 {
         let inflated: u64 = self.inflation_hist.iter().skip(1).sum();
         share(inflated, self.policy_reachable)
+    }
+
+    /// Mean of `valley-free / shortest` hops over policy-reachable pairs,
+    /// read from the per-length slots as
+    /// `(Σₛ totalₛ / s) / policy_reachable`, lengths ascending; 1 when no
+    /// pair is policy-reachable.
+    pub fn mean_inflation_ratio(&self) -> f64 {
+        if self.policy_reachable == 0 {
+            return 1.0;
+        }
+        let sum: f64 = self
+            .by_shortest
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(s, &(total, _))| total as f64 / s as f64)
+            .sum();
+        sum / self.policy_reachable as f64
+    }
+
+    /// Largest `valley-free / shortest` hop ratio over policy-reachable
+    /// pairs, `maxₛ longestₛ / s`; 1 when no pair is policy-reachable.
+    /// Division by a fixed `s` is monotone, so this is exactly the
+    /// largest per-pair ratio.
+    pub fn max_inflation_ratio(&self) -> f64 {
+        self.by_shortest
+            .iter()
+            .enumerate()
+            .skip(1)
+            .map(|(s, &(_, longest))| longest as f64 / s as f64)
+            .fold(1.0, f64::max)
     }
 
     /// Largest observed inflation, in hops.
@@ -307,6 +357,8 @@ mod tests {
         assert_eq!(s.sum_policy_hops, s.sum_shortest_hops);
         assert_eq!(s.inflated_fraction(), 0.0);
         assert_eq!(s.max_inflation_hops(), 0);
+        assert_eq!(s.mean_inflation_ratio(), 1.0);
+        assert_eq!(s.max_inflation_ratio(), 1.0);
         // Tier-1 sources: 0 and 1, four destinations each.
         let t1 = s.class(AsClass::Tier1);
         assert_eq!(t1.sources, 2);
@@ -349,6 +401,13 @@ mod tests {
         assert_eq!(s.max_inflation_hops(), 1);
         assert!(s.mean_inflation_hops() > 0.0);
         assert!(s.mean_policy_hops() > s.mean_shortest_hops());
+        // The graph is the 5-cycle 0-1-3-4-2. Policy reaches 16 of the 20
+        // pairs: 10 at 1 hop, and 6 at a shortest 2 hops, of which 2→3
+        // and 3→2 take 3.
+        assert_eq!(s.policy_reachable, 16);
+        assert_eq!(s.by_shortest, vec![(0, 0), (10, 1), (14, 3)]);
+        assert_eq!(s.mean_inflation_ratio(), 17.0 / 16.0);
+        assert_eq!(s.max_inflation_ratio(), 1.5);
         // CCDF: some pairs inflated by >= 1 hop.
         let ccdf = s.inflation_ccdf();
         assert_eq!(ccdf.len(), 2);
@@ -389,8 +448,12 @@ mod tests {
         assert_eq!(s.sources, 0);
         assert_eq!(s.policy_reachability(), 0.0);
         assert!(s.inflation_ccdf().is_empty());
+        assert_eq!(s.mean_inflation_ratio(), 1.0);
+        assert_eq!(s.max_inflation_ratio(), 1.0);
         let empty = AsTopology::from_relationships(0, &[], &[], vec![]);
         let s = policy_summary_all(&empty, 4);
         assert_eq!(s.pairs, 0);
+        assert_eq!(s.mean_inflation_ratio(), 1.0);
+        assert_eq!(s.max_inflation_ratio(), 1.0);
     }
 }

@@ -6,17 +6,17 @@
 //! providers, cross at most one peer link, then descend customers. We
 //! measure what those policies cost the generated Internet in path
 //! length — the classic policy-inflation experiment, run on an AS graph
-//! whose relationships came from the generator's own economics.
+//! whose relationships came from the generator's own economics. Each
+//! variant's four cells come from one batched valley-free sweep
+//! (`hot_bgp::policy_summary_all`) on the run's threads.
 
 use crate::fixtures::standard_geography;
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
-use hot_bgp::{AsTopology, PropagationScratch, RouteTable, UNREACHED};
+use hot_bgp::{policy_summary_all, AsTopology};
 use hot_core::isp::generator::IspConfig;
 use hot_core::peering::{generate_internet, InternetConfig, Relationship};
-use hot_graph::csr::BfsScratch;
-use hot_graph::graph::NodeId;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -26,16 +26,6 @@ pub struct Params {
     pub n_isps: usize,
     pub max_pops: usize,
     pub customers_per_pop: usize,
-    /// `(label, tier1_count, transit_per_isp)` variants.
-    pub variants: Vec<(String, usize, usize)>,
-}
-
-fn default_variants() -> Vec<(String, usize, usize)> {
-    vec![
-        ("sparse transit (1 upstream)".into(), 3, 1),
-        ("multihomed (2 upstreams)".into(), 3, 2),
-        ("heavily multihomed (3 upstreams)".into(), 3, 3),
-    ]
 }
 
 impl Params {
@@ -45,7 +35,6 @@ impl Params {
             n_isps: 16,
             max_pops: 6,
             customers_per_pop: 3,
-            variants: default_variants(),
         }
     }
 
@@ -55,78 +44,19 @@ impl Params {
             n_isps: 50,
             max_pops: 12,
             customers_per_pop: 6,
-            variants: default_variants(),
         }
     }
 }
 
-/// Policy-inflation statistics over all ordered AS pairs.
-#[derive(Clone, Copy, Debug)]
-pub struct InflationStats {
-    /// Pairs reachable under policy / pairs reachable at all.
-    pub policy_reachability: f64,
-    /// Mean of (valley-free length / shortest length) over pairs
-    /// reachable both ways.
-    pub mean_inflation: f64,
-    /// Fraction of those pairs whose path is strictly inflated.
-    pub inflated_fraction: f64,
-    /// Maximum observed inflation ratio.
-    pub max_inflation: f64,
-}
+/// Size of every variant's tier-1 clique.
+const TIER1_COUNT: usize = 3;
 
-/// Computes the inflation statistics of `topo`: one valley-free
-/// propagation and one unrestricted BFS on the relationship graph per
-/// source, each on its own reused scratch, accumulated source by
-/// source, destinations ascending.
-pub fn inflation_stats(topo: &AsTopology) -> InflationStats {
-    let n = topo.len();
-    let mut scratch = PropagationScratch::for_topology(topo);
-    let mut table = RouteTable::sized(n);
-    let mut bfs = BfsScratch::sized(n);
-    let (mut reach_shortest, mut reach_policy) = (0usize, 0usize);
-    let (mut compared, mut inflated) = (0usize, 0usize);
-    let mut inflation_sum = 0.0;
-    let mut max_inflation = 1.0f64;
-    for src in 0..n {
-        topo.propagate_into(src, &mut scratch, &mut table);
-        topo.csr().bfs_distances_into(NodeId(src as u32), &mut bfs);
-        let sp = bfs.dist();
-        for dst in (0..n).filter(|&dst| dst != src && sp[dst] != UNREACHED) {
-            reach_shortest += 1;
-            let (v, s) = (table.dist[dst], sp[dst]);
-            if v == UNREACHED {
-                continue;
-            }
-            reach_policy += 1;
-            debug_assert!(v >= s, "policy cannot beat shortest");
-            let ratio = v as f64 / s as f64;
-            inflation_sum += ratio;
-            compared += 1;
-            max_inflation = max_inflation.max(ratio);
-            if v > s {
-                inflated += 1;
-            }
-        }
-    }
-    InflationStats {
-        policy_reachability: if reach_shortest > 0 {
-            reach_policy as f64 / reach_shortest as f64
-        } else {
-            1.0
-        },
-        mean_inflation: if compared > 0 {
-            inflation_sum / compared as f64
-        } else {
-            1.0
-        },
-        inflated_fraction: if compared > 0 {
-            inflated as f64 / compared as f64
-        } else {
-            0.0
-        },
-        max_inflation,
-    }
-}
+/// `(label, transit_per_isp)` of each variant, one report section each.
+const VARIANTS: [(&str, usize); 3] = [
+    ("sparse transit (1 upstream)", 1),
+    ("multihomed (2 upstreams)", 2),
+    ("heavily multihomed (3 upstreams)", 3),
+];
 
 pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     let mut report = ExpReport::new(
@@ -142,29 +72,19 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     report.param("n_isps", p.n_isps);
     report.param("max_pops", p.max_pops);
     report.param("customers_per_pop", p.customers_per_pop);
-    let max_tier1 = p.variants.iter().map(|v| v.1).max().unwrap_or(0);
-    if p.cities < 2
-        || p.variants.is_empty()
-        || p.n_isps < max_tier1
-        || p.n_isps < 2
-        || p.max_pops == 0
-        || p.cities < p.max_pops
-    {
+    if p.cities < 2 || p.n_isps < TIER1_COUNT || p.max_pops == 0 || p.cities < p.max_pops {
         return report.into_skipped(format!(
-            "degenerate parameters: cities = {}, n_isps = {}, max_pops = {}, {} variants",
-            p.cities,
-            p.n_isps,
-            p.max_pops,
-            p.variants.len()
+            "degenerate parameters: cities = {}, n_isps = {}, max_pops = {}",
+            p.cities, p.n_isps, p.max_pops
         ));
     }
     let (census, traffic) = standard_geography(p.cities, ctx.seed);
-    for (label, tier1, transit) in &p.variants {
+    for (label, transit) in VARIANTS {
         let config = InternetConfig {
             n_isps: p.n_isps,
             max_pops: p.max_pops,
-            tier1_count: *tier1,
-            transit_per_isp: *transit,
+            tier1_count: TIER1_COUNT,
+            transit_per_isp: transit,
             customers_per_pop: p.customers_per_pop,
             isp_template: IspConfig::default(),
             ..InternetConfig::default()
@@ -181,26 +101,18 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
             .filter(|pr| pr.relationship == Relationship::PeerPeer)
             .count();
         let transit_links = net.peering.len() - peers;
-        let stats = inflation_stats(&AsTopology::from_internet(&net));
+        let summary = policy_summary_all(&AsTopology::from_internet(&net), ctx.threads);
         let mut t = Table::new(&["metric", "value"]);
-        t.push(vec![
-            Json::str("policy_reachability"),
-            Json::Float(stats.policy_reachability),
-        ]);
-        t.push(vec![
-            Json::str("mean_path_inflation"),
-            Json::Float(stats.mean_inflation),
-        ]);
-        t.push(vec![
-            Json::str("pairs_strictly_inflated"),
-            Json::Float(stats.inflated_fraction),
-        ]);
-        t.push(vec![
-            Json::str("max_inflation_ratio"),
-            Json::Float(stats.max_inflation),
-        ]);
+        for (metric, value) in [
+            ("policy_reachability", summary.policy_reachability()),
+            ("mean_path_inflation", summary.mean_inflation_ratio()),
+            ("pairs_strictly_inflated", summary.inflated_fraction()),
+            ("max_inflation_ratio", summary.max_inflation_ratio()),
+        ] {
+            t.push(vec![Json::str(metric), Json::Float(value)]);
+        }
         report.section(
-            Section::new(label.clone())
+            Section::new(label)
                 .fact("ases", net.isps.len())
                 .fact("peer_links", peers)
                 .fact("transit_links", transit_links)
@@ -218,40 +130,4 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
          generator.",
     ));
     report
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use hot_bgp::AsClass;
-
-    #[test]
-    fn inflation_on_toy() {
-        // 0 and 1 are tier-1 peers; 0 provides 2, 1 provides 3, 2
-        // provides 4.
-        let toy = AsTopology::from_relationships(
-            5,
-            &[(0, 2), (1, 3), (2, 4)],
-            &[(0, 1)],
-            vec![
-                AsClass::Tier1,
-                AsClass::Tier1,
-                AsClass::Tier2,
-                AsClass::Stub,
-                AsClass::Stub,
-            ],
-        );
-        let stats = inflation_stats(&toy);
-        // Everything reachable under policy in this tree-with-peer-top.
-        assert!((stats.policy_reachability - 1.0).abs() < 1e-12);
-        assert!(stats.mean_inflation >= 1.0);
-        assert!(stats.max_inflation >= stats.mean_inflation);
-    }
-
-    #[test]
-    fn empty_network() {
-        let stats = inflation_stats(&AsTopology::from_relationships(0, &[], &[], vec![]));
-        assert_eq!(stats.policy_reachability, 1.0);
-        assert_eq!(stats.mean_inflation, 1.0);
-    }
 }

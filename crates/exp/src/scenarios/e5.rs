@@ -9,6 +9,7 @@ use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_core::plr::{solve, solve_with_rng, Design, PlrConfig, SparkDensity};
+use hot_metrics::powerlaw::least_squares;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -64,9 +65,9 @@ fn ccdf(losses: &[f64], steps: usize) -> Vec<(f64, f64)> {
 }
 
 /// Least-squares fit of `ln P = -slope · ln x + c` over the positive
-/// CCDF points. Returns `(slope magnitude, r²)`, or `None` with fewer
-/// than 3 usable points — a straight log-log line (high r²) is the
-/// power-law signature the claims tests assert on.
+/// CCDF points, through [`least_squares`]. Returns `(slope magnitude,
+/// r²)`, or `None` with fewer than 3 usable points — a straight log-log
+/// line (high r²) is the power-law signature the claims tests assert on.
 pub fn fit_loglog(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     let pts: Vec<(f64, f64)> = points
         .iter()
@@ -76,19 +77,7 @@ pub fn fit_loglog(points: &[(f64, f64)]) -> Option<(f64, f64)> {
     if pts.len() < 3 {
         return None;
     }
-    let n = pts.len() as f64;
-    let sx: f64 = pts.iter().map(|p| p.0).sum();
-    let sy: f64 = pts.iter().map(|p| p.1).sum();
-    let (mx, my) = (sx / n, sy / n);
-    let sxx: f64 = pts.iter().map(|p| (p.0 - mx) * (p.0 - mx)).sum();
-    let sxy: f64 = pts.iter().map(|p| (p.0 - mx) * (p.1 - my)).sum();
-    let syy: f64 = pts.iter().map(|p| (p.1 - my) * (p.1 - my)).sum();
-    if sxx <= 0.0 || syy <= 0.0 {
-        return None;
-    }
-    let slope = sxy / sxx;
-    let r2 = (sxy * sxy) / (sxx * syy);
-    Some((slope.abs(), r2))
+    least_squares(&pts).map(|fit| (fit.exponent, fit.r_squared))
 }
 
 /// One design's loss statistics, in typed form for the claims tests.

@@ -28,11 +28,6 @@ impl Point {
         let dy = self.y - other.y;
         dx * dx + dy * dy
     }
-
-    /// Midpoint between `self` and `other`.
-    pub fn midpoint(&self, other: &Point) -> Point {
-        Point::new((self.x + other.x) / 2.0, (self.y + other.y) / 2.0)
-    }
 }
 
 #[cfg(test)]
@@ -46,13 +41,6 @@ mod tests {
         let b = Point::new(3.0, 4.0);
         assert!((a.dist(&b) - 5.0).abs() < 1e-12);
         assert!((a.dist_sq(&b) - 25.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn midpoint_and_lerp() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.midpoint(&b), Point::new(1.0, 2.0));
     }
 
     proptest! {

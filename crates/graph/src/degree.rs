@@ -7,14 +7,9 @@
 
 use crate::graph::Graph;
 
-/// Histogram of degrees: `(degree k, number of nodes with degree k)`,
-/// ascending in `k`, zero-count degrees omitted.
-pub fn degree_histogram<N, E>(g: &Graph<N, E>) -> Vec<(u32, usize)> {
-    histogram_of(&g.degree_sequence())
-}
-
-/// Histogram of an arbitrary integer sample (u32 values — the sample
-/// type degree sequences and component labels use).
+/// Histogram of an integer sample (u32 values — the sample type degree
+/// sequences and component labels use): `(value k, count of k)`,
+/// ascending in `k`, zero-count values omitted.
 pub fn histogram_of(sample: &[u32]) -> Vec<(u32, usize)> {
     let mut sorted = sample.to_vec();
     sorted.sort_unstable();
@@ -64,7 +59,7 @@ mod tests {
     #[test]
     fn histogram_counts() {
         let g = star5();
-        assert_eq!(degree_histogram(&g), vec![(1, 5), (5, 1)]);
+        assert_eq!(histogram_of(&g.degree_sequence()), vec![(1, 5), (5, 1)]);
     }
 
     #[test]
@@ -80,7 +75,7 @@ mod tests {
 
     #[test]
     fn max_and_mean() {
-        let hist = degree_histogram(&star5());
+        let hist = histogram_of(&star5().degree_sequence());
         assert_eq!(hist.last(), Some(&(5, 1)), "max degree 5, once");
         let (degree_sum, nodes) = hist
             .iter()
@@ -91,7 +86,7 @@ mod tests {
     #[test]
     fn empty_graph_degenerate() {
         let g: Graph<(), ()> = Graph::new();
-        assert!(degree_histogram(&g).is_empty());
+        assert!(histogram_of(&g.degree_sequence()).is_empty());
         assert!(degree_ccdf(&g).is_empty());
         assert!(ccdf_of(&[]).is_empty());
     }

@@ -1,13 +1,11 @@
-//! Degree–degree correlation metrics: assortativity and the rich-club
-//! coefficient.
+//! Degree–degree correlation: Newman's assortativity coefficient.
 //!
 //! Two graphs with identical degree sequences can wire high-degree nodes
-//! to each other (assortative, rich-club) or to leaves (disassortative) —
-//! a structural dimension the degree distribution cannot see, and one on
+//! to each other (assortative) or to leaves (disassortative) — a
+//! structural dimension the degree distribution cannot see, and one on
 //! which measured router-level maps (disassortative: backbone routers
 //! fan out to access gear) famously disagree with preferential-attachment
-//! models. Standard references: Newman (2002) for assortativity, Zhou &
-//! Mondragón (2004) for the Internet's rich-club.
+//! models. Standard reference: Newman (2002).
 
 use hot_graph::graph::Graph;
 
@@ -41,27 +39,6 @@ pub fn assortativity<N, E>(g: &Graph<N, E>) -> Option<f64> {
     }
     let cov = sum_xy / count - mean * mean;
     Some(cov / var)
-}
-
-/// Rich-club coefficient φ(k): the density of the subgraph induced by
-/// nodes of degree > k — `E_{>k} / (N_{>k} choose 2)`.
-///
-/// Returns `None` when fewer than 2 nodes exceed `k`. Values near 1 mean
-/// the high-degree "club" is almost a clique.
-pub fn rich_club_coefficient<N, E>(g: &Graph<N, E>, k: u32) -> Option<f64> {
-    let deg = g.degree_sequence();
-    let members: Vec<bool> = deg.iter().map(|&d| d > k).collect();
-    let n_club = members.iter().filter(|&&m| m).count();
-    if n_club < 2 {
-        return None;
-    }
-    let mut club_edges = 0usize;
-    for (_, a, b, _) in g.edges() {
-        if members[a.index()] && members[b.index()] {
-            club_edges += 1;
-        }
-    }
-    Some(club_edges as f64 / (n_club * (n_club - 1) / 2) as f64)
 }
 
 #[cfg(test)]
@@ -108,59 +85,6 @@ mod tests {
         let r = assortativity(&g).unwrap();
         assert!(r > -1.0 && r < 0.0, "barbell r = {}", r);
     }
-
-    #[test]
-    fn rich_club_of_clique_with_fringe() {
-        // K4 core (degrees >= 3) plus a pendant leaf per core node.
-        let mut edges = Vec::new();
-        for i in 0..4 {
-            for j in i + 1..4 {
-                edges.push((i, j, ()));
-            }
-        }
-        for i in 0..4 {
-            edges.push((i, 4 + i, ()));
-        }
-        let g: Graph<(), ()> = Graph::from_edges(8, edges);
-        // Club of degree > 1 = the 4 core nodes; density = 6/6 = 1.
-        assert!((rich_club_coefficient(&g, 1).unwrap() - 1.0).abs() < 1e-12);
-        // Club of degree > 4: nobody qualifies.
-        assert!(rich_club_coefficient(&g, 4).is_none());
-    }
-
-    #[test]
-    fn star_has_no_rich_club() {
-        // Only the hub exceeds degree 1: club of size 1 -> undefined.
-        assert!(rich_club_coefficient(&star(8), 1).is_none());
-        // Degree > 0 club = everyone; density of a star = (n-1)/C(n,2).
-        let phi = rich_club_coefficient(&star(8), 0).unwrap();
-        assert!((phi - 7.0 / 28.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn profile_is_well_formed() {
-        let mut edges = Vec::new();
-        for i in 0..5 {
-            for j in i + 1..5 {
-                edges.push((i, j, ()));
-            }
-        }
-        for i in 0..5 {
-            edges.push((i, 5 + i, ()));
-        }
-        let g: Graph<(), ()> = Graph::from_edges(10, edges);
-        let mut degs = g.degree_sequence();
-        degs.sort_unstable();
-        degs.dedup();
-        let profile: Vec<(u32, f64)> = degs
-            .into_iter()
-            .filter_map(|k| rich_club_coefficient(&g, k).map(|phi| (k, phi)))
-            .collect();
-        assert!(!profile.is_empty());
-        for (k, phi) in profile {
-            assert!((0.0..=1.0).contains(&phi), "phi({}) = {}", k, phi);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -171,8 +95,7 @@ mod property_tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
-        /// Assortativity, when defined, is a correlation: r ∈ [−1, 1];
-        /// rich-club coefficients are densities: φ ∈ \[0, 1\].
+        /// Assortativity, when defined, is a correlation: r ∈ [−1, 1].
         #[test]
         fn ranges_hold(
             n in 3usize..14,
@@ -193,11 +116,6 @@ mod property_tests {
             }
             if let Some(r) = assortativity(&g) {
                 prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&r), "r = {}", r);
-            }
-            for k in 0..4 {
-                if let Some(phi) = rich_club_coefficient(&g, k) {
-                    prop_assert!((0.0..=1.0 + 1e-12).contains(&phi), "phi({}) = {}", k, phi);
-                }
             }
         }
     }

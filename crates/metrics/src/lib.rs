@@ -9,9 +9,9 @@
 //! | module | metric family | provenance |
 //! |---|---|---|
 //! | [`degree_dist`] | degree summary statistics | Faloutsos et al. '99 |
-//! | [`powerlaw`] | rank/CCDF/Hill power-law fits | Faloutsos et al. '99 |
+//! | [`powerlaw`] | rank/CCDF power-law fits | Faloutsos et al. '99 |
 //! | [`expfit`] | exponential fit + power-vs-exp classifier | FKP '02 / paper §4.2 |
-//! | [`assortativity`] | degree correlation, rich-club | Newman '02; Zhou–Mondragón '04 |
+//! | [`assortativity`] | degree assortativity | Newman '02 |
 //! | [`clustering`] | local and mean clustering coefficients | Bu–Towsley '02 \[8\] |
 //! | [`paths`] | path lengths, diameter, hop histogram | standard |
 //! | [`expansion`] | ball-growth expansion | Tangmunarunkit et al. \[30\] |
@@ -23,7 +23,7 @@
 //! | [`robustness`] | failure/attack degradation curves | HOT robust-yet-fragile |
 //! | [`utilization`] | link-load summaries, CCDFs, load-share splits | experiment E15 traffic engine |
 //! | [`report`] | one-struct-per-graph metric matrix + table rendering | experiment E6 |
-//! | [`surrogate`] | degree-preserving rewiring + anonymized fingerprints | paper §5 research agenda |
+//! | [`surrogate`] | degree-preserving rewiring | paper §5 research agenda |
 //!
 //! Heavy metrics sample deterministically (fixed strides), so reports are
 //! reproducible without threading RNGs through every metric.

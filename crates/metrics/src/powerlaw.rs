@@ -1,12 +1,10 @@
-//! Power-law fits for degree data, in the three standard views:
+//! Power-law fits for degree data, in the two standard views:
 //!
 //! - **CCDF fit**: least squares on `log k` vs `log P[D ≥ k]`; for a pure
 //!   power law `P[D ≥ k] ∝ k^{−(γ−1)}`, so the returned `exponent` is
 //!   `γ − 1` (Faloutsos et al.'s "degree exponent" view);
 //! - **rank fit**: least squares on `log rank` vs `log degree` — the
-//!   "rank exponent" power law of Faloutsos et al. (SIGCOMM'99);
-//! - **Hill estimator**: the MLE of the tail index over degrees ≥ `k_min`,
-//!   the statistically principled estimate.
+//!   "rank exponent" power law of Faloutsos et al. (SIGCOMM'99).
 //!
 //! Every fit also reports `r_squared` so callers (and the power-vs-
 //! exponential classifier in [`crate::expfit`]) can judge fit quality.
@@ -80,27 +78,6 @@ pub fn fit_rank(sample: &[u32]) -> Option<Fit> {
     least_squares(&pts)
 }
 
-/// Hill MLE of the tail exponent `γ` using degrees ≥ `k_min`:
-/// `γ = 1 + m / Σ ln(dᵢ / (k_min − ½))`.
-/// Returns `None` when fewer than `3` tail points exist.
-pub fn hill_estimator(sample: &[u32], k_min: u32) -> Option<f64> {
-    assert!(k_min >= 1, "k_min must be at least 1");
-    let tail: Vec<f64> = sample
-        .iter()
-        .copied()
-        .filter(|&d| d >= k_min)
-        .map(|d| d as f64)
-        .collect();
-    if tail.len() < 3 {
-        return None;
-    }
-    let denom: f64 = tail.iter().map(|&d| (d / (k_min as f64 - 0.5)).ln()).sum();
-    if denom <= 0.0 {
-        return None;
-    }
-    Some(1.0 + tail.len() as f64 / denom)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,13 +127,6 @@ mod tests {
     }
 
     #[test]
-    fn hill_recovers_gamma() {
-        let sample = power_law_sample(2.5, 50_000, 2);
-        let gamma = hill_estimator(&sample, 5).unwrap();
-        assert!((gamma - 2.5).abs() < 0.3, "Hill gamma {}", gamma);
-    }
-
-    #[test]
     fn rank_fit_on_power_law_has_good_r2() {
         let sample = power_law_sample(2.2, 5_000, 3);
         let fit = fit_rank(&sample).unwrap();
@@ -183,12 +153,6 @@ mod tests {
             "r² {} suspiciously high",
             fit.r_squared
         );
-    }
-
-    #[test]
-    fn hill_degenerate_cases() {
-        assert!(hill_estimator(&[1, 1, 1], 5).is_none()); // no tail
-        assert!(hill_estimator(&[5, 6], 5).is_none()); // too few
     }
 
     #[test]

@@ -1,39 +1,14 @@
-//! Degree-preserving surrogates and anonymized fingerprints.
+//! Degree-preserving surrogates: degree-based generation in its purest
+//! form, from the paper's research agenda (§5).
 //!
-//! Two of the paper's research-agenda questions (§5) meet here:
-//!
-//! - *"Is it possible to accurately, yet anonymously characterize an ISP
-//!   topology?"* — [`fingerprint`] reduces a topology to its metric
-//!   vector plus degree histogram: enough for model validation, nothing
-//!   that reconstructs the proprietary map.
-//! - *Degree-based generation in its purest form* — [`degree_surrogate`]
-//!   rewires a graph with double-edge swaps, preserving the degree
-//!   sequence **exactly** while destroying all other structure. Comparing
-//!   a designed topology against its own surrogate isolates precisely
-//!   what the degree distribution does *not* capture — the sharpest
-//!   version of the paper's critique (§1), used by experiment E6.
+//! [`degree_surrogate`] rewires a graph with double-edge swaps, preserving
+//! the degree sequence **exactly** while destroying all other structure.
+//! Comparing a designed topology against its own surrogate isolates
+//! precisely what the degree distribution does *not* capture — the
+//! sharpest version of the paper's critique (§1), used by experiment E6.
 
-use crate::report::MetricReport;
 use hot_graph::graph::{Graph, NodeId};
 use rand::Rng;
-
-/// An anonymized topology characterization: the metric vector and the
-/// degree histogram, with no connectivity information.
-#[derive(Clone, Debug)]
-pub struct Fingerprint {
-    /// The full metric vector.
-    pub metrics: MetricReport,
-    /// `(degree, count)` pairs, ascending.
-    pub degree_histogram: Vec<(u32, usize)>,
-}
-
-/// Computes an anonymized fingerprint of a topology.
-pub fn fingerprint<N, E>(name: &str, g: &Graph<N, E>) -> Fingerprint {
-    Fingerprint {
-        metrics: MetricReport::compute(name, g),
-        degree_histogram: hot_graph::degree::degree_histogram(g),
-    }
-}
 
 /// Rewires `g` by attempted double-edge swaps: pick two edges `(a,b)` and
 /// `(c,d)`, replace with `(a,d)` and `(c,b)` when that creates no
@@ -151,15 +126,6 @@ mod tests {
         let empty: Graph<(), ()> = Graph::new();
         let se = degree_surrogate(&empty, 10, &mut StdRng::seed_from_u64(8));
         assert_eq!(se.node_count(), 0);
-    }
-
-    #[test]
-    fn fingerprint_carries_metrics_and_histogram() {
-        let g = ba::generate(200, 2, &mut StdRng::seed_from_u64(9));
-        let fp = fingerprint("ba", &g);
-        assert_eq!(fp.metrics.nodes, 200);
-        let total: usize = fp.degree_histogram.iter().map(|(_, c)| c).sum();
-        assert_eq!(total, 200);
     }
 
     #[test]

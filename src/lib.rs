@@ -44,91 +44,13 @@
 //! ```
 
 pub use hot_baselines as baselines;
+pub use hot_bgp as bgp;
 pub use hot_core as core;
 pub use hot_econ as econ;
 pub use hot_geo as geo;
 pub use hot_graph as graph;
 pub use hot_metrics as metrics;
 pub use hot_sim as sim;
-
-/// The policy-routing subsystem (`hot-bgp`): labeled AS topologies and
-/// batched valley-free (Gao–Rexford) path propagation.
-pub mod bgp {
-    pub use hot_bgp::*;
-
-    #[cfg(test)]
-    mod tests {
-        use super::{AsClass, AsTopology, UNREACHED};
-
-        /// 0 and 1 are tier-1 peers; 0 provides 2, 1 provides 3, 2
-        /// provides 4. `peered = false` drops the 0–1 peering.
-        fn toy(peered: bool) -> AsTopology {
-            let peers: &[(u32, u32)] = if peered { &[(0, 1)] } else { &[] };
-            AsTopology::from_relationships(
-                5,
-                &[(0, 2), (1, 3), (2, 4)],
-                peers,
-                vec![
-                    AsClass::Tier1,
-                    AsClass::Tier1,
-                    AsClass::Tier2,
-                    AsClass::Stub,
-                    AsClass::Stub,
-                ],
-            )
-        }
-
-        #[test]
-        fn valley_free_basic_paths() {
-            let from4 = toy(true).propagate(4);
-            // 4 -> 2 -> 0 -> peer 1 -> 3: length 4, valley-free.
-            assert_eq!(from4.dist[3], 4);
-            assert_eq!(from4.dist[0], 2);
-            assert_eq!(from4.dist[4], 0);
-        }
-
-        #[test]
-        fn valley_blocks_peer_to_peer_transit() {
-            // Without the tier-1 peering the stubs' providers are not
-            // linked at all: no valley-free route, and no route at all.
-            let t = toy(false);
-            let from2 = t.propagate(2);
-            assert_eq!(
-                from2.dist[3], UNREACHED,
-                "no valley-free route should exist"
-            );
-            assert!(!from2.reaches(3));
-            assert_eq!(t.shortest(2)[3], UNREACHED);
-        }
-
-        #[test]
-        fn policy_never_beats_shortest() {
-            let t = toy(true);
-            for src in 0..t.len() {
-                let vf = t.propagate(src);
-                let sp = t.shortest(src);
-                for (&v, &s) in vf.dist.iter().zip(&sp) {
-                    if v != UNREACHED && s != UNREACHED {
-                        assert!(v >= s);
-                    }
-                }
-            }
-        }
-
-        /// Distance queries for a source outside the topology (including
-        /// any source on the empty topology) reach nothing.
-        #[test]
-        fn out_of_range_source_reaches_nothing() {
-            let t = toy(true);
-            assert_eq!(t.propagate(99).dist, vec![UNREACHED; t.len()]);
-            assert_eq!(t.shortest(99), vec![UNREACHED; t.len()]);
-            let empty = AsTopology::from_relationships(0, &[], &[], vec![]);
-            assert!(empty.is_empty());
-            assert!(empty.propagate(0).dist.is_empty());
-            assert!(empty.shortest(0).is_empty());
-        }
-    }
-}
 
 /// The most commonly used items, for `use hotgen::prelude::*`.
 pub mod prelude {

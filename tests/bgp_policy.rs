@@ -4,7 +4,6 @@
 //! path, stay bit-identical across thread counts, and derive AS classes
 //! that match the economics the generator wired.
 
-use hot_exp::scenarios::e13::{inflation_stats, InflationStats};
 use hotgen::bgp::{policy_summary, policy_summary_all, AsClass, AsTopology, UNREACHED};
 use hotgen::core::isp::generator::IspConfig;
 use hotgen::core::peering::{generate_internet, Internet, InternetConfig, Relationship};
@@ -109,47 +108,75 @@ impl AsNetwork {
     }
 }
 
-/// Reference policy-inflation statistics over all ordered AS pairs,
-/// sources ascending, destinations ascending.
-fn policy_inflation(net: &AsNetwork) -> InflationStats {
-    let n = net.providers.len();
-    let (mut reach_shortest, mut reach_policy) = (0usize, 0usize);
-    let (mut compared, mut inflated) = (0usize, 0usize);
-    let mut inflation_sum = 0.0;
-    let mut max_inflation = 1.0f64;
-    for src in 0..n {
-        let vf = net.valley_free_distances(src);
-        let sp = net.shortest_distances(src);
-        for dst in (0..n).filter(|&dst| dst != src) {
-            let Some(s) = sp[dst] else { continue };
-            reach_shortest += 1;
-            let Some(v) = vf[dst] else { continue };
-            reach_policy += 1;
-            let ratio = v as f64 / s as f64;
-            inflation_sum += ratio;
-            compared += 1;
-            max_inflation = max_inflation.max(ratio);
-            if v > s {
-                inflated += 1;
+/// Reference policy-inflation counters over all ordered AS pairs, in
+/// `PolicySummary`'s layout: per unrestricted shortest length `s`, the
+/// total and the longest valley-free hops of the policy-reachable pairs.
+/// `max_ratio` is the largest per-pair `vf / sp`, taken pair by pair.
+#[derive(Default)]
+struct Inflation {
+    bfs_reachable: u64,
+    policy_reachable: u64,
+    inflated: u64,
+    by_shortest: Vec<(u64, u32)>,
+    max_ratio: f64,
+}
+
+impl Inflation {
+    fn of(net: &AsNetwork) -> Inflation {
+        let n = net.providers.len();
+        let mut out = Inflation {
+            max_ratio: 1.0,
+            ..Inflation::default()
+        };
+        for src in 0..n {
+            let vf = net.valley_free_distances(src);
+            let sp = net.shortest_distances(src);
+            for dst in (0..n).filter(|&dst| dst != src) {
+                let Some(s) = sp[dst] else { continue };
+                out.bfs_reachable += 1;
+                let Some(v) = vf[dst] else { continue };
+                out.policy_reachable += 1;
+                if v > s {
+                    out.inflated += 1;
+                }
+                out.max_ratio = out.max_ratio.max(v as f64 / s as f64);
+                let s = s as usize;
+                if out.by_shortest.len() <= s {
+                    out.by_shortest.resize(s + 1, (0, 0));
+                }
+                out.by_shortest[s].0 += v as u64;
+                out.by_shortest[s].1 = out.by_shortest[s].1.max(v);
             }
         }
+        out
     }
-    let share = |num: usize, den: usize, empty: f64| {
-        if den > 0 {
-            num as f64 / den as f64
-        } else {
-            empty
+
+    /// E13's four cells in report order: policy reachability, mean
+    /// inflation ratio (`(Σₛ totalₛ / s) / policy_reachable`, lengths
+    /// ascending), strictly inflated share and max inflation ratio.
+    fn cells(&self) -> [f64; 4] {
+        let share = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        let mut ratio_sum = 0.0;
+        for (s, &(total, _)) in self.by_shortest.iter().enumerate().skip(1) {
+            ratio_sum += total as f64 / s as f64;
         }
-    };
-    InflationStats {
-        policy_reachability: share(reach_policy, reach_shortest, 1.0),
-        mean_inflation: if compared > 0 {
-            inflation_sum / compared as f64
-        } else {
+        let mean = if self.policy_reachable == 0 {
             1.0
-        },
-        inflated_fraction: share(inflated, compared, 0.0),
-        max_inflation,
+        } else {
+            ratio_sum / self.policy_reachable as f64
+        };
+        [
+            share(self.policy_reachable, self.bfs_reachable),
+            mean,
+            share(self.inflated, self.policy_reachable),
+            self.max_ratio,
+        ]
     }
 }
 
@@ -174,9 +201,11 @@ proptest! {
 
     /// On random generated internets the flat batched kernel and the
     /// reference BFS agree exactly — valley-free distances, unrestricted
-    /// distances, the vf >= sp property per pair, and E13's inflation
-    /// statistics to the bit. Internets need about 15+ ASes before
-    /// multihoming inflates any path, hence the wide `n_isps` range.
+    /// distances, the vf >= sp property per pair, the summary's
+    /// per-shortest-length counters, and E13's four cells to the bit
+    /// (the max against the reference's per-pair maximum). Internets
+    /// need about 15+ ASes before multihoming inflates any path, hence
+    /// the wide `n_isps` range.
     #[test]
     fn propagation_matches_reference_and_never_beats_shortest(
         cities in 4usize..9,
@@ -208,13 +237,17 @@ proptest! {
                 }
             }
         }
-        let (got, want) = (inflation_stats(&topo), policy_inflation(&reference));
-        for (g, w) in [
-            (got.policy_reachability, want.policy_reachability),
-            (got.mean_inflation, want.mean_inflation),
-            (got.inflated_fraction, want.inflated_fraction),
-            (got.max_inflation, want.max_inflation),
-        ] {
+        let (got, want) = (policy_summary_all(&topo, 2), Inflation::of(&reference));
+        prop_assert_eq!(got.bfs_reachable, want.bfs_reachable);
+        prop_assert_eq!(got.policy_reachable, want.policy_reachable);
+        prop_assert_eq!(&got.by_shortest, &want.by_shortest);
+        let cells = [
+            got.policy_reachability(),
+            got.mean_inflation_ratio(),
+            got.inflated_fraction(),
+            got.max_inflation_ratio(),
+        ];
+        for (g, w) in cells.into_iter().zip(want.cells()) {
             prop_assert_eq!(g.to_bits(), w.to_bits(), "{} vs {}", g, w);
         }
     }

@@ -147,11 +147,14 @@ fn golden_directory_matches_registry() {
 /// byte-for-byte); here the scenarios that use the parallel kernels —
 /// including E6's metric battery (one job per generator row), the
 /// batched traffic engine behind E15/E16, the batched valley-free
-/// propagation behind E17, the capacitated TE/cascade loops behind E18,
-/// and the batched probe pipeline behind E19 — run at 1 and 4 workers.
+/// propagation behind E13 and E17, the capacitated TE/cascade loops
+/// behind E18, and the batched probe pipeline behind E19 — run at 1 and
+/// 4 workers.
 #[test]
 fn thread_count_does_not_change_reports() {
-    for id in ["e1", "e6", "e10", "e12", "e15", "e16", "e17", "e18", "e19"] {
+    for id in [
+        "e1", "e6", "e10", "e12", "e13", "e15", "e16", "e17", "e18", "e19",
+    ] {
         let spec = registry::find(id).expect("registered");
         let serial = (spec.run)(ctx(1)).to_json().pretty();
         let parallel = (spec.run)(ctx(4)).to_json().pretty();
