@@ -27,8 +27,8 @@ struct Args {
     scale: Scale,
     threads: usize,
     json_dir: Option<PathBuf>,
-    snapshot_dir: Option<PathBuf>,
     quiet: bool,
+    help: bool,
 }
 
 const USAGE: &str = "\
@@ -44,14 +44,15 @@ OPTIONS:
   --scale <s>        golden | full (default full; golden = CI sizes)
   --threads <n>      worker threads (default: all cores; never changes output)
   --json <dir>       write <dir>/<id>.json per scenario
-  --snapshot-dir <d> cache built topologies as <d>/<key>.snap binary
-                     snapshots; warm runs reload instead of regenerating
-                     (wall-clock only, output bytes never change)
   --quiet            suppress the human-readable report text
   --help             this message
 ";
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. `--help` stops the
+/// parse and asks for the usage text; any other flag it does not know,
+/// a missing or malformed value, or no action at all is an error that
+/// names the argument.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         list: false,
         all: false,
@@ -60,10 +61,10 @@ fn parse_args() -> Result<Args, String> {
         scale: Scale::Full,
         threads: hot_graph::parallel::default_threads(),
         json_dir: None,
-        snapshot_dir: None,
         quiet: false,
+        help: false,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
             it.next()
@@ -92,11 +93,10 @@ fn parse_args() -> Result<Args, String> {
                     .max(1);
             }
             "--json" => args.json_dir = Some(PathBuf::from(value("--json")?)),
-            "--snapshot-dir" => args.snapshot_dir = Some(PathBuf::from(value("--snapshot-dir")?)),
             "--quiet" | "-q" => args.quiet = true,
             "--help" | "-h" => {
-                print!("{}", USAGE);
-                std::process::exit(0);
+                args.help = true;
+                return Ok(args);
             }
             other => return Err(format!("unknown argument {:?} (try --help)", other)),
         }
@@ -139,13 +139,17 @@ fn emit(report: &ExpReport, args: &Args) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             eprintln!("expctl: {}", msg);
             return ExitCode::FAILURE;
         }
     };
+    if args.help {
+        print!("{}", USAGE);
+        return ExitCode::SUCCESS;
+    }
     if args.list {
         println!("{:<5} {:<18} summary", "id", "name");
         for spec in registry::registry() {
@@ -159,7 +163,7 @@ fn main() -> ExitCode {
         scale: args.scale,
         seed: args.seed,
         threads: args.threads,
-        snapshot_dir: args.snapshot_dir.clone(),
+        snapshot_dir: None,
     };
     // `--all` and `--run` share one loop: scenarios run one at a time,
     // each on every `--threads` worker.
@@ -222,6 +226,81 @@ fn main() -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    /// A flag `expctl` does not know, a flag with no value, and a value
+    /// of the wrong form are each an error that names the flag.
+    #[test]
+    fn bad_arguments_are_errors_naming_the_flag() {
+        let cases: [(&[&str], &str); 14] = [
+            (&["--run", "e15", "--snapshot-dir", "d"], "--snapshot-dir"),
+            (&["--all", "--frobnicate"], "--frobnicate"),
+            (&["--run"], "--run"),
+            (&["--all", "--seed"], "--seed"),
+            (&["--all", "--threads"], "--threads"),
+            (&["--all", "--scale"], "--scale"),
+            (&["--all", "--json"], "--json"),
+            (&["--all", "--seed", "x"], "--seed"),
+            (&["--all", "--seed", "1.5"], "--seed"),
+            (&["--all", "--seed", "-1"], "--seed"),
+            (&["--all", "--threads", "two"], "--threads"),
+            (&["--all", "--threads", "1.5"], "--threads"),
+            (&["--all", "--threads", "-1"], "--threads"),
+            (&["--all", "--scale", "small"], "--scale"),
+        ];
+        for (argv, flag) in cases {
+            let msg = parse(argv)
+                .err()
+                .unwrap_or_else(|| panic!("{:?} parsed", argv));
+            assert!(msg.contains(flag), "{:?}: {}", argv, msg);
+        }
+    }
+
+    #[test]
+    fn no_action_is_rejected() {
+        for argv in [&[][..], &["--seed", "7", "--threads", "2"], &["--quiet"]] {
+            let msg = parse(argv)
+                .err()
+                .unwrap_or_else(|| panic!("{:?} parsed", argv));
+            assert!(msg.contains("nothing to do"), "{:?}: {}", argv, msg);
+        }
+    }
+
+    #[test]
+    fn well_formed_arguments_parse() {
+        let args = parse(&[
+            "--run",
+            "e15",
+            "-r",
+            "e18",
+            "--seed",
+            "7",
+            "--scale",
+            "golden",
+            "--threads",
+            "3",
+            "--json",
+            "out",
+            "-q",
+        ])
+        .expect("parses");
+        assert_eq!(args.run, ["e15", "e18"]);
+        assert_eq!(args.seed, 7);
+        assert_eq!(args.scale, Scale::Golden);
+        assert_eq!(args.threads, 3);
+        assert_eq!(args.json_dir, Some(PathBuf::from("out")));
+        assert!(args.quiet && !args.list && !args.all && !args.help);
+        // Zero threads still runs one worker.
+        assert_eq!(
+            parse(&["--all", "--threads", "0"]).expect("parses").threads,
+            1
+        );
+        // `--help` stops the parse before a later bad flag.
+        assert!(parse(&["--help", "--frobnicate"]).expect("parses").help);
+    }
 
     #[test]
     fn unknown_scenario_lists_every_registered_id() {

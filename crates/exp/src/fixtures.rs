@@ -4,19 +4,16 @@
 //! customer-demand workload the traffic scenarios route, and the
 //! backbone link-cut study E12 and E16 share.
 
-use crate::registry::RunCtx;
 use hot_core::isp::backbone::BackboneConfig;
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::{IspTopology, LinkKind, RouterRole};
 use hot_geo::gravity::TrafficMatrix;
 use hot_geo::point::Point;
 use hot_geo::population::Census;
-use hot_graph::io::{fnv1a, Snapshot, SNAPSHOT_VERSION};
 use hot_sim::demand::{Demand, DemandMatrix};
 use hot_sim::failure::{single_link_failures, FailureSummary};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Debug;
 
 /// Fixed seed base: every experiment derives its RNGs from this, so all
 /// published tables regenerate byte-identically.
@@ -117,167 +114,9 @@ pub fn total_traffic_is_valid(total_traffic: f64) -> bool {
     total_traffic.is_finite() && total_traffic > 0.0
 }
 
-/// A metadata column a cached snapshot must carry: its section (per
-/// node or per edge, f64 or u32) and its name.
-#[derive(Clone, Copy, Debug)]
-pub enum Column {
-    NodeF64(&'static str),
-    EdgeU32(&'static str),
-    EdgeF64(&'static str),
-}
-
-impl Column {
-    /// Whether `snap` carries this column at its section's length (the
-    /// node or the edge count).
-    fn carried_by(self, snap: &Snapshot) -> bool {
-        fn has<T>(cols: &[(String, Vec<T>)], name: &str, len: usize) -> bool {
-            cols.iter()
-                .find(|(n, _)| n == name)
-                .is_some_and(|(_, col)| col.len() == len)
-        }
-        let (n, m) = (snap.csr.node_count(), snap.csr.edge_count());
-        match self {
-            Column::NodeF64(name) => has(&snap.node_f64, name, n),
-            Column::EdgeU32(name) => has(&snap.edge_u32, name, m),
-            Column::EdgeF64(name) => has(&snap.edge_f64, name, m),
-        }
-    }
-}
-
-/// The column `name` of one snapshot section. Read only columns named
-/// to [`cached_snapshot`], which guarantees they are there.
-pub(crate) fn column<'a, T>(cols: &'a [(String, Vec<T>)], name: &str) -> &'a [T] {
-    &cols
-        .iter()
-        .find(|(n, _)| n == name)
-        .unwrap_or_else(|| panic!("snapshot column {:?} was not requested", name))
-        .1
-}
-
-/// The snapshot-cache file stem of scenario `id`: the id plus the
-/// FNV-1a digest of everything the build depends on — the whole
-/// `params` (their `Debug` text), the seed, the snapshot format version
-/// and the crate version. Changing any of them misses the cache instead
-/// of replaying a topology built from other inputs.
-pub(crate) fn snapshot_key(id: &str, params: &impl Debug, seed: u64) -> String {
-    key_for(
-        id,
-        params,
-        seed,
-        SNAPSHOT_VERSION,
-        env!("CARGO_PKG_VERSION"),
-    )
-}
-
-fn key_for(id: &str, params: &impl Debug, seed: u64, format: u32, version: &str) -> String {
-    let inputs = format!(
-        "{:?}|seed {}|format {}|version {}",
-        params, seed, format, version
-    );
-    format!("{}-{:016x}", id, fnv1a(inputs.as_bytes()))
-}
-
-/// Returns scenario `id`'s snapshot from the context's cache
-/// (`<dir>/<snapshot_key>.snap`), or builds it with `build` and (when a
-/// cache directory is configured) persists it for the next run.
-///
-/// A cached file is used only when it loads — `Snapshot::load` checks
-/// the checksum and every structural invariant — and carries every
-/// column in `columns`, the ones the caller will read. Anything else
-/// (corrupt, unreadable, or missing a column) is rebuilt and
-/// overwritten, never trusted. Warm and cold paths return the same
-/// columns bit-for-bit, so cached runs keep the byte-determinism
-/// guarantee of everything downstream.
-pub fn cached_snapshot(
-    ctx: &RunCtx,
-    id: &str,
-    params: &impl Debug,
-    columns: &[Column],
-    build: impl FnOnce() -> Snapshot,
-) -> Snapshot {
-    let Some(dir) = &ctx.snapshot_dir else {
-        return build();
-    };
-    let path = dir.join(format!("{}.snap", snapshot_key(id, params, ctx.seed)));
-    if let Ok(snap) = Snapshot::load(&path) {
-        if columns.iter().all(|c| c.carried_by(&snap)) {
-            return snap;
-        }
-    }
-    let snap = build();
-    if std::fs::create_dir_all(dir)
-        .map_err(hot_graph::io::SnapshotError::Io)
-        .and_then(|_| snap.save(&path))
-        .is_err()
-    {
-        // A read-only or full cache directory degrades to cold builds;
-        // it must never fail the experiment itself.
-        eprintln!("warning: could not write snapshot {}", path.display());
-    }
-    snap
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every field of a scenario's `Params`, the seed, the format
-    /// version and the crate version all reach the cache key.
-    #[test]
-    fn snapshot_key_covers_every_input() {
-        use crate::scenarios::{e15, e18};
-        let base = snapshot_key("e15", &e15::Params::golden(), SEED);
-        type Edit<P> = fn(&mut P);
-        let e15_edits: [Edit<e15::Params>; 7] = [
-            |p| p.glp_n += 1,
-            |p| p.ba_n += 1,
-            |p| p.cities += 1,
-            |p| p.n_pops += 1,
-            |p| p.total_customers += 1,
-            |p| p.total_traffic *= 2.0,
-            |p| p.ccdf_steps += 1,
-        ];
-        for (i, edit) in e15_edits.iter().enumerate() {
-            let mut p = e15::Params::golden();
-            edit(&mut p);
-            assert_ne!(snapshot_key("e15", &p, SEED), base, "e15 field {}", i);
-        }
-        let e18_base = snapshot_key("e18", &e18::Params::golden(), SEED);
-        let e18_edits: [Edit<e18::Params>; 12] = [
-            |p| p.glp_n += 1,
-            |p| p.ba_n += 1,
-            |p| p.cities += 1,
-            |p| p.n_pops += 1,
-            |p| p.total_customers += 1,
-            |p| p.total_traffic *= 2.0,
-            |p| p.surge_traffic *= 2.0,
-            |p| p.surge_exponent += 0.5,
-            |p| p.headroom += 0.25,
-            |p| p.cascade_threshold += 0.5,
-            |p| p.max_te_rounds += 1,
-            |p| p.max_cascade_rounds += 1,
-        ];
-        for (i, edit) in e18_edits.iter().enumerate() {
-            let mut p = e18::Params::golden();
-            edit(&mut p);
-            assert_ne!(snapshot_key("e18", &p, SEED), e18_base, "e18 field {}", i);
-        }
-        let p = e15::Params::golden();
-        let version = env!("CARGO_PKG_VERSION");
-        assert_eq!(key_for("e15", &p, SEED, SNAPSHOT_VERSION, version), base);
-        assert_ne!(snapshot_key("e15", &p, SEED + 1), base, "seed");
-        assert_ne!(snapshot_key("e16", &p, SEED), base, "scenario id");
-        assert_ne!(
-            key_for("e15", &p, SEED, SNAPSHOT_VERSION + 1, version),
-            base,
-            "format version"
-        );
-        assert_ne!(
-            key_for("e15", &p, SEED, SNAPSHOT_VERSION, "0.0.0-other"),
-            base,
-            "crate version"
-        );
-    }
 
     #[test]
     fn geography_is_deterministic() {

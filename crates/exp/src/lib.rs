@@ -16,6 +16,9 @@
 //! - **Two scales.** Each scenario ships `Params::golden()` (seconds,
 //!   exercised by the golden-snapshot suite on every `cargo test`) and
 //!   `Params::full()` (the paper-sized tables `expctl` prints by default).
+//! - **No I/O.** Scenarios read and write no files and print nothing:
+//!   every input is generated from `(params, seed)` on each run, and
+//!   only `expctl` writes reports and its timing table.
 //! - **No panics on degenerate input.** Scenarios return a report
 //!   marked skipped ([`report::ExpReport::into_skipped`]) instead of
 //!   unwrapping on empty graphs or zero-sized parameter sets.

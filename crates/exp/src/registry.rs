@@ -47,10 +47,10 @@ pub struct RunCtx {
     /// Worker threads for the deterministic parallel kernels. Never
     /// affects results, only wall-clock.
     pub threads: usize,
-    /// Directory for cached binary topology snapshots
-    /// (`hot_graph::io::Snapshot`); `None` disables the cache. Like
-    /// `threads`, this only changes wall-clock: a warm cache replays
-    /// the exact bytes the cold build produced.
+    /// Unused: no scenario reads or writes files, whatever this holds.
+    /// The field remains only because the benchmark package
+    /// (`perfbench/src/lib.rs`, `ctx()`) names it in a struct literal;
+    /// it goes in the next change to that package.
     pub snapshot_dir: Option<std::path::PathBuf>,
 }
 

@@ -1,31 +1,26 @@
 //! E15 (extension) — traffic load: gravity demand over HOT vs degree-based
 //! topologies.
 //!
-//! The ROADMAP north star is "serve heavy traffic from millions of
-//! users"; this scenario is that workload. The batched engine in
-//! `hot-sim::traffic` routes millions of origin–destination flows —
-//! gravity, uniform, and rank-biased demand — over the designed ISP and
-//! over the degree-based generators the paper critiques, and compares
-//! where the load lands: on the designed topology, peak load rides the
-//! provisioned core (backbone/metro trunks) even though the router
-//! degree cap keeps core degrees modest; on BA/GLP the same demand
-//! classes pile onto the links around the few highest-degree hubs. This
-//! turns the E12 routing-load claim quantitative: load share of the
-//! core vs load share of the hub neighborhood, per demand model.
+//! The batched engine in `hot-sim::traffic` routes millions of
+//! origin–destination flows — gravity, uniform, and rank-biased demand
+//! — over the designed ISP and over the degree-based generators the
+//! paper critiques, and compares where the load lands: on the designed
+//! topology, peak load rides the provisioned core (backbone/metro
+//! trunks) even though the router degree cap keeps core degrees modest;
+//! on BA/GLP the same demand classes pile onto the links around the few
+//! highest-degree hubs. This turns the E12 routing-load claim
+//! quantitative: load share of the core vs load share of the hub
+//! neighborhood, per demand model.
 
-use crate::fixtures::{
-    cached_snapshot, column, customer_masses, standard_geography, total_traffic_is_valid, Column,
-};
+use crate::fixtures::{customer_masses, standard_geography, total_traffic_is_valid};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
 use hot_baselines::{ba, glp};
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_core::isp::LinkKind;
-use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
-use hot_graph::graph::Graph;
-use hot_graph::io::Snapshot;
+use hot_graph::graph::NodeId;
 use hot_metrics::utilization::{load_ccdf, load_share_on, load_summary, LoadSummary};
 use hot_sim::demand::{DemandConfig, DemandMatrix, DemandModel, OdDemand};
 use hot_sim::traffic::{link_loads_multi, RoutePolicy};
@@ -103,13 +98,11 @@ pub struct TrafficRow {
     pub ccdf: Vec<(f64, f64)>,
 }
 
-/// Measures every demand model over one topology. `endpoints` are the
-/// edge endpoints by edge id; `core_links` marks the designed trunk
-/// links when the topology has a hierarchy.
+/// Measures every demand model over one topology. `core_links` marks
+/// the designed trunk links when the topology has a hierarchy.
 fn case_rows(
     topology: &'static str,
     csr: &CsrGraph,
-    endpoints: &[(u32, u32)],
     core_links: Option<&[bool]>,
     demands: &[(&'static str, &DemandMatrix)],
     ccdf_steps: usize,
@@ -121,18 +114,17 @@ fn case_rows(
     // ties broken by node id, and every link touching one of them.
     let mut by_degree: Vec<usize> = (0..n).collect();
     by_degree.sort_by_key(|&v| (std::cmp::Reverse(degrees[v]), v));
-    let mut is_hub = vec![false; n];
+    let links = csr.edge_count();
+    let mut hub_links = vec![false; links];
     for &v in by_degree.iter().take(n.div_ceil(100).max(1)) {
-        is_hub[v] = true;
+        for e in csr.incident_edges(NodeId(v as u32)) {
+            hub_links[e.index()] = true;
+        }
     }
-    let hub_links: Vec<bool> = endpoints
-        .iter()
-        .map(|&(a, b)| is_hub[a as usize] || is_hub[b as usize])
-        .collect();
-    let hub_link_fraction = if endpoints.is_empty() {
+    let hub_link_fraction = if links == 0 {
         0.0
     } else {
-        hub_links.iter().filter(|&&h| h).count() as f64 / endpoints.len() as f64
+        hub_links.iter().filter(|&&h| h).count() as f64 / links as f64
     };
     let refs: Vec<&dyn OdDemand> = demands.iter().map(|&(_, m)| m as &dyn OdDemand).collect();
     let loads = link_loads_multi(csr, &refs, RoutePolicy::TreePath, threads);
@@ -150,7 +142,7 @@ fn case_rows(
                 topology,
                 model,
                 nodes: n,
-                links: endpoints.len(),
+                links,
                 routed_flows: out.routed_flows,
                 unrouted_flows: out.unrouted_flows,
                 mean_hops: out.mean_hops(),
@@ -168,95 +160,40 @@ fn case_rows(
         .collect()
 }
 
-fn edge_endpoints<N, E>(g: &Graph<N, E>) -> Vec<(u32, u32)> {
-    g.edges().map(|(_, a, b, _)| (a.0, b.0)).collect()
-}
-
-/// Builds the designed-ISP topology and packs everything downstream of
-/// the generator — CSR, customer masses, router positions, edge
-/// endpoints, and the core-link marks — into one [`Snapshot`]. Cold and
-/// warm cache paths both consume these columns, so a reload is
-/// bit-identical to a rebuild.
-fn build_isp_snapshot(p: &Params, seed: u64) -> Snapshot {
-    let (census, traffic) = standard_geography(p.cities, seed);
-    let config = IspConfig {
-        n_pops: p.n_pops,
-        total_customers: p.total_customers,
-        ..IspConfig::default()
-    };
-    let isp = generate(&census, &traffic, &config, &mut StdRng::seed_from_u64(seed));
-    let mut snap = Snapshot::new(CsrGraph::from_graph(&isp.graph));
-    let (mass, positions) = customer_masses(&isp);
-    snap.node_f64.push(("mass".into(), mass));
-    snap.node_f64
-        .push(("pos_x".into(), positions.iter().map(|q| q.x).collect()));
-    snap.node_f64
-        .push(("pos_y".into(), positions.iter().map(|q| q.y).collect()));
-    let endpoints = edge_endpoints(&isp.graph);
-    snap.edge_u32
-        .push(("ep_a".into(), endpoints.iter().map(|&(a, _)| a).collect()));
-    snap.edge_u32
-        .push(("ep_b".into(), endpoints.iter().map(|&(_, b)| b).collect()));
-    let core: Vec<u32> = isp
-        .graph
-        .edge_ids()
-        .map(|e| {
-            matches!(
-                isp.graph.edge_weight(e).kind,
-                LinkKind::Backbone | LinkKind::Metro
-            ) as u32
-        })
-        .collect();
-    snap.edge_u32.push(("core".into(), core));
-    snap
-}
-
 /// The full measurement sweep: ISP (designed), GLP and BA (degree-based
-/// controls), each under its demand models. With `ctx.snapshot_dir`
-/// set, the designed ISP is replayed from its binary snapshot instead
-/// of regenerated; the output bytes are identical either way.
+/// controls), each under its demand models.
 pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
     let (seed, threads) = (ctx.seed, ctx.threads);
     let mut rows = Vec::new();
     // Designed ISP: demand lives on customers (mass 1 on customer
-    // routers, 0 on infrastructure), gravity over router geography.
+    // routers, 0 on infrastructure), gravity over router geography; its
+    // core is the backbone and metro trunks.
     {
-        let snap = cached_snapshot(
-            ctx,
-            "e15",
-            p,
-            &[
-                Column::NodeF64("mass"),
-                Column::NodeF64("pos_x"),
-                Column::NodeF64("pos_y"),
-                Column::EdgeU32("ep_a"),
-                Column::EdgeU32("ep_b"),
-                Column::EdgeU32("core"),
-            ],
-            || build_isp_snapshot(p, seed),
-        );
-        let mass = column(&snap.node_f64, "mass").to_vec();
-        let positions: Vec<Point> = column(&snap.node_f64, "pos_x")
-            .iter()
-            .zip(column(&snap.node_f64, "pos_y"))
-            .map(|(&x, &y)| Point { x, y })
-            .collect();
-        let endpoints: Vec<(u32, u32)> = column(&snap.edge_u32, "ep_a")
-            .iter()
-            .zip(column(&snap.edge_u32, "ep_b"))
-            .map(|(&a, &b)| (a, b))
-            .collect();
-        let core: Vec<bool> = column(&snap.edge_u32, "core")
-            .iter()
-            .map(|&c| c != 0)
+        let (census, traffic) = standard_geography(p.cities, seed);
+        let config = IspConfig {
+            n_pops: p.n_pops,
+            total_customers: p.total_customers,
+            ..IspConfig::default()
+        };
+        let isp = generate(&census, &traffic, &config, &mut StdRng::seed_from_u64(seed));
+        let csr = CsrGraph::from_graph(&isp.graph);
+        let (mass, positions) = customer_masses(&isp);
+        let core: Vec<bool> = isp
+            .graph
+            .edge_ids()
+            .map(|e| {
+                matches!(
+                    isp.graph.edge_weight(e).kind,
+                    LinkKind::Backbone | LinkKind::Metro
+                )
+            })
             .collect();
         let gravity =
             DemandMatrix::from_masses(mass.clone(), Some(positions), 1.0, 1.0, p.total_traffic);
         let uniform = DemandMatrix::from_masses(mass, None, 0.0, 1.0, p.total_traffic);
         rows.extend(case_rows(
             "isp(designed)",
-            &snap.csr,
-            &endpoints,
+            &csr,
             Some(&core),
             &[("gravity", &gravity), ("uniform", &uniform)],
             p.ccdf_steps,
@@ -271,7 +208,6 @@ pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
     let ba_graph = ba::generate(p.ba_n, 2, &mut StdRng::seed_from_u64(seed + 2));
     for (name, g) in [("glp", &glp_graph), ("ba(m=2)", &ba_graph)] {
         let csr = CsrGraph::from_graph(g);
-        let endpoints = edge_endpoints(g);
         let build = |model| {
             DemandMatrix::build(
                 &csr,
@@ -290,7 +226,6 @@ pub fn traffic_rows(p: &Params, ctx: &RunCtx) -> Vec<TrafficRow> {
         rows.extend(case_rows(
             name,
             &csr,
-            &endpoints,
             None,
             &[
                 ("gravity", &gravity),

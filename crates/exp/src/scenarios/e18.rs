@@ -15,10 +15,7 @@
 //! topology's provisioned trunks absorb the surge at low amplification
 //! while the hub topologies trip their hub links and cascade.
 
-use crate::fixtures::{
-    cached_snapshot, column, customer_gravity_demand, customer_masses, standard_geography,
-    total_traffic_is_valid, Column,
-};
+use crate::fixtures::{customer_gravity_demand, standard_geography, total_traffic_is_valid};
 use crate::jsonout::Json;
 use crate::registry::RunCtx;
 use crate::report::{ExpReport, Section, Table};
@@ -26,9 +23,7 @@ use hot_baselines::{ba, glp};
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_econ::cable::CableCatalog;
 use hot_econ::{headroom_is_valid, proportional_capacities, provision_capacities};
-use hot_geo::point::Point;
 use hot_graph::csr::CsrGraph;
-use hot_graph::io::Snapshot;
 use hot_metrics::utilization::{utilization_summary, UtilizationSummary};
 use hot_sim::cascade::{cascade, threshold_is_valid, CascadeConfig, CascadeRound};
 use hot_sim::demand::{DemandConfig, DemandMatrix, DemandModel, SumDemand};
@@ -219,94 +214,55 @@ fn case_row(
     }
 }
 
-/// Builds the designed ISP and everything its capacitated runs need —
-/// CSR, customer masses, router positions, and the cable-catalog
-/// capacities — into one [`Snapshot`]. Capacities are the *design*
-/// output the paper argues for: each link is provisioned (in discrete
-/// cable tiers, with headroom) for the ISP's anticipated busy-hour
-/// envelope — the baseline customer-gravity demand plus the planned
-/// flash-crowd allowance — because anticipating the demand class is
-/// exactly what a designed network does and what the emergent
-/// degree-based controls cannot do. Cold and warm cache paths consume
-/// the same columns, so a reload is bit-identical to a rebuild.
-fn build_isp_snapshot(p: &Params, seed: u64, threads: usize) -> Snapshot {
-    let (census, traffic) = standard_geography(p.cities, seed);
-    let config = IspConfig {
-        n_pops: p.n_pops,
-        total_customers: p.total_customers,
-        ..IspConfig::default()
-    };
-    let isp = generate(&census, &traffic, &config, &mut StdRng::seed_from_u64(seed));
-    let csr = CsrGraph::from_graph(&isp.graph);
-    let demand = customer_gravity_demand(&isp, p.total_traffic);
-    let allowance = DemandMatrix::build(
-        &csr,
-        None,
-        &DemandConfig {
-            model: DemandModel::RankBiased {
-                exponent: p.surge_exponent,
-            },
-            total_traffic: p.surge_traffic,
-        },
-    );
-    let envelope = SumDemand::new(&demand, &allowance);
-    let loads = link_loads(&csr, &envelope, RoutePolicy::TreePath, threads);
-    let capacity = provision_capacities(
-        &CableCatalog::realistic_2003(),
-        &loads.link_load,
-        p.headroom,
-    );
-    let (mass, positions) = customer_masses(&isp);
-    let mut snap = Snapshot::new(csr);
-    snap.node_f64.push(("mass".into(), mass));
-    snap.node_f64
-        .push(("pos_x".into(), positions.iter().map(|q| q.x).collect()));
-    snap.node_f64
-        .push(("pos_y".into(), positions.iter().map(|q| q.y).collect()));
-    snap.edge_f64.push(("capacity".into(), capacity));
-    snap
-}
-
 /// The full sweep: designed ISP (cable-tier capacities), GLP and BA
 /// (degree-proportional capacities at the same headroom), each under
-/// baseline gravity demand plus the rank-biased flash crowd. With
-/// `ctx.snapshot_dir` set, the ISP and its capacities are replayed from
-/// the binary snapshot; output bytes are identical either way.
+/// baseline gravity demand plus the rank-biased flash crowd.
 pub fn cascade_rows(p: &Params, ctx: &RunCtx) -> Vec<CascadeRow> {
     let (seed, threads) = (ctx.seed, ctx.threads);
     let mut rows = Vec::new();
-    // Designed ISP: demand between customers, capacities from the
-    // cable catalog sized for that demand.
+    // Designed ISP: demand between customers. Capacities are the
+    // *design* output the paper argues for: each link is provisioned
+    // (in discrete cable tiers, with headroom) for the ISP's anticipated
+    // busy-hour envelope — the baseline customer-gravity demand plus the
+    // planned flash-crowd allowance — because anticipating the demand
+    // class is exactly what a designed network does and what the
+    // emergent degree-based controls cannot do.
     {
-        let snap = cached_snapshot(
-            ctx,
-            "e18",
-            p,
-            &[
-                Column::NodeF64("mass"),
-                Column::NodeF64("pos_x"),
-                Column::NodeF64("pos_y"),
-                Column::EdgeF64("capacity"),
-            ],
-            || build_isp_snapshot(p, seed, threads),
+        let (census, traffic) = standard_geography(p.cities, seed);
+        let config = IspConfig {
+            n_pops: p.n_pops,
+            total_customers: p.total_customers,
+            ..IspConfig::default()
+        };
+        let isp = generate(&census, &traffic, &config, &mut StdRng::seed_from_u64(seed));
+        let csr = CsrGraph::from_graph(&isp.graph);
+        let base = customer_gravity_demand(&isp, p.total_traffic);
+        let allowance = DemandMatrix::build(
+            &csr,
+            None,
+            &DemandConfig {
+                model: DemandModel::RankBiased {
+                    exponent: p.surge_exponent,
+                },
+                total_traffic: p.surge_traffic,
+            },
         );
-        let mass = column(&snap.node_f64, "mass").to_vec();
-        let positions: Vec<Point> = column(&snap.node_f64, "pos_x")
-            .iter()
-            .zip(column(&snap.node_f64, "pos_y"))
-            .map(|(&x, &y)| Point { x, y })
-            .collect();
-        let capacities = column(&snap.edge_f64, "capacity");
-        let base = DemandMatrix::from_masses(mass, Some(positions), 1.0, 1.0, p.total_traffic);
+        let envelope = SumDemand::new(&base, &allowance);
+        let envelope_loads = link_loads(&csr, &envelope, RoutePolicy::TreePath, threads);
+        let capacities = provision_capacities(
+            &CableCatalog::realistic_2003(),
+            &envelope_loads.link_load,
+            p.headroom,
+        );
         // The ISP was provisioned for its envelope, not for `base`, so
         // its baseline needs a route of its own.
-        let loads = link_loads(&snap.csr, &base, RoutePolicy::TreePath, threads);
+        let loads = link_loads(&csr, &base, RoutePolicy::TreePath, threads);
         rows.push(case_row(
             "isp(designed)",
-            &snap.csr,
+            &csr,
             &base,
             &loads.link_load,
-            capacities,
+            &capacities,
             p,
             threads,
         ));

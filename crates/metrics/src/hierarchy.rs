@@ -18,7 +18,7 @@
 
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::parallel::{default_threads, par_betweenness, par_betweenness_sampled};
+use hot_graph::parallel::{par_betweenness, par_betweenness_sampled};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -95,12 +95,13 @@ pub struct HierarchySummary {
 /// Computes the hierarchy summary (zeros for graphs with < 3 nodes, where
 /// betweenness is trivially 0).
 ///
-/// Betweenness runs on the CSR kernel across all available cores; the
-/// chunked reduction makes the result independent of the thread count.
-/// Above [`SAMPLED_NODE_THRESHOLD`] nodes the seeded pivot estimator
-/// stands in for exact Brandes (see the module docs).
+/// Betweenness runs on the CSR kernel on the calling thread, so a
+/// caller that runs several reports at once sets the thread count
+/// alone ([`betweenness_estimate`] takes one). Above
+/// [`SAMPLED_NODE_THRESHOLD`] nodes the seeded pivot estimator stands
+/// in for exact Brandes (see the module docs).
 pub fn hierarchy<N, E>(g: &Graph<N, E>) -> HierarchySummary {
-    let (b, _sampled) = betweenness_estimate(&CsrGraph::from_graph(g), default_threads());
+    let (b, _sampled) = betweenness_estimate(&CsrGraph::from_graph(g), 1);
     let total: f64 = b.iter().sum();
     if b.len() < 3 || total <= 0.0 {
         return HierarchySummary {

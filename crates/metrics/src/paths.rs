@@ -3,13 +3,13 @@
 //!
 //! For graphs beyond `EXACT_LIMIT` nodes the metrics are estimated from a
 //! deterministic stride sample of BFS sources, keeping reports
-//! reproducible without an RNG. The BFS sweep runs on the CSR view
-//! across all available cores; every aggregate is integer-valued, so the
-//! parallel result is identical to the serial one.
+//! reproducible without an RNG. The BFS sweep runs on the CSR view on
+//! the calling thread, so a caller that runs several reports at once
+//! (E6 on `par_map`) sets the thread count alone.
 
 use hot_graph::csr::CsrGraph;
 use hot_graph::graph::{Graph, NodeId};
-use hot_graph::parallel::{default_threads, par_path_summary};
+use hot_graph::parallel::par_path_summary;
 
 /// Below this node count, all-sources BFS is exact.
 const EXACT_LIMIT: usize = 2000;
@@ -51,7 +51,7 @@ fn sources<N, E>(g: &Graph<N, E>) -> (Vec<NodeId>, bool) {
 /// per-component); the empty graph yields zeros.
 pub fn path_metrics<N, E>(g: &Graph<N, E>) -> PathMetrics {
     let (srcs, exact) = sources(g);
-    let summary = par_path_summary(&CsrGraph::from_graph(g), &srcs, default_threads());
+    let summary = par_path_summary(&CsrGraph::from_graph(g), &srcs, 1);
     PathMetrics {
         mean_distance: summary.mean_distance(),
         diameter: summary.diameter,

@@ -211,7 +211,9 @@ fn main() {
             .map(|&(a, b)| (a as usize, b as usize, ())),
     );
 
-    let paths = timed("path metrics (sampled BFS sweep)", || path_metrics(&g));
+    let paths = timed("path metrics (sampled BFS sweep, one thread)", || {
+        path_metrics(&g)
+    });
     println!(
         "  mean distance {:.2} hops, diameter >= {}, exact={}",
         paths.mean_distance, paths.diameter, paths.exact
