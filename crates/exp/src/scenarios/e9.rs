@@ -92,8 +92,8 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
 
     // ---- (a) economies of scale ----
     // The designs run serially on purpose. On two threads they made the
-    // ablations benchmark 26% faster but raised its peak RSS by 8%, most
-    // of it the fixed cost of the first spawned thread.
+    // ablations benchmark 30% faster but raised its peak RSS by 13%, more
+    // than its 10% bound allows.
     let realistic = LinkCost::cables_only(CableCatalog::realistic_2003());
     // Single cable type: same smallest tier, no upgrade path.
     let flat = LinkCost::cables_only(CableCatalog::single(45.0, 10.0, 1.0));
