@@ -1,14 +1,13 @@
 //! Scale-path benches: the kernels that make 1M+ routers routine —
-//! direction-optimizing BFS, pivot-sampled vs exact betweenness, and
-//! binary snapshot serialization vs regeneration. The classic queue BFS
-//! the direction-optimizing kernel is checked against is test code
-//! (`tests/common/traversal.rs`), timed only by the speedup gate.
+//! direction-optimizing BFS and pivot-sampled vs exact betweenness. The
+//! classic queue BFS the direction-optimizing kernel is checked against
+//! is test code (`tests/common/traversal.rs`), timed only by the speedup
+//! gate. GLP generation is timed in `gen_benches`.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use hot_baselines::glp;
 use hot_graph::csr::{BfsScratch, CsrGraph};
 use hot_graph::graph::NodeId;
-use hot_graph::io::Snapshot;
 use hot_graph::parallel::{default_threads, par_betweenness, par_betweenness_sampled};
 use hot_metrics::hierarchy::betweenness_pivots;
 use rand::rngs::StdRng;
@@ -51,18 +50,5 @@ fn bench_betweenness(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_snapshot(c: &mut Criterion) {
-    let csr = glp_csr(50_000);
-    let snap = Snapshot::new(csr);
-    let bytes = snap.to_bytes();
-    let mut group = c.benchmark_group("scale_snapshot_glp50k");
-    group.bench_function("to_bytes", |b| b.iter(|| black_box(snap.to_bytes())));
-    group.bench_function("from_bytes", |b| {
-        b.iter(|| black_box(Snapshot::from_bytes(&bytes).unwrap()))
-    });
-    group.bench_function("regenerate", |b| b.iter(|| black_box(glp_csr(50_000))));
-    group.finish();
-}
-
-criterion_group!(benches, bench_bfs, bench_betweenness, bench_snapshot);
+criterion_group!(benches, bench_bfs, bench_betweenness);
 criterion_main!(benches);

@@ -152,87 +152,6 @@ impl CsrGraph {
         }
     }
 
-    /// Reassembles a CSR view from its raw arrays (the snapshot-load
-    /// path). Validates the structural invariants — monotone offsets
-    /// bracketing the adjacency arrays, equal-length parallel arrays, an
-    /// even entry count (undirected edges appear once per endpoint),
-    /// in-range targets, edge ids below the edge count (every CSR the
-    /// workspace builds numbers its edges densely, and the edge-indexed
-    /// kernels rely on it), and each edge id at exactly two entries that
-    /// name each other's node — so a corrupt or truncated snapshot fails
-    /// loudly instead of producing out-of-bounds kernels or landing two
-    /// links' loads on one id.
-    pub fn from_raw_parts(
-        offsets: Vec<u32>,
-        targets: Vec<NodeId>,
-        edge_ids: Vec<EdgeId>,
-    ) -> Result<Self, String> {
-        if offsets.is_empty() {
-            return Err("offsets must contain at least the leading 0".into());
-        }
-        if offsets[0] != 0 {
-            return Err(format!("offsets[0] must be 0, got {}", offsets[0]));
-        }
-        if let Some(w) = offsets.windows(2).position(|w| w[0] > w[1]) {
-            return Err(format!("offsets not monotone at index {}", w));
-        }
-        let entries = *offsets.last().expect("non-empty") as usize;
-        if entries != targets.len() || entries != edge_ids.len() {
-            return Err(format!(
-                "offsets end at {} but targets/edge_ids have {}/{} entries",
-                entries,
-                targets.len(),
-                edge_ids.len()
-            ));
-        }
-        if !entries.is_multiple_of(2) {
-            return Err(format!("odd adjacency entry count {}", entries));
-        }
-        let n = offsets.len() - 1;
-        if let Some(t) = targets.iter().find(|t| t.index() >= n) {
-            return Err(format!("target {} out of range (n = {})", t.0, n));
-        }
-        if let Some(e) = edge_ids.iter().find(|e| e.index() >= entries / 2) {
-            return Err(format!(
-                "edge id {} out of range ({} edges)",
-                e.0,
-                entries / 2
-            ));
-        }
-        // Pair each id's second entry with its first: `(owner, target)`
-        // must mirror. No id may take a third entry, so the 2m entries
-        // fill the m ids exactly twice each.
-        #[derive(Clone, Copy)]
-        enum Seen {
-            Never,
-            Once(NodeId, NodeId),
-            Paired,
-        }
-        let mut seen = vec![Seen::Never; entries / 2];
-        for v in 0..n {
-            let owner = NodeId(v as u32);
-            let (lo, hi) = (offsets[v] as usize, offsets[v + 1] as usize);
-            for (&t, e) in targets[lo..hi].iter().zip(&edge_ids[lo..hi]) {
-                let slot = &mut seen[e.index()];
-                *slot = match *slot {
-                    Seen::Never => Seen::Once(owner, t),
-                    Seen::Once(a, b) if (a, b) == (t, owner) => Seen::Paired,
-                    _ => {
-                        return Err(format!(
-                            "edge id {} is not one mirrored pair of entries (at node {})",
-                            e.0, v
-                        ))
-                    }
-                };
-            }
-        }
-        Ok(CsrGraph {
-            offsets,
-            targets,
-            edge_ids,
-        })
-    }
-
     /// The raw offset array: node `v`'s adjacency entries live at
     /// `offsets[v] as usize .. offsets[v + 1] as usize`. Length is
     /// `node_count() + 1`.
@@ -241,16 +160,11 @@ impl CsrGraph {
         &self.offsets
     }
 
-    /// The raw neighbor array, parallel to [`Self::edge_ids_raw`].
+    /// The raw neighbor array, indexed by the adjacency positions of
+    /// [`Self::offsets`].
     #[inline]
     pub fn targets(&self) -> &[NodeId] {
         &self.targets
-    }
-
-    /// The raw incident-edge-id array, parallel to [`Self::targets`].
-    #[inline]
-    pub fn edge_ids_raw(&self) -> &[EdgeId] {
-        &self.edge_ids
     }
 
     /// Number of nodes.
@@ -633,9 +547,9 @@ impl CsrGraph {
     /// masked view identical to trees on a rebuilt subgraph, which is
     /// what the cascade simulator's re-route rounds rely on.
     ///
-    /// Requires dense edge ids (every id in `edge_ids_raw()` below
-    /// `edge_count()`), which holds for any CSR built by
-    /// [`Self::from_graph`].
+    /// Relies on dense edge ids (every id below `edge_count()`), which
+    /// both constructors guarantee: [`Self::from_graph`] keeps the
+    /// graph's dense ids, and this function renumbers densely.
     pub fn edge_masked(&self, alive: &[bool]) -> (CsrGraph, Vec<EdgeId>) {
         assert_eq!(alive.len(), self.edge_count(), "alive mask length mismatch");
         let mut renumber = vec![u32::MAX; self.edge_count()];
@@ -1033,68 +947,6 @@ mod tests {
             let finite = scratch.dist().iter().filter(|&&d| d != UNREACHABLE).count();
             assert_eq!(scratch.reached().len(), finite, "{}", s);
         }
-    }
-
-    #[test]
-    fn from_raw_parts_validates() {
-        let g = diamond();
-        let csr = CsrGraph::from_graph(&g);
-        let rebuilt = CsrGraph::from_raw_parts(
-            csr.offsets().to_vec(),
-            csr.targets().to_vec(),
-            csr.edge_ids_raw().to_vec(),
-        )
-        .expect("valid arrays round-trip");
-        assert_eq!(rebuilt, csr);
-        assert!(CsrGraph::from_raw_parts(vec![], vec![], vec![]).is_err());
-        assert!(
-            CsrGraph::from_raw_parts(vec![1, 2], vec![NodeId(0); 2], vec![EdgeId(0); 2]).is_err()
-        );
-        assert!(
-            CsrGraph::from_raw_parts(vec![0, 2, 1], vec![NodeId(0); 2], vec![EdgeId(0); 2])
-                .is_err()
-        );
-        assert!(
-            CsrGraph::from_raw_parts(vec![0, 2], vec![NodeId(0)], vec![EdgeId(0)]).is_err(),
-            "length mismatch"
-        );
-        assert!(
-            CsrGraph::from_raw_parts(vec![0, 1], vec![NodeId(0)], vec![EdgeId(0)]).is_err(),
-            "odd entry count"
-        );
-        assert!(
-            CsrGraph::from_raw_parts(vec![0, 2], vec![NodeId(7), NodeId(0)], vec![EdgeId(0); 2])
-                .is_err(),
-            "target out of range"
-        );
-        // Edge ids index per-edge columns, so they must stay below the
-        // edge count (entries / 2).
-        let mut edge_ids = csr.edge_ids_raw().to_vec();
-        edge_ids[3] = EdgeId(csr.edge_count() as u32);
-        assert!(
-            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
-                .is_err(),
-            "edge id out of range"
-        );
-        // Each id names one link: exactly two entries, mirroring each
-        // other. A copied in-range id (three entries for one id, one for
-        // another) and two swapped ids (each twice, but not mirrored)
-        // are both rejected.
-        let mut edge_ids = csr.edge_ids_raw().to_vec();
-        assert_ne!(edge_ids[3], edge_ids[0]);
-        edge_ids[3] = edge_ids[0];
-        assert!(
-            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
-                .is_err(),
-            "duplicated edge id"
-        );
-        let mut edge_ids = csr.edge_ids_raw().to_vec();
-        edge_ids.swap(0, 1);
-        assert!(
-            CsrGraph::from_raw_parts(csr.offsets().to_vec(), csr.targets().to_vec(), edge_ids)
-                .is_err(),
-            "swapped edge ids"
-        );
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! | [`degree`] | degree sequences, histograms, CCDFs |
 //! | [`spectral`] | adjacency/Laplacian spectra via power iteration |
 //! | [`flow`] | Edmonds–Karp max-flow / min-cut |
-//! | [`io`] | DOT export and binary snapshots |
+//! | [`io`] | Graphviz DOT export |
 //!
 //! ## Example
 //!

@@ -16,11 +16,20 @@
 
 use hot_exp::registry::{registry, RunCtx, Scale};
 use hot_exp::SEED;
-use hotgen::graph::io::fnv1a;
 use hotgen::graph::parallel::default_threads;
 use std::time::Instant;
 
 const PINNED: &str = include_str!("golden/full_digests.txt");
+
+/// FNV-1a, 64-bit, over a byte slice: the digest the pin file holds.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    h
+}
 
 /// `(id, digest)` per non-comment line of the pin file.
 fn pinned() -> Vec<(&'static str, u64)> {
@@ -39,6 +48,14 @@ fn pinned() -> Vec<(&'static str, u64)> {
             }
         })
         .collect()
+}
+
+/// The published FNV-1a-64 test vectors, so a slip in the digest shows
+/// in every `cargo test` run, not only in the ignored full-scale sweep.
+#[test]
+fn fnv1a_matches_published_vectors() {
+    assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+    assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
 }
 
 #[test]

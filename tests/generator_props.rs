@@ -1112,72 +1112,3 @@ proptest! {
         }
     }
 }
-
-/// A growth-only mutation schedule: per epoch, a few arrivals (each
-/// wired to an existing node) plus a few reinforcement edges between
-/// existing nodes, all derived from the proptest-drawn pair list.
-/// `per_epoch` sees the 1-based epoch and the grown graph.
-fn run_epoch_schedule(
-    seed_nodes: usize,
-    epochs: &[Vec<(usize, usize)>],
-    mut per_epoch: impl FnMut(u64, &Graph<(), ()>),
-) {
-    let mut g: Graph<(), ()> = Graph::new();
-    for _ in 0..seed_nodes {
-        g.add_node(());
-    }
-    for i in 1..seed_nodes {
-        g.add_edge(NodeId((i - 1) as u32), NodeId(i as u32), ());
-    }
-    for (epoch, ops) in (1u64..).zip(epochs) {
-        for &(a, b) in ops {
-            if a % 3 == 0 {
-                // An arrival: new node wired to an existing one.
-                let t = NodeId((b % g.node_count()) as u32);
-                let v = g.add_node(());
-                g.add_edge(t, v, ());
-            } else {
-                // Reinforcement between existing nodes.
-                let x = NodeId((a % g.node_count()) as u32);
-                let y = NodeId((b % g.node_count()) as u32);
-                if x != y {
-                    g.add_edge(x, y, ());
-                }
-            }
-        }
-        per_epoch(epoch, &g);
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Mid-evolution state survives a binary snapshot round-trip: at
-    /// every epoch, the CSR view rebuilt from the grown graph and
-    /// serialized through `Snapshot::to_bytes`/`from_bytes` (with a
-    /// node column carrying the epoch stamp) comes back bit-identical —
-    /// so an evolution can be checkpointed and resumed from disk at any
-    /// epoch boundary.
-    #[test]
-    fn epoch_state_roundtrips_through_snapshots(
-        seed_nodes in 2usize..10,
-        epochs in proptest::collection::vec(
-            proptest::collection::vec((0usize..64, 0usize..64), 0..10),
-            1..6,
-        ),
-    ) {
-        use hotgen::graph::io::Snapshot;
-        run_epoch_schedule(seed_nodes, &epochs, |epoch, g| {
-            let csr = CsrGraph::from_graph(g);
-            let mut snap = Snapshot::new(csr.clone());
-            snap.node_u32.push((
-                "epoch".to_string(),
-                vec![epoch as u32; g.node_count()],
-            ));
-            let restored = Snapshot::from_bytes(&snap.to_bytes())
-                .expect("round-trip of a freshly written snapshot");
-            assert_eq!(&restored, &snap, "snapshot round-trip must be lossless");
-            assert_eq!(restored.csr, csr);
-        });
-    }
-}
