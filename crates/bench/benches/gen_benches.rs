@@ -126,7 +126,7 @@ fn bench_csr_analytics(c: &mut Criterion) {
         b.iter(|| {
             let mut rng = StdRng::seed_from_u64(11);
             black_box(degradation_curve(
-                &g,
+                &csr,
                 RemovalPolicy::DegreeAttack,
                 &fractions,
                 &mut rng,

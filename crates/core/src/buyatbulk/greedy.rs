@@ -7,7 +7,11 @@
 //!   node's flow sits in one table that lives across scans, and a scan
 //!   re-prices only the entries whose flows or lengths the last move
 //!   changed, so a candidate costs one new link plus O(depth) additions
-//!   of cached terms.
+//!   of cached terms. A scan visits each customer's new parents nearest
+//!   first and stops at the first one whose new link alone rules out
+//!   beating the best move so far: a flow shift never lowers the cost of
+//!   the link that gains it nor raises it on the link that sheds it, so
+//!   the cached terms cannot pay for a longer link.
 //! - [`star`]: the direct-connection baseline (every customer straight to
 //!   the sink) — what an ISP with no aggregation would build.
 //! - [`mst_route`]: build the Euclidean MST over sink + customers, then
@@ -73,23 +77,32 @@ pub struct ImproveOutcome {
 /// Best-improvement reparenting local search from `start`.
 ///
 /// Stops at a local optimum or after `max_moves` applied moves. Each scan
-/// (one per applied move, plus the last that finds none) tries all
-/// (n+1)² (v, u) pairs: it tests subtree membership in O(1) and adds
-/// cached cost terms along both paths to the LCA, O(n² · depth) additions
-/// in all. The terms live in an (n+1)² table of `f64` (0.7 MB at
-/// n = 300) that the first scan prices in full; after that a scan
-/// re-prices only the rows and columns of the O(depth) nodes whose flow
-/// or uplink the last move changed, O(n · depth) link costs.
+/// (one per applied move, plus the last that finds none) takes the
+/// moves of each `v` in turn, trying the new parents `u` in ascending
+/// distance from `v`; that order is an (n+1)² table of `u32` built once
+/// per call (0.36 MB at n = 300), since no point moves. Before each
+/// row it derives a cut from `v`'s losses on its old root path and the
+/// best move so far, and it stops the row at the first `u` whose new
+/// link's cost change reaches the cut: no later `u` can win. The pairs
+/// before that test subtree membership in O(1) and add cached cost terms
+/// along both paths to the LCA, O(depth) additions each; on E9's inputs
+/// about one pair in ten gets that far. The terms live in an (n+1)²
+/// table of `f64` (0.7 MB at n = 300) that the first scan prices in
+/// full; after that a scan re-prices only the rows and columns of the
+/// O(depth) nodes whose flow or uplink the last move changed,
+/// O(n · depth) link costs. The applied move is always the first
+/// strictly best one in (v, u) order, as a scan of every pair finds it.
 pub fn improve(instance: &Instance, start: &AccessNetwork, max_moves: usize) -> ImproveOutcome {
     improve_counted(instance, start, max_moves).0
 }
 
-/// [`improve`], also returning the number of gain-table evaluations.
+/// [`improve`], also returning the number of gain-table evaluations and
+/// the number of candidates that ran the LCA climb.
 fn improve_counted(
     instance: &Instance,
     start: &AccessNetwork,
     max_moves: usize,
-) -> (ImproveOutcome, u64) {
+) -> (ImproveOutcome, u64, u64) {
     let n = instance.n_customers();
     let m = n + 1;
     let initial_cost = start.total_cost(instance);
@@ -108,7 +121,7 @@ fn improve_counted(
         debug_assert_eq!(f.len(), m);
         f
     };
-    let mut scan = Scan::new(m);
+    let mut scan = Scan::new(instance);
     let mut moves = 0;
     while moves < max_moves {
         scan.refresh(instance, &parent, &flow);
@@ -129,7 +142,7 @@ fn improve_counted(
         initial_cost,
         moves,
     };
-    (outcome, scan.evaluations)
+    (outcome, scan.evaluations, scan.climbs)
 }
 
 /// Convenience: MMP then local search.
@@ -147,7 +160,8 @@ const NONE: usize = usize::MAX;
 
 /// The buffers of the candidate scans, sized to the solution's node count
 /// once per [`improve`] call. The tree indexes and uplink costs are
-/// refreshed after every applied move; the gain table carries over.
+/// refreshed after every applied move; the gain table and the candidate
+/// order carry over.
 ///
 /// Reparenting `v` (carrying flow `x`) from `old_p` to `u` replaces the
 /// link `(v, old_p)` by `(v, u)`, lowers the flow by `x` on the path
@@ -182,14 +196,30 @@ struct Scan {
     /// re-prices row `v`, and every flagged `b` column `b`.
     changed: Vec<bool>,
     changed_nodes: Vec<usize>,
+    /// The m × m candidate order: row `v` lists every node `u` by
+    /// ascending `(dist(v, u), u)` under `f64::total_cmp`, which puts a
+    /// NaN distance (never part of a winning move) at one end of the row.
+    order: Vec<u32>,
     /// Gain-table entries priced so far.
     evaluations: u64,
+    /// Candidates that ran the LCA climb so far.
+    climbs: u64,
 }
 
 impl Scan {
-    /// Buffers for `m` nodes, with every node flagged so that the first
-    /// scan prices the whole gain table.
-    fn new(m: usize) -> Self {
+    /// Buffers for `instance`'s sink and customers, with every node
+    /// flagged so that the first scan prices the whole gain table.
+    fn new(instance: &Instance) -> Self {
+        let m = instance.n_customers() + 1;
+        let mut order = Vec::with_capacity(m * m);
+        let mut row = Vec::with_capacity(m);
+        for v in 0..m {
+            let point = instance.node_point(v);
+            row.clear();
+            row.extend((0..m).map(|u| (point.dist(&instance.node_point(u)), u as u32)));
+            row.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            order.extend(row.iter().map(|&(_, u)| u));
+        }
         let mut scan = Scan {
             first_child: vec![NONE; m],
             next_sibling: vec![NONE; m],
@@ -202,7 +232,9 @@ impl Scan {
             gain_table: vec![0.0; m * m],
             changed: vec![false; m],
             changed_nodes: Vec::with_capacity(m),
+            order,
             evaluations: 0,
+            climbs: 0,
         };
         for b in 1..m {
             scan.flag(b);
@@ -280,6 +312,14 @@ impl Scan {
     /// The first strictly best improving move in (v, u) order, as
     /// `(v, new parent)`. Brings the gain table up to date on the way and
     /// clears every flag.
+    ///
+    /// Row `v` visits its candidates nearest first and stops at the first
+    /// one whose new-link term, `cost(dist(v, u)) − cost(len[v])` at `v`'s
+    /// flow, reaches the row's cut (see [`row_cut`]); a longer link never
+    /// costs less, so no later candidate of the row could win. Visiting
+    /// out of `u` order changes no choice, because a candidate replaces
+    /// the best on a smaller delta, or on an equal one from the same row
+    /// and a smaller `u`.
     fn best_move(
         &mut self,
         instance: &Instance,
@@ -288,17 +328,33 @@ impl Scan {
     ) -> Option<(usize, usize)> {
         let m = parent.len();
         let cost = &instance.cost;
+        // The cut needs every link cost to be nondecreasing in the flow.
+        // A negative port charge breaks that (a link with flow can cost
+        // less than none), and such a search scans every row in full.
+        let monotone = cost.port_cost >= 0.0;
         let mut best: Option<(usize, usize, f64)> = None;
+        let mut climbs = 0;
         for v in 1..m {
             let old_p = parent[v];
             let moved = flow[v];
             let priced = cost.price(moved);
             let base_old = priced.at(self.len[v]);
+            // The losses, and their sum in path order.
+            let mut shed = 0.0;
             let mut a = old_p;
             while a != 0 {
                 self.loss[a] = cost.cost(self.len[a], flow[a] - moved) - self.cur[a];
+                shed += self.loss[a];
                 a = parent[a];
             }
+            // A negative flow, which only cancellation in `apply` could
+            // leave behind, would turn losses into gains.
+            let cut = if monotone && moved >= 0.0 {
+                let threshold = best.map_or(-1e-9, |(_, _, d)| d);
+                row_cut(&self.loss, parent, old_p, shed, threshold)
+            } else {
+                f64::INFINITY
+            };
             let row = &mut self.gain_table[v * m..(v + 1) * m];
             if self.changed[v] {
                 for (b, g) in row.iter_mut().enumerate().skip(1) {
@@ -314,11 +370,16 @@ impl Scan {
             let subtree = self.pre[v]..self.pre[v] + self.size[v];
             let (depth, loss, gain) = (&self.depth, &self.loss, &*row);
             let point = instance.node_point(v);
-            for u in 0..m {
+            for &u in &self.order[v * m..(v + 1) * m] {
+                let u = u as usize;
                 if u == v || u == old_p || subtree.contains(&self.pre[u]) {
                     continue;
                 }
                 let mut delta = priced.at(point.dist(&instance.node_point(u))) - base_old;
+                if delta >= cut {
+                    break;
+                }
+                climbs += 1;
                 // Climb both paths to their LCA.
                 let (mut a, mut b) = (old_p, u);
                 while depth[a] > depth[b] {
@@ -335,16 +396,59 @@ impl Scan {
                     delta += gain[b];
                     b = parent[b];
                 }
-                if delta < -1e-9 && best.is_none_or(|(_, _, d)| delta < d) {
+                if delta < -1e-9
+                    && best.is_none_or(|(bv, bu, d)| delta < d || (delta == d && bv == v && u < bu))
+                {
                     best = Some((v, u, delta));
                 }
             }
         }
+        self.climbs += climbs;
         for b in self.changed_nodes.drain(..) {
             self.changed[b] = false;
         }
         best.map(|(v, u, _)| (v, u))
     }
+}
+
+/// Steps [`row_cut`] takes upward from its first guess before it gives
+/// the row no cut.
+const CUT_STEPS: usize = 4;
+
+/// The cut of one row of [`Scan::best_move`]: an `x` with
+/// `fold(x) >= threshold`, where `fold(x)` adds `loss` along the path
+/// `from → root` to `x` in path order, as the LCA climb adds the losses;
+/// `shed` is `fold(0)`.
+///
+/// A candidate's delta is its new-link term `x0` plus, in the climb's
+/// order, the losses up to the LCA and the gains. Every gain is ≥ 0 and
+/// every loss ≤ 0, since a link's cost does not fall as its flow grows,
+/// and IEEE addition is monotone in each operand: leaving the gains out
+/// and adding the losses above the LCA can only lower the sum, so
+/// `delta >= fold(x0)`. As `fold` is monotone too, a candidate with
+/// `x0 >= x` has `delta >= threshold` (or NaN) and cannot be accepted.
+/// `threshold − shed` misses the cut by rounding alone, so a few steps
+/// up find it; else the answer is `f64::INFINITY`, which stops a row
+/// only at an `x0` of `+∞`, whose delta is `+∞` or NaN.
+fn row_cut(loss: &[f64], parent: &[usize], from: usize, shed: f64, threshold: f64) -> f64 {
+    let fold = |x: f64| {
+        let mut sum = x;
+        let mut a = from;
+        while a != 0 {
+            sum += loss[a];
+            a = parent[a];
+        }
+        sum
+    };
+    let mut x = threshold - shed;
+    for _ in 0..CUT_STEPS {
+        let reached = fold(x);
+        if reached >= threshold {
+            return x;
+        }
+        x = (x + (threshold - reached)).max(x.next_up());
+    }
+    f64::INFINITY
 }
 
 #[cfg(test)]
@@ -471,7 +575,7 @@ mod tests {
         let parent = vec![0, 0, 1, 2, 2, 0, 5];
         let flow = vec![7.0, 4.0, 3.0, 1.0, 1.0, 2.0, 1.0];
         let inst = random_instance(parent.len() - 1, 7);
-        let mut scan = Scan::new(parent.len());
+        let mut scan = Scan::new(&inst);
         scan.refresh(&inst, &parent, &flow);
         assert_eq!(scan.depth, vec![0, 1, 2, 3, 3, 1, 2]);
         let ancestor = |mut u: usize, v: usize| loop {
@@ -534,7 +638,7 @@ mod tests {
                 .map(|v| start.tree.parent(NodeId(v as u32)).map_or(0, |p| p.index()))
                 .collect();
             let mut flow = start.uplink_flows(&inst);
-            let mut scan = Scan::new(m);
+            let mut scan = Scan::new(&inst);
             loop {
                 scan.refresh(&inst, &parent, &flow);
                 let best = scan.best_move(&inst, &parent, &flow);
@@ -586,16 +690,14 @@ mod tests {
         );
     }
 
-    /// The gain table's work on E9's ablation (a) at the benchmark's
+    /// The work of [`improve`] on E9's ablation (a) at the benchmark's
     /// scale: both catalogs, n = 60, five seeds from 20030617, MMP starts
-    /// and 2,000 moves. Re-pricing every entry outside the moved subtree
-    /// each scan, as a table rebuilt per scan would, costs close to m²
-    /// per scan; the kept table must stay under a quarter of that. The
-    /// count is deterministic, so this holds on any machine.
-    #[test]
-    fn gain_table_work_stays_far_below_full_rescans() {
+    /// and 2,000 moves. Returns m and the scans, gain-table evaluations
+    /// and LCA climbs summed over the ten searches. The counts are
+    /// deterministic, so the gates on them hold on any machine.
+    fn ablation_work() -> (u64, u64, u64, u64) {
         let (n, max_moves) = (60, 2000);
-        let (mut scans, mut evaluations) = (0, 0);
+        let (mut scans, mut evaluations, mut climbs) = (0, 0, 0);
         for catalog in [
             CableCatalog::realistic_2003(),
             CableCatalog::single(45.0, 10.0, 1.0),
@@ -605,16 +707,71 @@ mod tests {
                 let cost = LinkCost::cables_only(catalog.clone());
                 let inst = Instance::random_uniform(n, 15.0, cost, &mut rng);
                 let start = super::super::mmp::solve(&inst, &mut rng);
-                let (out, work) = improve_counted(&inst, &start, max_moves);
+                let (out, priced, climbed) = improve_counted(&inst, &start, max_moves);
                 scans += out.moves as u64 + u64::from(out.moves < max_moves);
-                evaluations += work;
+                evaluations += priced;
+                climbs += climbed;
             }
         }
-        let m = n as u64 + 1;
+        (n as u64 + 1, scans, evaluations, climbs)
+    }
+
+    /// Re-pricing every gain-table entry outside the moved subtree each
+    /// scan, as a table rebuilt per scan would, costs close to m² per
+    /// scan; on [`ablation_work`]'s searches the kept table must stay
+    /// under a quarter of that.
+    #[test]
+    fn gain_table_work_stays_far_below_full_rescans() {
+        let (m, scans, evaluations, _) = ablation_work();
         assert!(
             evaluations < scans * m * m / 4,
             "{} evaluations over {} scans of m = {}",
             evaluations,
+            scans,
+            m
+        );
+    }
+
+    /// Every cut that [`row_cut`] returns reaches the threshold when the
+    /// losses are added to it in path order, on chains of 1 to 12 random
+    /// losses. Its first guess, `threshold − shed`, misses by rounding in
+    /// some of these cases, so the test also requires that a step up was
+    /// needed at least once.
+    #[test]
+    fn row_cut_reaches_the_threshold() {
+        let mut rng = StdRng::seed_from_u64(8);
+        let mut stepped = 0;
+        for case in 0..2000 {
+            // The chain 0 ← 1 ← … ← k, with a loss on every uplink.
+            let k: usize = rng.random_range(1..13);
+            let parent: Vec<usize> = (0..=k).map(|a| a.saturating_sub(1)).collect();
+            let loss: Vec<f64> = (0..=k).map(|_| -rng.random_range(0.0..1e3f64)).collect();
+            let fold = |x: f64| (1..=k).rev().fold(x, |sum, a| sum + loss[a]);
+            let shed = fold(0.0);
+            let threshold = -rng.random_range(1e-9..1e3f64);
+            let cut = row_cut(&loss, &parent, k, shed, threshold);
+            assert!(
+                cut.is_finite() && fold(cut) >= threshold,
+                "case {case}: cut {cut} folds to {} below {threshold}",
+                fold(cut)
+            );
+            if fold(threshold - shed) < threshold {
+                stepped += 1;
+            }
+        }
+        assert!(stepped > 0, "no first guess missed the threshold");
+    }
+
+    /// A scan without row cuts climbs to the LCA for every valid (v, u)
+    /// pair, close to m² per scan; on [`ablation_work`]'s searches the cut
+    /// rows must climb for fewer than a fifth of that.
+    #[test]
+    fn row_cuts_skip_most_climbs() {
+        let (m, scans, _, climbs) = ablation_work();
+        assert!(
+            climbs < scans * m * m / 5,
+            "{} climbs over {} scans of m = {}",
+            climbs,
             scans,
             m
         );

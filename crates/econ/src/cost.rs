@@ -87,6 +87,9 @@ impl FlowPrice {
 mod tests {
     use super::*;
     use crate::cable::CableCatalog;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn model() -> LinkCost {
         LinkCost {
@@ -149,5 +152,72 @@ mod tests {
         let (small_idx, _) = m.cable_choice(10.0);
         let (big_idx, _) = m.cable_choice(9000.0);
         assert!(big_idx > small_idx);
+    }
+
+    proptest! {
+        /// As f64 values, a link's cost never falls as its flow grows,
+        /// and a priced flow never costs less on a longer link: the
+        /// premise of the row cuts in `greedy::improve`. Catalogs are
+        /// random (1 to 5 types), the 5-tier one and the flat one, with
+        /// port charges in [0, 50]. Flows cover a negative one, both
+        /// zeros, subnormals, every breakpoint where a cable type needs
+        /// one more instance (1 to 3 times its capacity) one ulp either
+        /// side, and random flows; checking each neighbour pair in flow
+        /// order covers every `f1 <= f2` by transitivity.
+        #[test]
+        fn cost_is_nondecreasing_in_flow_and_length(
+            seed in 0u64..1_000_000,
+            kind in 0usize..3,
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let catalog = match kind {
+                0 => CableCatalog::random(rng.random_range(1..6), &mut rng),
+                1 => CableCatalog::realistic_2003(),
+                _ => CableCatalog::single(45.0, 10.0, 1.0),
+            };
+            let model = LinkCost {
+                catalog,
+                port_cost: rng.random_range(0.0..=50.0),
+            };
+            let mut flows = vec![
+                -1.0,
+                -0.0,
+                0.0,
+                f64::from_bits(1),
+                f64::MIN_POSITIVE.next_down(),
+                f64::MIN_POSITIVE,
+            ];
+            for t in model.catalog.types() {
+                for k in 1..=3 {
+                    let breakpoint = t.capacity * k as f64;
+                    flows.extend([breakpoint.next_down(), breakpoint, breakpoint.next_up()]);
+                }
+            }
+            let top = 4.0 * model.catalog.max_capacity();
+            flows.extend((0..32).map(|_| rng.random_range(0.0..top)));
+            flows.sort_by(f64::total_cmp);
+            let lengths = [0.0, f64::from_bits(1), 1e-3, 0.5, 1.0, 7.25, 1e4];
+            for length in lengths {
+                for pair in flows.windows(2) {
+                    let (low, high) = (model.cost(length, pair[0]), model.cost(length, pair[1]));
+                    prop_assert!(
+                        low <= high,
+                        "length {}: cost {} at flow {} above {} at flow {}",
+                        length, low, pair[0], high, pair[1]
+                    );
+                }
+            }
+            for flow in flows {
+                let price = model.price(flow);
+                for pair in lengths.windows(2) {
+                    let (short, long) = (price.at(pair[0]), price.at(pair[1]));
+                    prop_assert!(
+                        short <= long,
+                        "flow {}: cost {} at length {} above {} at length {}",
+                        flow, short, pair[0], long, pair[1]
+                    );
+                }
+            }
+        }
     }
 }

@@ -15,7 +15,7 @@ use hot_core::fkp::{grow, FkpConfig};
 use hot_core::isp::generator::{generate, IspConfig};
 use hot_econ::cable::CableCatalog;
 use hot_econ::cost::LinkCost;
-use hot_graph::graph::Graph;
+use hot_graph::csr::CsrGraph;
 use hot_metrics::robustness::{degradation_curve, robustness_score, RemovalPolicy};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -117,11 +117,11 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
     columns.push("score".into());
     let column_refs: Vec<&str> = columns.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(&column_refs);
-    let mut curve_row = |name: &str, g: &Graph<(), ()>, policy: RemovalPolicy| {
+    let mut curve_row = |name: &str, csr: &CsrGraph, policy: RemovalPolicy| {
         let mut rng = StdRng::seed_from_u64(ctx.seed + 10);
         // The parallel sweep is bit-identical to the serial one at any
         // thread count, so the table stays reproducible.
-        let pts = degradation_curve(g, policy, &p.fractions, &mut rng, ctx.threads.max(1));
+        let pts = degradation_curve(csr, policy, &p.fractions, &mut rng, ctx.threads.max(1));
         let mut row: Vec<Json> = vec![
             Json::str(name),
             Json::str(match policy {
@@ -140,8 +140,9 @@ pub fn run(p: &Params, ctx: RunCtx) -> ExpReport {
         ("ba(m=2)", &ba_graph),
         ("gnm(2n)", &gnm_graph),
     ] {
-        curve_row(name, g, RemovalPolicy::RandomFailure);
-        curve_row(name, g, RemovalPolicy::DegreeAttack);
+        let csr = CsrGraph::from_graph(g);
+        curve_row(name, &csr, RemovalPolicy::RandomFailure);
+        curve_row(name, &csr, RemovalPolicy::DegreeAttack);
     }
     report.section(
         Section::new(format!(

@@ -10,7 +10,6 @@
 //! descriptive baselines.
 
 use hot_graph::csr::CsrGraph;
-use hot_graph::graph::Graph;
 use hot_graph::parallel::run_chunks;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -34,18 +33,19 @@ pub struct DegradationPoint {
     pub giant_fraction: f64,
 }
 
-/// Computes the degradation curve at the given removal fractions, with
-/// the fractions evaluated in parallel on `threads` worker threads.
+/// Computes the degradation curve of the graph `csr` views at the given
+/// removal fractions, with the fractions evaluated in parallel on
+/// `threads` worker threads.
 ///
 /// For `RandomFailure` the node order is drawn once from `rng`; for
 /// `DegreeAttack` it is the descending-degree order (ties by node id, so
 /// deterministic). Each fraction's giant component is measured by a
-/// masked component pass over the CSR view of the intact graph — no
+/// masked component pass over the intact graph's CSR view — no
 /// per-fraction subgraph copies — and written back by fraction index, so
 /// the curve is identical at every thread count (giant fractions are
 /// ratios of integers).
-pub fn degradation_curve<N: Clone, E: Clone>(
-    g: &Graph<N, E>,
+pub fn degradation_curve(
+    csr: &CsrGraph,
     policy: RemovalPolicy,
     fractions: &[f64],
     rng: &mut impl Rng,
@@ -54,7 +54,7 @@ pub fn degradation_curve<N: Clone, E: Clone>(
     for &f in fractions {
         assert!((0.0..=1.0).contains(&f), "fraction {} out of range", f);
     }
-    let n = g.node_count();
+    let n = csr.node_count();
     if n == 0 {
         return fractions
             .iter()
@@ -70,11 +70,10 @@ pub fn degradation_curve<N: Clone, E: Clone>(
     match policy {
         RemovalPolicy::RandomFailure => order.shuffle(rng),
         RemovalPolicy::DegreeAttack => {
-            let degs = g.degree_sequence();
+            let degs = csr.degree_sequence();
             order.sort_by_key(|&v| (std::cmp::Reverse(degs[v as usize]), v));
         }
     }
-    let csr = CsrGraph::from_graph(g);
     // Fractions are independent; the shared deterministic chunk scheduler
     // hands out contiguous index ranges and returns them in order, so
     // flattening restores the fraction order. The keep mask is per-worker
@@ -119,12 +118,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn star(n: usize) -> Graph<(), ()> {
-        Graph::from_edges(n, (1..n).map(|i| (0, i, ())).collect::<Vec<_>>())
+    fn star(n: usize) -> CsrGraph {
+        let g: Graph<(), ()> = Graph::from_edges(n, (1..n).map(|i| (0, i, ())).collect::<Vec<_>>());
+        CsrGraph::from_graph(&g)
     }
 
-    fn cycle(n: usize) -> Graph<(), ()> {
-        Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n, ())).collect::<Vec<_>>())
+    fn cycle(n: usize) -> CsrGraph {
+        let g: Graph<(), ()> =
+            Graph::from_edges(n, (0..n).map(|i| (i, (i + 1) % n, ())).collect::<Vec<_>>());
+        CsrGraph::from_graph(&g)
     }
 
     #[test]
@@ -204,7 +206,7 @@ mod tests {
 
     #[test]
     fn empty_graph_degenerate() {
-        let g: Graph<(), ()> = Graph::new();
+        let g = CsrGraph::from_graph(&Graph::<(), ()>::new());
         let pts = degradation_curve(
             &g,
             RemovalPolicy::RandomFailure,

@@ -126,7 +126,7 @@ fn main() {
     let fractions = [0.01, 0.02, 0.05, 0.1];
     let random = timed("degradation curve (random failure)", || {
         degradation_curve(
-            &g,
+            &csr,
             RemovalPolicy::RandomFailure,
             &fractions,
             &mut StdRng::seed_from_u64(44),
@@ -135,7 +135,7 @@ fn main() {
     });
     let attack = timed("degradation curve (degree attack)", || {
         degradation_curve(
-            &g,
+            &csr,
             RemovalPolicy::DegreeAttack,
             &fractions,
             &mut StdRng::seed_from_u64(44),

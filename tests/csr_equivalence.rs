@@ -332,6 +332,7 @@ fn par_path_summary_matches_serial_at_all_thread_counts() {
 fn parallel_degradation_curve_matches_serial() {
     let fractions = [0.0, 0.02, 0.05, 0.1, 0.25, 0.5];
     for (name, g) in fixtures() {
+        let g = CsrGraph::from_graph(&g);
         for policy in [RemovalPolicy::RandomFailure, RemovalPolicy::DegreeAttack] {
             let serial =
                 degradation_curve(&g, policy, &fractions, &mut StdRng::seed_from_u64(9), 1);

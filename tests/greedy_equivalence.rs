@@ -4,13 +4,20 @@
 //! `greedy::improve` keeps a gain table of link-cost changes across
 //! scans, so a scan re-prices only the entries the last move changed
 //! (513 of about 3,400 per scan on E9's inputs), and it tests subtree
-//! membership with preorder intervals. The `reference` module
-//! below is the scan it replaced — a root walk per subtree test and two
-//! fresh link costs per tree edge on both paths to the LCA — kept as the
+//! membership with preorder intervals. It visits each customer's new
+//! parents nearest first and stops at a cut derived from the customer's
+//! losses and the best move so far, so only about one pair in ten runs
+//! the LCA climb. The `reference` module below is the scan it replaced —
+//! every pair in (v, u) order, a root walk per subtree test and two fresh
+//! link costs per tree edge on both paths to the LCA — kept as the
 //! oracle. Both must apply the same moves: the move count, both costs
 //! (by `to_bits()`) and every parent agree. Duplicate and collinear
 //! customer sites force exact delta ties, where only the same f64
-//! operation order keeps the same first-strict-minimum choice.
+//! operation order and a tie rule that undoes the nearest-first order
+//! keep the same first-strict-minimum choice. A negative port charge,
+//! which the `LinkCost` struct literal allows, voids the cut's premise
+//! that no link costs less as its flow grows; such a search must scan
+//! every pair and still agree.
 
 use hotgen::core::buyatbulk::greedy::{improve, mst_route, star, ImproveOutcome};
 use hotgen::core::buyatbulk::mmp;
@@ -182,8 +189,9 @@ fn depths_computed_iteratively() {
 /// shared sites; 2 puts them on a 0.05-spaced line through the sink;
 /// 3 on a 1/16-spaced horizontal line and 4 on a 1/8 grid, where many
 /// links have bit-identical lengths. `tariff`: 0 the 5-tier catalog,
-/// 1 the same with port charges, 2 the flat 1-tier catalog. `demand`:
-/// 0 mixed sizes, 1 all 15 up to a few ulps, 2 all 0.7.
+/// 1 the same with port charges, 2 the flat 1-tier catalog, 3 the
+/// 5-tier catalog with a negative port charge. `demand`: 0 mixed
+/// sizes, 1 all 15 up to a few ulps, 2 all 0.7.
 fn instance(n: usize, layout: usize, tariff: usize, demand: usize, rng: &mut StdRng) -> Instance {
     let cost = match tariff {
         0 => LinkCost::cables_only(CableCatalog::realistic_2003()),
@@ -191,7 +199,11 @@ fn instance(n: usize, layout: usize, tariff: usize, demand: usize, rng: &mut Std
             catalog: CableCatalog::realistic_2003(),
             port_cost: rng.random_range(0.5..50.0),
         },
-        _ => LinkCost::cables_only(CableCatalog::single(45.0, 10.0, 1.0)),
+        2 => LinkCost::cables_only(CableCatalog::single(45.0, 10.0, 1.0)),
+        _ => LinkCost {
+            catalog: CableCatalog::realistic_2003(),
+            port_cost: rng.random_range(-50.0..-0.5),
+        },
     };
     let sites: Vec<Point> = (0..1 + n / 4)
         .map(|_| Point::new(rng.random_range(0.0..1.0), rng.random_range(0.0..1.0)))
@@ -304,5 +316,16 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         check(n, family, start_kind, 2000, seed)?;
+    }
+}
+
+/// Searches under a negative port charge, where the rows run uncut:
+/// every layout, start and demand mix, n up to 60, to a local optimum.
+#[test]
+fn negative_port_charges_match_reference() {
+    for seed in 0..30u64 {
+        let s = seed as usize;
+        let n = 2 + 7 * s % 59;
+        check(n, (s % 5, 3, s % 3), s % 3, 2000, seed).unwrap();
     }
 }

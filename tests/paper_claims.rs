@@ -154,6 +154,7 @@ fn claim_as_vs_router_degree_laws() {
 /// far better than targeted attack.
 #[test]
 fn claim_robust_yet_fragile() {
+    use hotgen::graph::csr::CsrGraph;
     use hotgen::metrics::robustness::{degradation_curve, robustness_score, RemovalPolicy};
     let topo = fkp::grow(
         &FkpConfig {
@@ -163,7 +164,7 @@ fn claim_robust_yet_fragile() {
         },
         &mut StdRng::seed_from_u64(6),
     );
-    let g = topo.to_graph();
+    let g = CsrGraph::from_graph(&topo.to_graph());
     let fractions = [0.02, 0.05, 0.1];
     let random = degradation_curve(
         &g,
@@ -187,6 +188,7 @@ fn claim_robust_yet_fragile() {
 /// component while removing a random 5% barely dents it.
 #[test]
 fn claim_e10_attack_giant_well_below_random() {
+    use hotgen::graph::csr::CsrGraph;
     use hotgen::graph::parallel::default_threads;
     use hotgen::metrics::robustness::{degradation_curve, RemovalPolicy};
     let topo = fkp::grow(
@@ -197,7 +199,7 @@ fn claim_e10_attack_giant_well_below_random() {
         },
         &mut StdRng::seed_from_u64(10),
     );
-    let g = topo.to_graph();
+    let g = CsrGraph::from_graph(&topo.to_graph());
     let threads = default_threads();
     let random = degradation_curve(
         &g,
